@@ -85,7 +85,11 @@ def fit_threshold(values: np.ndarray) -> tuple[float, bool]:
     low_sum = cs[:-1]
     high_sum = cs[-1] - low_sum
     sse = cs2[-1] - low_sum**2 / s - high_sum**2 / (n - s)
-    s_star = int(np.argmin(sse)) + 1  # argmin returns the first (smallest) split
+    # Exact ties in SSE round either way in the prefix sums; treat splits
+    # within a tolerance of the centred sum of squares as tied.
+    centred = v - cs[-1] / n
+    tol = 1e-12 * float(centred @ centred)
+    s_star = int(np.argmax(sse <= sse.min() + tol)) + 1  # first split within tol
     mean_low = low_sum[s_star - 1] / s_star
     mean_high = high_sum[s_star - 1] / (n - s_star)
     return float((mean_low + mean_high) / 2.0), False

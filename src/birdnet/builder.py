@@ -47,8 +47,6 @@ def build_birdnet(
     head_hidden: int = 32,
     seed: int = 42,
     dropout: float = 0.3,
-    sequential_mining: bool = False,
-    threads: int = 1,
 ) -> tuple[BirNetwork, ConstructionReport]:
     """Construct an untrained implication-structured network on training rows.
 
@@ -73,9 +71,7 @@ def build_birdnet(
         near = 1.0 if ell == 0 else NEAR_CONSTANT_FRAC
         model = fit_binarization(H, near_constant_frac=near)
         bmat = binarize(H, model)
-        graph = mine_birs(
-            bmat, cfg, feature_names=names, sequential=sequential_mining, threads=threads
-        )
+        graph = mine_birs(bmat, cfg, feature_names=names)
         spec = deduplicate_and_cap(graph, cfg.h_max)
         report.layers.append(
             LayerReport(

@@ -10,6 +10,7 @@ its output directory alone. Values may come from a key=value config file
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,7 +59,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_data(p: argparse.ArgumentParser) -> None:
@@ -204,7 +204,6 @@ def _pipeline_cfg(args, folds: int | None = None) -> PipelineConfig:
         head_hidden=args.head_hidden,
         seed=args.seed,
         rule_min_support=getattr(args, "rule_min_support", 10),
-        threads=args.threads,
     )
 
 
@@ -224,7 +223,7 @@ def cmd_mine(args) -> int:
     X, names, _, _ = _preselect_and_standardize(ds, args)
     model = fit_binarization(X)
     bmat = binarize(X, model)
-    graph = mine_birs(bmat, _mining_cfg(args), feature_names=names, threads=args.threads)
+    graph = mine_birs(bmat, _mining_cfg(args), feature_names=names)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "edges.tsv"), "w", encoding="utf-8") as fh:
         fh.write(graph_to_tsv(graph))
@@ -251,7 +250,6 @@ def cmd_build(args) -> int:
     net, report = build_birdnet(
         X, names, ds.class_names, _mining_cfg(args), depth=args.depth,
         head_hidden=args.head_hidden, seed=args.seed, dropout=args.dropout,
-        threads=args.threads,
     )
     net.meta["trained"] = False
     _attach_preprocessing(net, cols, std)
@@ -271,7 +269,6 @@ def cmd_train(args) -> int:
     net, report = build_birdnet(
         X, names, ds.class_names, _mining_cfg(args), depth=args.depth,
         head_hidden=args.head_hidden, seed=args.seed, dropout=args.dropout,
-        threads=args.threads,
     )
     val = stratified_holdout(ds.labels, 0.15, args.seed + 1)
     net, history = train(net, X[~val], ds.labels[~val], X[val], ds.labels[val],
@@ -384,12 +381,21 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser_and_defaults() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and every argument's default, built once per process: a
+    parser is a web of reference cycles, so one per call would leave garbage
+    that only a full collection frees."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     defaults = {a.dest: a.default for a in parser._actions}
     for sp in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
         defaults.update({a.dest: a.default for a in sp._actions})
+    return parser, defaults
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser, defaults = _parser_and_defaults()
+    args = parser.parse_args(argv)
     try:
         _apply_config_file(args, defaults)
         return _COMMANDS[args.command](args)

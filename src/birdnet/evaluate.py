@@ -18,7 +18,7 @@ from birdnet.builder import ConstructionReport, build_birdnet
 from birdnet.explain import RuleRecord, extract_rules
 from birdnet.mining import MiningConfig
 from birdnet.network import BirNetwork, active_param_count, to_matched_mlp
-from birdnet.trainer import TrainConfig, train
+from birdnet.trainer import TrainConfig, softmax, train
 
 __all__ = [
     "PipelineConfig",
@@ -42,15 +42,16 @@ class PipelineConfig:
     seed: int = 42
     val_fraction: float = 0.15
     rule_min_support: int = 10
-    threads: int = 1
 
 
 def auroc_macro_ovr(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[int]]:
     """One-vs-rest macro AUROC with midrank tie handling.
 
-    Scores may be logits or probabilities (AUROC is rank-based). Classes
-    without both a positive and a negative are skipped; their indices are
-    returned alongside the mean over evaluable classes.
+    Scores are ranked per column, so they must be comparable across rows:
+    probabilities, not raw logits (a shift shared by one row's logits moves
+    that row's rank). Classes without both a positive and a negative are
+    skipped; their indices are returned alongside the mean over evaluable
+    classes.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -64,18 +65,9 @@ def auroc_macro_ovr(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list
         if n_pos == 0 or n_neg == 0:
             skipped.append(c)
             continue
-        col = scores[:, c]
-        order = np.argsort(col, kind="stable")
-        ranks = np.empty(col.shape[0])
-        sorted_col = col[order]
-        # midranks over tied groups
-        i = 0
-        while i < sorted_col.shape[0]:
-            j = i
-            while j + 1 < sorted_col.shape[0] and sorted_col[j + 1] == sorted_col[i]:
-                j += 1
-            ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
+        # Midranks: a tied group at sorted positions a..b (1-based) gets (a+b)/2.
+        _, inv, counts = np.unique(scores[:, c], return_inverse=True, return_counts=True)
+        ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
         auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         aucs.append(auc)
     if not aucs:
@@ -158,6 +150,12 @@ class CVResult:
         return "\n".join(lines) + "\n"
 
 
+def _fold_scores(logits: np.ndarray, labels: np.ndarray) -> tuple[float, list[int], float]:
+    """Macro AUROC on softmax probabilities, its skipped classes, and accuracy."""
+    auroc, skipped = auroc_macro_ovr(softmax(logits), labels)
+    return auroc, skipped, accuracy(logits, labels)
+
+
 def _prepare_fold(dataset: LabeledDataset, train_rows: np.ndarray, cfg: PipelineConfig):
     """Feature selection and standardization, fitted on training rows only."""
     train_ds = dataset.subset(train_rows)
@@ -192,7 +190,6 @@ def _fit_fold(
         head_hidden=cfg.head_hidden,
         seed=cfg.seed,
         dropout=cfg.training.dropout,
-        threads=cfg.threads,
     )
     if matched:
         net = to_matched_mlp(net, seed=cfg.seed)
@@ -235,8 +232,7 @@ def cross_validate(
             )
             X_test = apply_standardizer(std, dataset.values[np.ix_(test_rows, cols)])
             logits, _ = net.forward(X_test, mode="eval")
-            auroc, skipped = auroc_macro_ovr(logits, dataset.labels[test_rows])
-            acc = accuracy(logits, dataset.labels[test_rows])
+            auroc, skipped, acc = _fold_scores(logits, dataset.labels[test_rows])
             sink.append(
                 FoldResult(
                     fold=f,

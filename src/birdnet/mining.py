@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -24,6 +24,7 @@ from scipy.special import gammaln, logsumexp
 __all__ = [
     "MiningConfig",
     "Implication",
+    "EdgeTable",
     "ImplicationGraph",
     "log_binom_lower_tail",
     "log_binom_lower_tail_curve",
@@ -37,8 +38,8 @@ __all__ = [
 
 _LN_HALF = math.log(0.5)
 
-# Violating quadrant of each directional type, as (source bit, target bit).
-_VIOLATION_BITS = {"T0": (1, 0), "T1": (0, 1), "T2": (1, 1), "T3": (0, 0)}
+TYPES = ("T0", "T1", "T2", "T3", "T4", "T5")
+_TYPE_CODE = {t: c for c, t in enumerate(TYPES)}
 
 
 @dataclass
@@ -69,15 +70,63 @@ class Implication:
     antecedent_support: int
 
 
+_COLUMNS = tuple(f.name for f in fields(Implication))
+_DTYPES = (np.int64, np.int64, np.uint8, np.float64, np.int64, np.float64, np.int64)
+
+
+@dataclass(eq=False)
+class EdgeTable:
+    """Edges as parallel columns, one per Implication field; row k is edge k.
+
+    btype holds codes into TYPES. Iterating yields one Implication per row.
+    """
+
+    source: np.ndarray  # int64
+    target: np.ndarray  # int64
+    btype: np.ndarray  # uint8
+    log_p: np.ndarray  # float64
+    exceptions: np.ndarray  # int64
+    exception_fraction: np.ndarray  # float64
+    antecedent_support: np.ndarray  # int64
+
+    @classmethod
+    def from_implications(cls, edges) -> EdgeTable:
+        edges = list(edges)
+        cols = [[getattr(e, name) for e in edges] for name in _COLUMNS]
+        cols[2] = [_TYPE_CODE[t] for t in cols[2]]
+        return cls(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
+
+    def take(self, idx) -> EdgeTable:
+        return EdgeTable(*(getattr(self, name)[idx] for name in _COLUMNS))
+
+    def _rows(self):
+        """Rows as tuples of Python scalars, type as its name."""
+        cols = [getattr(self, name).tolist() for name in _COLUMNS]
+        cols[2] = [TYPES[c] for c in cols[2]]
+        return zip(*cols)
+
+    def __len__(self) -> int:
+        return self.source.shape[0]
+
+    def __iter__(self):
+        return (Implication(*row) for row in self._rows())
+
+    def __getitem__(self, k: int) -> Implication:
+        return next(iter(self.take([k])))
+
+
 @dataclass
 class ImplicationGraph:
     vertices: list[str]
-    edges: list[Implication]
+    edges: EdgeTable  # a list of Implication is converted
     type_counts: Counter = field(default_factory=Counter)
 
     def __post_init__(self):
+        if not isinstance(self.edges, EdgeTable):
+            self.edges = EdgeTable.from_implications(self.edges)
         if not self.type_counts:
-            self.type_counts = Counter(e.btype for e in self.edges)
+            counts = np.bincount(self.edges.btype, minlength=len(TYPES))
+            self.type_counts = Counter({t: int(c) for t, c in zip(TYPES, counts) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -135,30 +184,25 @@ def log_binom_lower_tail_curve(n: int, p: float) -> np.ndarray:
     return out
 
 
-def _lower_tail_batch(k: np.ndarray, n: int, p: np.ndarray, log_choose: np.ndarray) -> np.ndarray:
+def _lower_tail_batch(
+    k: np.ndarray, n: int, p: np.ndarray, log_choose: np.ndarray, width: int
+) -> np.ndarray:
     """Vectorized ln P(K <= k_i) for small k_i with per-candidate p_i.
 
     Valid for the mining prefilter regime (k well below n*p would make the
     tail large; results are clamped to <= 0 and only the comparison against
-    ln p_star matters). log_choose[j] = ln C(n, j) for j up to max(k).
+    ln p_star matters). log_choose[j] = ln C(n, j) for j < width. Every row
+    is padded with -inf to `width` terms (width > max(k)); logsumexp sums
+    pairwise, so the padding is part of the result's last bits.
     """
-    if k.size == 0:
-        return np.empty(0)
-    out = np.empty(k.size)
-    chunk = 8192
-    for lo in range(0, k.size, chunk):
-        kk = k[lo : lo + chunk]
-        pp = p[lo : lo + chunk]
-        kmax = int(kk.max())
-        j = np.arange(kmax + 1, dtype=np.float64)
-        T = (
-            log_choose[None, : kmax + 1]
-            + j[None, :] * np.log(pp)[:, None]
-            + (n - j[None, :]) * np.log1p(-pp)[:, None]
-        )
-        T = np.where(j[None, :] <= kk[:, None], T, -np.inf)
-        out[lo : lo + chunk] = np.minimum(logsumexp(T, axis=1), 0.0)
-    return out
+    j = np.arange(width, dtype=np.float64)
+    T = (
+        log_choose[None, :width]
+        + j[None, :] * np.log(p)[:, None]
+        + (n - j[None, :]) * np.log1p(-p)[:, None]
+    )
+    T = np.where(j[None, :] <= k[:, None], T, -np.inf)
+    return np.minimum(logsumexp(T, axis=1), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,197 +272,212 @@ def test_pair(
     return out
 
 
-def _merge_pair(
-    i: int, j: int, n: int, fwd: list[Implication], rev: list[Implication]
-) -> list[Implication]:
-    """Merge the two orientations of one pair into T4/T5 plus leftovers.
+# Quadrants by the type code of the orientation i -> j (i < j): the violating
+# (source bit, target bit) cell. The orientation j -> i tests the same cell
+# under the type _REV_TYPE[q].
+_QUAD_BITS = np.array([(1, 0), (0, 1), (1, 1), (0, 0)])
+_REV_TYPE = np.array([1, 0, 2, 3])
+_TILE_ELEMS = 1 << 16  # pair counts per row tile (256 kB in float32)
+_TAIL_CHUNK = 8192  # consecutive candidates of one (source, quadrant) sharing a pad length
+_TAIL_ELEMS = 1 << 20  # tail terms evaluated per batch
+_CANDIDATE_BUDGET = 1 << 20  # candidates held before their tails are evaluated
 
-    T4 asserts when T0 and T1 hold in both orientations (equivalence is a
-    symmetric statement); T5 likewise from T2 and T3. Merged constituents
-    are removed. The merged log_p is the least significant of the two
-    quadrant tests; the merged exception fraction is over all n samples.
+
+def _row_tile(d: int) -> int:
+    return max(1, min(d, _TILE_ELEMS // max(d, 1)))
+
+
+def _exception_caps(support: np.ndarray, cfg: MiningConfig) -> np.ndarray:
+    """Per antecedent support s, the largest k with k / s <= pi (the float
+    test `test_pair` makes); -1 where s < min_support. k / s is monotone in
+    k, so stepping down from floor(pi * s) + 1 finds the exact boundary."""
+    s = np.asarray(support, dtype=np.int64)
+    k = np.floor(cfg.pi * s).astype(np.int64) + 1
+    for _ in range(3):
+        k = np.where((k > 0) & (k / np.maximum(s, 1) > cfg.pi), k - 1, k)
+    return np.where(s >= cfg.min_support, k, -1)
+
+
+def _candidate_tiles(bmat, cfg: MiningConfig, n1: np.ndarray, live: np.ndarray):
+    """Per row tile of sources, the candidates (quadrant, i, j, k) over pairs
+    i < j of live features, sorted by (quadrant, i, j).
+
+    Pair counts N11 come from one GEMM per tile on the unpacked 0/1 matrix;
+    float32 sums of 0/1 terms are exact below 2**24 rows. A quadrant is a
+    candidate when its exception count k passes the support and pi caps in
+    either orientation.
     """
-    fwd_types = {e.btype: e for e in fwd}
-    rev_types = {e.btype: e for e in rev}
-    out: list[Implication] = []
-    drop_fwd: set[str] = set()
-    drop_rev: set[str] = set()
-    if all(t in fwd_types for t in ("T0", "T1")) and all(t in rev_types for t in ("T0", "T1")):
-        exc = fwd_types["T0"].exceptions + fwd_types["T1"].exceptions
-        out.append(
-            Implication(
-                source=i,
-                target=j,
-                btype="T4",
-                log_p=max(fwd_types["T0"].log_p, fwd_types["T1"].log_p),
-                exceptions=exc,
-                exception_fraction=exc / n,
-                antecedent_support=n,
-            )
+    n = bmat.n
+    dtype = np.float32 if n < 2**24 else np.float64
+    idx = np.flatnonzero(live)
+    words = np.ascontiguousarray(bmat.bits[idx]).view(np.uint8)
+    B = np.unpackbits(words, axis=1, bitorder="little")[:, :n].astype(dtype)
+    ones = n1[idx].astype(dtype)
+    # caps[v]: the cap of each live feature as an antecedent with value v.
+    caps = tuple(_exception_caps(s, cfg).astype(dtype) for s in (n - n1[idx], n1[idx]))
+    rows = _row_tile(idx.size)
+    for i0 in range(0, idx.size - 1, rows):
+        i1 = min(i0 + rows, idx.size - 1)
+        n11 = B[i0:i1] @ B[i0 + 1 :].T  # column c is live feature i0 + 1 + c
+        a = ones[i0:i1, None]
+        b = ones[None, i0 + 1 :]
+        upper = np.ones(n11.shape, dtype=bool)
+        upper[:, : i1 - i0] = np.triu(upper[:, : i1 - i0])
+        exceptions = (a - n11, b - n11, n11, (n - a - b) + n11)  # in _QUAD_BITS order
+        block = []
+        for q, ((sb, tb), k) in enumerate(zip(_QUAD_BITS, exceptions)):
+            need = (k <= caps[sb][i0:i1, None]) | (k <= caps[tb][None, i0 + 1 :])
+            r, c = np.nonzero(need & upper)
+            k = k[r, c].astype(np.int64)
+            block.append((np.full(r.size, q), idx[r + i0], idx[c + i0 + 1], k))
+        yield tuple(np.concatenate(x) for x in zip(*block))
+
+
+def _pad_widths(q: np.ndarray, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per candidate, 1 + the largest k among its run of up to _TAIL_CHUNK
+    consecutive candidates of the same (quadrant, source). Fixing the pad
+    this way makes every log_p independent of how tails are batched."""
+    m = q.size
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    new_group = np.ones(m, dtype=bool)
+    new_group[1:] = (q[1:] != q[:-1]) | (i[1:] != i[:-1])
+    starts = np.flatnonzero(new_group)
+    rank = np.arange(m) - np.repeat(starts, np.diff(np.append(starts, m)))
+    new_run = new_group.copy()
+    new_run[1:] |= rank[1:] // _TAIL_CHUNK != rank[:-1] // _TAIL_CHUNK
+    runs = np.flatnonzero(new_run)
+    return np.repeat(np.maximum.reduceat(k, runs), np.diff(np.append(runs, m))) + 1
+
+
+class _Kernel:
+    """Tail tests and the T4/T5 merge for blocks of candidates of one matrix."""
+
+    def __init__(self, bmat, cfg: MiningConfig, n1: np.ndarray):
+        n = bmat.n
+        self.n, self.d, self.n1, self.cfg = n, bmat.d, n1, cfg
+        lo = 1.0 / (2.0 * n)
+        # prob[v]: clamped marginal P(feature == v).
+        self.prob = (np.clip((n - n1) / n, lo, 1.0 - lo), np.clip(n1 / n, lo, 1.0 - lo))
+        kmax = int(math.floor(cfg.pi * n)) + 1
+        jj = np.arange(kmax + 1, dtype=np.float64)
+        self.log_choose = gammaln(n + 1.0) - gammaln(jj + 1.0) - gammaln(n - jj + 1.0)
+
+    def log_p(self, q, i, j, k) -> np.ndarray:
+        """Lower-tail log p-values, one batch per pad width."""
+        sb, tb = _QUAD_BITS[q, 0], _QUAD_BITS[q, 1]
+        p0 = np.where(sb == 1, self.prob[1][i], self.prob[0][i]) * np.where(
+            tb == 1, self.prob[1][j], self.prob[0][j]
         )
-        drop_fwd |= {"T0", "T1"}
-        drop_rev |= {"T0", "T1"}
-    if all(t in fwd_types for t in ("T2", "T3")) and all(t in rev_types for t in ("T2", "T3")):
-        exc = fwd_types["T2"].exceptions + fwd_types["T3"].exceptions
-        out.append(
-            Implication(
-                source=i,
-                target=j,
-                btype="T5",
-                log_p=max(fwd_types["T2"].log_p, fwd_types["T3"].log_p),
-                exceptions=exc,
-                exception_fraction=exc / n,
-                antecedent_support=n,
-            )
-        )
-        drop_fwd |= {"T2", "T3"}
-        drop_rev |= {"T2", "T3"}
-    out.extend(e for e in fwd if e.btype not in drop_fwd)
-    out.extend(e for e in rev if e.btype not in drop_rev)
-    return out
-
-
-def _mine_sequential(bmat, cfg: MiningConfig) -> list[Implication]:
-    from birdnet.binarize import BinaryMatrix  # avoid import cycle at module load
-
-    assert isinstance(bmat, BinaryMatrix)
-    edges: list[Implication] = []
-    for i in range(bmat.d - 1):
-        for j in range(i + 1, bmat.d):
-            fwd = test_pair(bmat.bits[i], bmat.bits[j], bmat.n, cfg, a_index=i, b_index=j)
-            rev = test_pair(bmat.bits[j], bmat.bits[i], bmat.n, cfg, a_index=j, b_index=i)
-            edges.extend(_merge_pair(i, j, bmat.n, fwd, rev))
-    return edges
-
-
-def _mine_vectorized(bmat, cfg: MiningConfig, threads: int = 1) -> list[Implication]:
-    n, d = bmat.n, bmat.d
-    bits = bmat.bits
-    n1 = np.bitwise_count(bits).sum(axis=1).astype(np.int64)
-    valid = (n1 > 0) & (n1 < n)
-    lo = 1.0 / (2.0 * n)
-    p1 = np.clip(n1 / n, lo, 1.0 - lo)
-    p0m = np.clip((n - n1) / n, lo, 1.0 - lo)
-    kmax = int(math.floor(cfg.pi * n)) + 1
-    jj = np.arange(kmax + 1, dtype=np.float64)
-    log_choose = gammaln(n + 1.0) - gammaln(jj + 1.0) - gammaln(n - jj + 1.0)
-    ln_p_star = math.log(cfg.p_star)
-    ms = cfg.min_support
-
-    def mine_source(i: int) -> list[Implication]:
-        if not valid[i]:
-            return []
-        js = np.flatnonzero(valid[i + 1 :]) + i + 1
-        if js.size == 0:
-            return []
-        n11 = np.bitwise_count(bits[i][None, :] & bits[js]).sum(axis=1).astype(np.int64)
-        n1a = int(n1[i])
-        n1b = n1[js]
-        counts = {
-            "10": n1a - n11,
-            "01": n1b - n11,
-            "11": n11,
-            "00": n - n1a - n1b + n11,
-        }
-        p0s = {
-            "10": p1[i] * p0m[js],
-            "01": p0m[i] * p1[js],
-            "11": p1[i] * p1[js],
-            "00": p0m[i] * p0m[js],
-        }
-        # (quadrant, dir1 support, dir2 support); dir1 is orientation i->j.
-        supp1 = {"10": n1a, "01": n - n1a, "11": n1a, "00": n - n1a}
-        supp2 = {"10": n - n1b, "01": n1b, "11": n1b, "00": n - n1b}
-        ok1, ok2, logp = {}, {}, {}
-        for q in ("10", "01", "11", "00"):
-            k = counts[q]
-            s1 = np.broadcast_to(np.asarray(supp1[q]), k.shape)
-            s2 = np.broadcast_to(np.asarray(supp2[q]), k.shape)
-            o1 = (s1 >= ms) & (k / s1 <= cfg.pi)
-            o2 = (s2 >= ms) & (k / s2 <= cfg.pi)
-            need = o1 | o2
-            lp = np.full(k.shape, np.inf)
-            idx = np.flatnonzero(need)
-            if idx.size:
-                lp[idx] = _lower_tail_batch(k[idx], n, p0s[q][idx], log_choose)
-            sig = lp <= ln_p_star
-            ok1[q] = o1 & sig
-            ok2[q] = o2 & sig
-            logp[q] = lp
-        t4 = ok1["10"] & ok2["10"] & ok1["01"] & ok2["01"]
-        t5 = ok1["11"] & ok2["11"] & ok1["00"] & ok2["00"]
-        any_edge = t4 | t5
-        for q in ("10", "01", "11", "00"):
-            any_edge = any_edge | ok1[q] | ok2[q]
-        out: list[Implication] = []
-        for m in np.flatnonzero(any_edge):
-            j = int(js[m])
-            fwd, rev = [], []
-            # Quadrant -> (dir1 type source=i, dir2 type source=j).
-            for q, t1, t2 in (("10", "T0", "T1"), ("01", "T1", "T0"), ("11", "T2", "T2"), ("00", "T3", "T3")):
-                k = int(counts[q][m])
-                lp = float(logp[q][m])
-                if ok1[q][m]:
-                    s = int(np.broadcast_to(np.asarray(supp1[q]), counts[q].shape)[m])
-                    fwd.append(Implication(i, j, t1, lp, k, k / s, s))
-                if ok2[q][m]:
-                    s = int(np.broadcast_to(np.asarray(supp2[q]), counts[q].shape)[m])
-                    rev.append(Implication(j, i, t2, lp, k, k / s, s))
-            fwd.sort(key=lambda e: e.btype)
-            rev.sort(key=lambda e: e.btype)
-            out.extend(_merge_pair(i, j, n, fwd, rev))
+        width = _pad_widths(q, i, k)
+        out = np.empty(q.size)
+        order = np.argsort(width, kind="stable")
+        for grp in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+            if grp.size:
+                w = int(width[grp[0]])
+                step = max(1, _TAIL_ELEMS // w)
+                for s in range(0, grp.size, step):
+                    g = grp[s : s + step]
+                    out[g] = _lower_tail_batch(k[g], self.n, p0[g], self.log_choose, w)
         return out
 
-    edges: list[Implication] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def edges(self, q, i, j, k) -> tuple:
+        """Edge columns (sort key, source, target, type, log_p, exceptions,
+        support) asserted by a block of candidates, in mining output order."""
+        n, d, n1, cfg = self.n, self.d, self.n1, self.cfg
+        log_p = self.log_p(q, i, j, k)
+        sig = log_p <= math.log(cfg.p_star)
+        supp1 = np.where(_QUAD_BITS[q, 0] == 1, n1[i], n - n1[i])
+        supp2 = np.where(_QUAD_BITS[q, 1] == 1, n1[j], n - n1[j])
+        ok1 = sig & (k <= _exception_caps(supp1, cfg))
+        ok2 = sig & (k <= _exception_caps(supp2, cfg))
+        hit = ok1 | ok2
+        q, i, j, k, log_p, ok1, ok2, supp1, supp2 = (
+            x[hit] for x in (q, i, j, k, log_p, ok1, ok2, supp1, supp2)
+        )
+        # Per pair, T4 needs T0 and T1 in both orientations, T5 needs T2 and
+        # T3; they replace their constituents.
+        pair = i * d + j
+        pairs, inv = np.unique(pair, return_inverse=True)
+        both = np.zeros((pairs.size, 4), dtype=bool)
+        both[inv, q] = ok1 & ok2
+        pk = np.zeros((pairs.size, 4), dtype=np.int64)
+        pk[inv, q] = k
+        plp = np.zeros((pairs.size, 4))
+        plp[inv, q] = log_p
+        t4 = both[:, 0] & both[:, 1]
+        t5 = both[:, 2] & both[:, 3]
+        kept = ~np.where(q < 2, t4[inv], t5[inv])
+        fwd, rev = ok1 & kept, ok2 & kept
+        rq = _REV_TYPE[q]
+        # Within a pair: T4, T5, the i -> j types, then the j -> i types.
+        parts = []
+        for code, mask, c0, c1 in ((4, t4, 0, 1), (5, t5, 2, 3)):
+            exc = pk[mask, c0] + pk[mask, c1]
+            p = pairs[mask]
+            lp = np.maximum(plp[mask, c0], plp[mask, c1])
+            code_col, supp = np.full(p.size, code), np.full(p.size, n)
+            parts.append((p * 10 + code - 4, p // d, p % d, code_col, lp, exc, supp))
+        for m, slot, src, tgt, btype, supp in (
+            (fwd, 2 + q, i, j, q, supp1),
+            (rev, 6 + rq, j, i, rq, supp2),
+        ):
+            key = pair[m] * 10 + slot[m]
+            parts.append((key, src[m], tgt[m], btype[m], log_p[m], k[m], supp[m]))
+        cols = [np.concatenate(x) for x in zip(*parts)]
+        order = np.argsort(cols[0], kind="stable")
+        return tuple(c[order] for c in cols)
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for chunk in ex.map(mine_source, range(d - 1)):
-                edges.extend(chunk)
-    else:
-        for i in range(d - 1):
-            edges.extend(mine_source(i))
-    return edges
+
+def _batches(tiles):
+    """Join consecutive tiles until a batch holds _CANDIDATE_BUDGET candidates.
+
+    A source's candidates all come from one tile, so batch boundaries never
+    split a pad run, and batches in tile order keep the edges in output order.
+    """
+    pending, held = [], 0
+    for tile in tiles:
+        pending.append(tile)
+        held += tile[0].size
+        if held >= _CANDIDATE_BUDGET:
+            yield tuple(np.concatenate(x) for x in zip(*pending))
+            pending, held = [], 0
+    if pending:
+        yield tuple(np.concatenate(x) for x in zip(*pending))
 
 
-def mine_birs(
-    bmat,
-    cfg: MiningConfig,
-    feature_names=None,
-    sequential: bool = False,
-    threads: int = 1,
-) -> ImplicationGraph:
+def _mine_kernel(bmat, cfg: MiningConfig) -> EdgeTable:
+    n1 = np.bitwise_count(bmat.bits).sum(axis=1).astype(np.int64)
+    live = (n1 > 0) & (n1 < bmat.n)
+    kernel = _Kernel(bmat, cfg, n1)
+    tiles = _candidate_tiles(bmat, cfg, n1, live)
+    found = [kernel.edges(*batch) for batch in _batches(tiles)]
+    if not found:
+        found.append(kernel.edges(*(np.empty(0, dtype=np.int64),) * 4))
+    _, src, tgt, btype, log_p, exc, supp = (np.concatenate(x) for x in zip(*found))
+    return EdgeTable(src, tgt, btype.astype(np.uint8), log_p, exc, exc / supp, supp)
+
+
+def mine_birs(bmat, cfg: MiningConfig, feature_names=None) -> ImplicationGraph:
     """Test all unordered pairs in both orientations and build the typed graph.
 
-    The vectorized path (default) and the sequential path over `test_pair`
-    produce identical edge lists; the sequential one exists as an oracle.
-    With threads > 1 the vectorized path partitions the source-index space;
-    results are concatenated in source order, so output is thread-count
-    independent.
+    Edges come out ordered by pair (i < j), then T4, T5, the i -> j types and
+    the j -> i types, each group by type.
     """
     if bmat.d < 2:
         raise ValueError("mining needs at least 2 features")
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(bmat.d)]
-    edges = (
-        _mine_sequential(bmat, cfg)
-        if sequential
-        else _mine_vectorized(bmat, cfg, threads=threads)
-    )
-    return ImplicationGraph(vertices=list(feature_names), edges=edges)
+    return ImplicationGraph(vertices=list(feature_names), edges=_mine_kernel(bmat, cfg))
 
 
 # ---------------------------------------------------------------------------
 # Dedup, cap, export
 # ---------------------------------------------------------------------------
 
-
-def _quadrant_key(e: Implication) -> tuple:
-    sb, tb = _VIOLATION_BITS[e.btype]
-    if e.source < e.target:
-        return (e.source, e.target, sb, tb)
-    return (e.target, e.source, tb, sb)
+# Violating (source bit, target bit) cell of each directional type code.
+_SRC_BIT = np.array([1, 0, 1, 0, 0, 0])
+_TGT_BIT = np.array([0, 1, 1, 0, 0, 0])
 
 
 def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> list[Implication]:
@@ -429,33 +488,29 @@ def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> list[Implication]:
     whose source has the lower index. Output is sorted ascending by log_p
     (most significant first), ties by (source, target, btype), then truncated.
     """
-    best: dict[tuple, Implication] = {}
-    merged: list[Implication] = []
-    for e in g.edges:
-        if e.btype in ("T4", "T5"):
-            merged.append(e)
-            continue
-        key = _quadrant_key(e)
-        cur = best.get(key)
-        if cur is None:
-            best[key] = e
-        elif (e.log_p, 0 if e.source < e.target else 1) < (
-            cur.log_p,
-            0 if cur.source < cur.target else 1,
-        ):
-            best[key] = e
-    survivors = merged + list(best.values())
-    survivors.sort(key=lambda e: (e.log_p, e.source, e.target, e.btype))
-    return survivors[:h_max]
+    t = g.edges
+    row = np.arange(len(t))
+    directional = t.btype < 4
+    forward = t.source < t.target
+    lo = np.minimum(t.source, t.target)
+    hi = np.maximum(t.source, t.target)
+    sb, tb = _SRC_BIT[t.btype], _TGT_BIT[t.btype]
+    quad = np.where(forward, 2 * sb + tb, 2 * tb + sb)
+    key = (lo * (int(hi.max(initial=0)) + 1) + hi) * 4 + quad
+    d = np.flatnonzero(directional)
+    best = d[np.lexsort((row[d], ~forward[d], t.log_p[d], key[d]))]
+    first = np.ones(best.size, dtype=bool)
+    first[1:] = key[best[1:]] != key[best[:-1]]
+    keep = np.concatenate([np.flatnonzero(~directional), best[first]])
+    order = keep[np.lexsort([c[keep] for c in (row, t.btype, t.target, t.source, t.log_p)])]
+    return list(t.take(order[:h_max]))
 
 
 def graph_to_tsv(g: ImplicationGraph) -> str:
+    names = g.vertices
     lines = ["source\ttarget\ttype\tlog_p\texceptions\texception_fraction\tantecedent_support"]
-    for e in g.edges:
-        lines.append(
-            f"{g.vertices[e.source]}\t{g.vertices[e.target]}\t{e.btype}\t"
-            f"{e.log_p!r}\t{e.exceptions}\t{e.exception_fraction!r}\t{e.antecedent_support}"
-        )
+    for src, tgt, btype, log_p, exc, frac, supp in g.edges._rows():
+        lines.append(f"{names[src]}\t{names[tgt]}\t{btype}\t{log_p!r}\t{exc}\t{frac!r}\t{supp}")
     return "\n".join(lines) + "\n"
 
 
@@ -478,15 +533,15 @@ def read_graph_tsv(text: str) -> ImplicationGraph:
 
 def export_graph(g: ImplicationGraph, path: str) -> None:
     """Write the graph as DOT; T4/T5 render undirected (dir=none)."""
+    names = g.vertices
     lines = ["digraph implications {"]
-    for name in g.vertices:
+    for name in names:
         lines.append(f'  "{name}";')
-    for e in g.edges:
-        neg_log10 = -e.log_p / math.log(10.0)
-        attrs = f'label="{e.btype} {neg_log10:.1f}"'
-        if e.btype in ("T4", "T5"):
+    for src, tgt, btype, log_p, *_ in g.edges._rows():
+        attrs = f'label="{btype} {-log_p / math.log(10.0):.1f}"'
+        if btype in ("T4", "T5"):
             attrs += ", dir=none"
-        lines.append(f'  "{g.vertices[e.source]}" -> "{g.vertices[e.target]}" [{attrs}];')
+        lines.append(f'  "{names[src]}" -> "{names[tgt]}" [{attrs}];')
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

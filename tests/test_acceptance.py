@@ -365,7 +365,7 @@ def test_criterion_10_lrp_conservation():
 
 
 def test_criterion_11_determinism(tmp_path):
-    """Two identical single-threaded cross_validate runs produce byte-identical
+    """Two identical cross_validate runs produce byte-identical
     metric CSVs and serialized models."""
     def one_run(tag):
         rng = np.random.default_rng(11)
@@ -380,7 +380,7 @@ def test_criterion_11_determinism(tmp_path):
         cfg = PipelineConfig(
             mining=MiningConfig(mu=1),
             training=TrainConfig(epochs_max=15, batch_size=32, dropout=0.2),
-            folds=3, depth=1, head_hidden=8, seed=42, threads=1,
+            folds=3, depth=1, head_hidden=8, seed=42,
         )
         res = cross_validate(ds, cfg)
         blobs = [res.to_csv().encode()]

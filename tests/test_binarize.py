@@ -49,6 +49,13 @@ class TestFitThreshold:
         with pytest.raises(ValueError):
             fit_threshold(np.array([1.0]))
 
+    def test_exact_sse_tie_takes_smallest_split(self):
+        # Sorted [-4, -1, 0, 3]: splits after 1 and after 3 values both have
+        # SSE 78/9; the prefix sums round the tie toward the larger split.
+        tau, deg = fit_threshold(np.array([0.0, -1.0, 3.0, -4.0]))
+        assert not deg
+        assert tau == pytest.approx(-5.0 / 3.0, abs=1e-12)
+
     def test_order_invariant(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=30)

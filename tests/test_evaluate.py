@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from birdnet.dataio import LabeledDataset
 from birdnet.evaluate import (
     PipelineConfig,
+    _fold_scores,
     accuracy,
     auroc_macro_ovr,
     cross_validate,
@@ -84,6 +85,37 @@ class TestAuroc:
         a2, _ = auroc_macro_ovr(np.exp(3 * scores), labels)
         assert a1 == pytest.approx(a2, abs=1e-12)
 
+    def test_midranks_match_pairwise_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m = int(rng.integers(4, 60))
+            labels = rng.integers(0, 3, m)
+            scores = rng.integers(0, 5, size=(m, 3)).astype(float)  # many ties
+            try:
+                auc, skipped = auroc_macro_ovr(scores, labels)
+            except ValueError:
+                continue
+            want = [
+                brute_force_auroc(scores[:, c], labels == c)
+                for c in range(3)
+                if c not in skipped
+            ]
+            assert auc == pytest.approx(float(np.mean(want)), abs=1e-12)
+
+    def test_fold_auroc_ignores_per_row_logit_shift(self):
+        # A constant added to all of one row's logits leaves its class
+        # probabilities, and so the reported AUROC, unchanged.
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(80, 3))
+        labels = rng.integers(0, 3, 80)
+        shifted = logits + rng.normal(scale=5.0, size=(80, 1))
+        auc, skipped, acc = _fold_scores(logits, labels)
+        auc2, skipped2, acc2 = _fold_scores(shifted, labels)
+        assert auc2 == pytest.approx(auc, abs=1e-12)
+        assert (skipped2, acc2) == (skipped, acc)
+        # Raw logits are not shift-invariant: the test has teeth.
+        assert abs(auroc_macro_ovr(shifted, labels)[0] - auc) > 0.01
+
 
 class TestAccuracy:
     def test_basic(self):
@@ -109,9 +141,11 @@ def synthetic_dataset(seed=0, n=300):
 
 
 def fast_config(**kw):
+    # 15 epochs need learning_rate 1e-2 to fit the planted pair; at the 1e-3
+    # default the model is still below chance when training stops.
     return PipelineConfig(
         mining=MiningConfig(mu=1),
-        training=TrainConfig(epochs_max=15, batch_size=32, dropout=0.1),
+        training=TrainConfig(epochs_max=15, batch_size=32, dropout=0.1, learning_rate=1e-2),
         folds=kw.pop("folds", 3),
         depth=1,
         head_hidden=8,

@@ -208,19 +208,49 @@ class TestMineBirs:
         assert checked_nonempty >= 20  # the oracle comparison had teeth
 
     def test_sequential_equals_vectorized(self):
+        # The whole-matrix kernel against the per-sample oracle, row order
+        # included: pairs ascending, T4/T5 first, then i->j, then j->i.
         rng = np.random.default_rng(11)
         B = random_correlated_bools(rng, 150, 12)
-        bm = bmat_from_bools(B)
-        fast = mine_birs(bm, CFG).edges
-        slow = mine_birs(bm, CFG, sequential=True).edges
-        assert fast == slow
-        assert len(fast) > 0
+        got = imps_to_tuples(mine_birs(bmat_from_bools(B), CFG).edges)
+        want = naive_mine(B, CFG)
+        assert [t[:3] for t in got] == [t[:3] for t in want]
+        assert_edges_match(got, want)
+        assert len(got) > 0
 
-    def test_thread_count_invariance(self):
-        rng = np.random.default_rng(13)
-        B = random_correlated_bools(rng, 120, 10)
-        bm = bmat_from_bools(B)
-        assert mine_birs(bm, CFG).edges == mine_birs(bm, CFG, threads=4).edges
+    def test_kernel_tiles_and_pad_lengths(self, monkeypatch):
+        # Pairs straddle row tiles, n is not a multiple of 64, some columns
+        # are constant, and source 0's (1, 0)-quadrant candidates carry 0..5
+        # exceptions, so rows padded to one length hold tails of mixed length.
+        import birdnet.mining as mining
+
+        rng = np.random.default_rng(43)
+        n, d = 150, 24
+        B = random_correlated_bools(rng, n, d)
+        B[:, 5] = True
+        B[:, 17] = False
+        base = rng.random(n) < 0.5
+        B[:, 0] = base
+        ones = np.flatnonzero(base)
+        for c, flips in zip(range(1, 7), range(6)):
+            if c == 5:
+                continue
+            B[:, c] = base
+            B[ones[:flips], c] = False
+        monkeypatch.setattr(mining, "_TILE_ELEMS", 5 * d)
+        assert mining._row_tile(d) < d
+        got = imps_to_tuples(mine_birs(bmat_from_bools(B), CFG).edges)
+        want = naive_mine(B, CFG)
+        assert [t[:3] for t in got] == [t[:3] for t in want]
+        assert_edges_match(got, want)
+        exc = {t[4] for t in got if t[0] == 0 and t[1] <= 6}
+        assert len(exc) >= 3
+        assert not any(5 in t[:2] or 17 in t[:2] for t in got)
+        # Tiling and batching do not touch a single bit of the output.
+        monkeypatch.setattr(mining, "_TILE_ELEMS", 1)
+        monkeypatch.setattr(mining, "_CANDIDATE_BUDGET", 1)
+        monkeypatch.setattr(mining, "_TAIL_ELEMS", 1)
+        assert imps_to_tuples(mine_birs(bmat_from_bools(B), CFG).edges) == got
 
     def test_column_swap_symmetry(self):
         # Swapping two columns relabels the edges but changes nothing else.
