@@ -78,17 +78,20 @@ def fit_threshold(values: np.ndarray) -> tuple[float, bool]:
         raise ValueError("fit_threshold needs at least 2 values")
     if v[0] == v[-1]:
         return float(v[0]), True
-    # Prefix sums give SSE(s) = sumsq - low_sum^2/s - high_sum^2/(n-s) in one pass.
     cs = np.cumsum(v)
-    cs2 = np.cumsum(v * v)
     s = np.arange(1, n)
     low_sum = cs[:-1]
     high_sum = cs[-1] - low_sum
-    sse = cs2[-1] - low_sum**2 / s - high_sum**2 / (n - s)
+    # SSE(s) = sumsq - low^2/s - high^2/(n-s) on the centred values, whose
+    # sums stay small: uncentred sums cancel away the SSE when the data sit
+    # far from 0.
+    centred = v - cs[-1] / n
+    cc = np.cumsum(centred)
+    sumsq = float(centred @ centred)
+    sse = sumsq - cc[:-1] ** 2 / s - (cc[-1] - cc[:-1]) ** 2 / (n - s)
     # Exact ties in SSE round either way in the prefix sums; treat splits
     # within a tolerance of the centred sum of squares as tied.
-    centred = v - cs[-1] / n
-    tol = 1e-12 * float(centred @ centred)
+    tol = 1e-12 * sumsq
     s_star = int(np.argmax(sse <= sse.min() + tol)) + 1  # first split within tol
     mean_low = low_sum[s_star - 1] / s_star
     mean_high = high_sum[s_star - 1] / (n - s_star)

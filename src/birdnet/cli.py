@@ -27,11 +27,10 @@ from birdnet.dataio import (
     load_csv,
     stratified_holdout,
 )
-from birdnet.evaluate import PipelineConfig, cross_validate, holdout_rules_run
+from birdnet.evaluate import PipelineConfig, attach_preprocessing, cross_validate, holdout_rules_run
 from birdnet.explain import lrp_explain, rules_to_csv
 from birdnet.mining import (
     MiningConfig,
-    deduplicate_and_cap,
     export_graph,
     graph_to_tsv,
     mine_birs,
@@ -235,15 +234,6 @@ def cmd_mine(args) -> int:
     return 0
 
 
-def _attach_preprocessing(net, cols, std) -> None:
-    net.meta["standardizer"] = {
-        "means": std.means.tolist(),
-        "stddevs": std.stddevs.tolist(),
-        "constant": std.constant.astype(int).tolist(),
-    }
-    net.meta["selected_features"] = [int(c) for c in cols]
-
-
 def cmd_build(args) -> int:
     ds = _load_dataset(args)
     X, names, cols, std = _preselect_and_standardize(ds, args)
@@ -252,7 +242,7 @@ def cmd_build(args) -> int:
         head_hidden=args.head_hidden, seed=args.seed, dropout=args.dropout,
     )
     net.meta["trained"] = False
-    _attach_preprocessing(net, cols, std)
+    attach_preprocessing(net, cols, std)
     os.makedirs(args.out, exist_ok=True)
     save_network(net, os.path.join(args.out, "model.json"))
     with open(os.path.join(args.out, "construction.txt"), "w", encoding="utf-8") as fh:
@@ -274,7 +264,7 @@ def cmd_train(args) -> int:
     net, history = train(net, X[~val], ds.labels[~val], X[val], ds.labels[val],
                          _train_cfg(args))
     net.meta["trained"] = True
-    _attach_preprocessing(net, cols, std)
+    attach_preprocessing(net, cols, std)
     os.makedirs(args.out, exist_ok=True)
     save_network(net, os.path.join(args.out, "model.json"))
     with open(os.path.join(args.out, "history.csv"), "w", encoding="utf-8") as fh:

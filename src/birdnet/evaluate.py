@@ -28,6 +28,7 @@ __all__ = [
     "accuracy",
     "cross_validate",
     "holdout_rules_run",
+    "attach_preprocessing",
 ]
 
 
@@ -170,6 +171,17 @@ def _prepare_fold(dataset: LabeledDataset, train_rows: np.ndarray, cfg: Pipeline
     return cols, std
 
 
+def attach_preprocessing(net: BirNetwork, cols, std) -> None:
+    """Record the selected input columns and the fitted standardizer in the
+    model's meta, so a served row can be prepared as in training."""
+    net.meta["standardizer"] = {
+        "means": std.means.tolist(),
+        "stddevs": std.stddevs.tolist(),
+        "constant": std.constant.astype(int).tolist(),
+    }
+    net.meta["selected_features"] = [int(c) for c in cols]
+
+
 def _fit_fold(
     dataset: LabeledDataset,
     train_rows: np.ndarray,
@@ -203,12 +215,7 @@ def _fit_fold(
         cfg.training,
     )
     net.meta["trained"] = True
-    net.meta["standardizer"] = {
-        "means": std.means.tolist(),
-        "stddevs": std.stddevs.tolist(),
-        "constant": std.constant.astype(int).tolist(),
-    }
-    net.meta["selected_features"] = [int(c) for c in cols]
+    attach_preprocessing(net, cols, std)
     return net, report, history, cols, std
 
 

@@ -233,9 +233,9 @@ def lrp_explain(
             )
         )
         for ell in range(top - 1, -1, -1):
-            imp = net.blocks[ell + 1].bindings[chain[-1][1]]
-            cand = (imp.source, imp.target)
-            u = int(cand[np.argmax([layer_rel[ell][c] for c in cand])])
+            above = net.blocks[ell + 1].bindings
+            cand = (int(above.source[chain[-1][1]]), int(above.target[chain[-1][1]]))
+            u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
             chain.append(
                 (
                     ell,

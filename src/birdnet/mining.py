@@ -96,6 +96,18 @@ class EdgeTable:
         cols[2] = [_TYPE_CODE[t] for t in cols[2]]
         return cls(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
 
+    @classmethod
+    def from_columns(cls, cols: dict) -> EdgeTable:
+        """A table from a column name -> array mapping read from outside the
+        program (a model file): every column present, 1-D, of one length and
+        of its own dtype."""
+        arrays = [np.asarray(cols[name]) for name in _COLUMNS]
+        dtypes = [np.dtype(t).name for t in _DTYPES]
+        shapes = {a.shape for a in arrays}
+        if [a.dtype.name for a in arrays] != dtypes or len(shapes) != 1 or arrays[0].ndim != 1:
+            raise ValueError(f"edge columns {_COLUMNS} need one 1-D length, dtypes {dtypes}")
+        return cls(*arrays)
+
     def take(self, idx) -> EdgeTable:
         return EdgeTable(*(getattr(self, name)[idx] for name in _COLUMNS))
 
@@ -112,7 +124,9 @@ class EdgeTable:
         return (Implication(*row) for row in self._rows())
 
     def __getitem__(self, k: int) -> Implication:
-        return next(iter(self.take([k])))
+        row = [col.item(k) for col in vars(self).values()]
+        row[2] = TYPES[row[2]]
+        return Implication(*row)
 
 
 @dataclass
@@ -480,7 +494,7 @@ _SRC_BIT = np.array([1, 0, 1, 0, 0, 0])
 _TGT_BIT = np.array([0, 1, 1, 0, 0, 0])
 
 
-def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> list[Implication]:
+def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> EdgeTable:
     """Collapse orientation duplicates, rank by significance, cap the layer.
 
     Two directional edges that test the same violating quadrant (e.g. T0 a->b
@@ -503,7 +517,7 @@ def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> list[Implication]:
     first[1:] = key[best[1:]] != key[best[:-1]]
     keep = np.concatenate([np.flatnonzero(~directional), best[first]])
     order = keep[np.lexsort([c[keep] for c in (row, t.btype, t.target, t.source, t.log_p)])]
-    return list(t.take(order[:h_max]))
+    return t.take(order[:h_max])
 
 
 def graph_to_tsv(g: ImplicationGraph) -> str:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from birdnet.mining import Implication
+from birdnet.mining import TYPES, EdgeTable
 
 __all__ = [
     "PairLinear",
@@ -31,15 +31,12 @@ __all__ = [
 
 INIT_SCALE = 0.5  # magnitude scale for type-aware init: |N(0,1)| * INIT_SCALE
 
-# Sign of (source weight, target weight) per implication type.
-_TYPE_SIGNS = {
-    "T0": (1.0, 1.0),
-    "T4": (1.0, 1.0),
-    "T1": (-1.0, -1.0),
-    "T2": (1.0, -1.0),
-    "T5": (1.0, -1.0),
-    "T3": (-1.0, 1.0),
-}
+MODEL_FORMAT = "birdnet-model-v2"
+
+# Sign of (source weight, target weight) per implication type code T0..T5.
+_TYPE_SIGNS = np.array(
+    [(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0), (1.0, -1.0)]
+)
 
 
 class PairLinear:
@@ -58,6 +55,14 @@ class PairLinear:
         self.w_tgt = np.asarray(w_tgt, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
         self.in_dim = int(in_dim)
+        arrays = (self.src, self.tgt, self.w_src, self.w_tgt, self.bias)
+        if self.src.ndim != 1 or len({a.shape for a in arrays}) != 1:
+            raise ValueError("pair layer needs 1-D src, tgt, weights and bias of one length")
+        idx = np.concatenate([self.src, self.tgt])
+        if np.any((idx < 0) | (idx >= self.in_dim)):
+            raise ValueError(f"pair layer indexes outside input dim {self.in_dim}")
+        if np.any(self.src == self.tgt):
+            raise ValueError("pair layer binds a unit to one input twice (self-loop)")
 
     @property
     def out_dim(self) -> int:
@@ -109,6 +114,8 @@ class DenseLinear:
     def __init__(self, W, b):
         self.W = np.asarray(W, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
+        if self.W.ndim != 2 or self.b.shape != self.W.shape[:1]:
+            raise ValueError("dense layer needs a 2-D weight and one bias per output")
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "DenseLinear":
@@ -194,9 +201,9 @@ class BirBlock:
     linear: PairLinear | DenseLinear
     bn: BatchNorm
     dropout: float
-    bindings: list[Implication]  # unit k <-> implication k (over the block input space)
+    bindings: EdgeTable  # unit k <-> implication k (over the block input space)
     input_names: list[str]
-    unit_names: list[str]
+    unit_names: list[str]  # derived by _unit_names, never stored
 
 
 @dataclass
@@ -214,9 +221,11 @@ class BirNetwork:
         self.head: DenseHead = head
         self.class_names = list(class_names)
         self.meta = dict(meta or {})
-        for prev, nxt in zip(self.blocks, self.blocks[1:]):
-            if nxt.linear.in_dim != prev.linear.out_dim:
-                raise ValueError("block widths do not chain")
+        width = self.input_dim
+        for lin in [blk.linear for blk in self.blocks] + self.head.layers:
+            if lin.in_dim != width:
+                raise ValueError(f"layer widths do not chain: {width} feed {lin.in_dim} inputs")
+            width = lin.out_dim
 
     @property
     def depth(self) -> int:
@@ -235,6 +244,8 @@ class BirNetwork:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected batch of width {self.input_dim}, got {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("input rows hold NaN or infinite values")
         if mode == "train" and X.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
         cache = {"mode": mode, "block_in": [], "bn": [], "post_bn": [], "drop": []}
@@ -299,16 +310,6 @@ class BirNetwork:
             for name, arr, decay in lay.params():
                 yield f"head{i}.{name}", arr, decay
 
-    def get_param(self, path: str) -> np.ndarray:
-        for p, arr, _ in self.params():
-            if p == path:
-                return arr
-        raise KeyError(path)
-
-    def set_param(self, path: str, value: np.ndarray) -> None:
-        arr = self.get_param(path)
-        arr[...] = value
-
     def snapshot(self) -> dict[str, np.ndarray]:
         state = {p: arr.copy() for p, arr, _ in self.params()}
         for ell, blk in enumerate(self.blocks):
@@ -324,8 +325,20 @@ class BirNetwork:
             blk.bn.running_var = state[f"block{ell}.bn.running_var"].copy()
 
 
+def _unit_names(bindings: EdgeTable, input_names: list[str], layer_index: int) -> list[str]:
+    """Unit names L{layer}/u{k}:{type}({a},{b}) over the layer's input names."""
+    src, tgt, btype = bindings.source, bindings.target, bindings.btype
+    d = len(input_names)
+    if np.any((src < 0) | (src >= d) | (tgt < 0) | (tgt >= d) | (btype >= len(TYPES))):
+        raise ValueError(f"layer {layer_index}: a binding has an unknown type or index >= {d}")
+    return [
+        f"L{layer_index}/u{k}:{TYPES[t]}({input_names[a]},{input_names[b]})"
+        for k, (a, b, t) in enumerate(zip(src.tolist(), tgt.tolist(), btype.tolist()))
+    ]
+
+
 def build_bir_layer(
-    spec: list[Implication],
+    spec: EdgeTable,
     d: int,
     seed_or_rng,
     input_names: list[str] | None = None,
@@ -336,42 +349,26 @@ def build_bir_layer(
 
     T0/T4 start both weights positive, T1 both negative, T2/T5 positive
     source and negative target, T3 the reverse; magnitudes are |N(0,1)|
-    scaled by INIT_SCALE (fan-in is always 2). Bias 0, BN affine identity.
+    scaled by INIT_SCALE (fan-in is always 2), drawn source then target per
+    unit. Bias 0, BN affine identity.
     """
-    if not spec:
-        raise ValueError("cannot build a layer from an empty implication list")
+    h = len(spec)
+    if not h:
+        raise ValueError("cannot build a layer from an empty implication table")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.Generator(
         np.random.PCG64(seed_or_rng)
     )
     if input_names is None:
         input_names = [f"f{j}" for j in range(d)]
-    h = len(spec)
-    src = np.empty(h, dtype=np.int64)
-    tgt = np.empty(h, dtype=np.int64)
-    w_src = np.empty(h)
-    w_tgt = np.empty(h)
-    for k, imp in enumerate(spec):
-        if not (0 <= imp.source < d and 0 <= imp.target < d):
-            raise ValueError(f"implication {k} indexes outside input dim {d}")
-        if imp.source == imp.target:
-            raise ValueError(f"implication {k} is a self-loop")
-        s_sign, t_sign = _TYPE_SIGNS[imp.btype]
-        src[k] = imp.source
-        tgt[k] = imp.target
-        w_src[k] = s_sign * abs(rng.standard_normal()) * INIT_SCALE
-        w_tgt[k] = t_sign * abs(rng.standard_normal()) * INIT_SCALE
-    linear = PairLinear(src, tgt, w_src, w_tgt, np.zeros(h), d)
-    unit_names = [
-        f"L{layer_index}/u{k}:{imp.btype}({input_names[imp.source]},{input_names[imp.target]})"
-        for k, imp in enumerate(spec)
-    ]
+    w = _TYPE_SIGNS[spec.btype] * np.abs(rng.standard_normal((h, 2))) * INIT_SCALE
+    w_src, w_tgt = w.T.copy()
     return BirBlock(
-        linear=linear,
+        linear=PairLinear(spec.source, spec.target, w_src, w_tgt, np.zeros(h), d),
         bn=BatchNorm(h),
         dropout=dropout,
-        bindings=list(spec),
+        bindings=spec,
         input_names=list(input_names),
-        unit_names=unit_names,
+        unit_names=_unit_names(spec, input_names, layer_index),
     )
 
 
@@ -409,7 +406,7 @@ def to_matched_mlp(net: BirNetwork, seed: int) -> BirNetwork:
                 linear=lin,
                 bn=BatchNorm(blk.linear.out_dim, eps=blk.bn.eps, momentum=blk.bn.momentum),
                 dropout=blk.dropout,
-                bindings=list(blk.bindings),
+                bindings=blk.bindings,
                 input_names=list(blk.input_names),
                 unit_names=list(blk.unit_names),
             )
@@ -442,19 +439,9 @@ def _dec(obj: dict) -> np.ndarray:
     ).reshape(obj["shape"]).copy()
 
 
-def _imp_to_json(imp: Implication) -> list:
-    return [imp.source, imp.target, imp.btype, imp.log_p, imp.exceptions,
-            imp.exception_fraction, imp.antecedent_support]
-
-
-def _imp_from_json(row: list) -> Implication:
-    return Implication(int(row[0]), int(row[1]), str(row[2]), float(row[3]),
-                       int(row[4]), float(row[5]), int(row[6]))
-
-
 def save_network(net: BirNetwork, path: str) -> None:
     doc = {
-        "format": "birdnet-model-v1",
+        "format": MODEL_FORMAT,
         "input_dim": net.input_dim,
         "feature_names": net.feature_names,
         "class_names": net.class_names,
@@ -466,9 +453,7 @@ def save_network(net: BirNetwork, path: str) -> None:
         b = {
             "kind": blk.linear.kind,
             "dropout": blk.dropout,
-            "bindings": [_imp_to_json(i) for i in blk.bindings],
-            "input_names": blk.input_names,
-            "unit_names": blk.unit_names,
+            "bindings": {name: _enc(col) for name, col in vars(blk.bindings).items()},
             "bn": {
                 "gamma": _enc(blk.bn.gamma),
                 "beta": _enc(blk.bn.beta),
@@ -497,39 +482,39 @@ def save_network(net: BirNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> BirNetwork:
+    """Read a model file, checked as outside input: indices in range, widths
+    that chain, one binding per unit and finite numbers, or a named error."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "birdnet-model-v1":
+    if doc.get("format") == "birdnet-model-v1":
+        raise ValueError(f"{path}: model format birdnet-model-v1 is not read; rebuild the model")
+    if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a recognized model file")
     blocks = []
-    for b in doc["blocks"]:
+    names = doc["feature_names"]
+    for ell, b in enumerate(doc["blocks"]):
+        lin_doc = b["linear"]
         if b["kind"] == "pair":
-            lin = PairLinear(
-                _dec(b["linear"]["src"]),
-                _dec(b["linear"]["tgt"]),
-                _dec(b["linear"]["w_src"]),
-                _dec(b["linear"]["w_tgt"]),
-                _dec(b["linear"]["bias"]),
-                b["linear"]["in_dim"],
-            )
+            arrays = (_dec(lin_doc[k]) for k in ("src", "tgt", "w_src", "w_tgt", "bias"))
+            lin = PairLinear(*arrays, lin_doc["in_dim"])
         else:
-            lin = DenseLinear(_dec(b["linear"]["W"]), _dec(b["linear"]["b"]))
+            lin = DenseLinear(_dec(lin_doc["W"]), _dec(lin_doc["b"]))
         bn = BatchNorm(lin.out_dim, eps=b["bn"]["eps"], momentum=b["bn"]["momentum"])
-        bn.gamma = _dec(b["bn"]["gamma"])
-        bn.beta = _dec(b["bn"]["beta"])
-        bn.running_mean = _dec(b["bn"]["running_mean"])
-        bn.running_var = _dec(b["bn"]["running_var"])
-        blocks.append(
-            BirBlock(
-                linear=lin,
-                bn=bn,
-                dropout=b["dropout"],
-                bindings=[_imp_from_json(r) for r in b["bindings"]],
-                input_names=b["input_names"],
-                unit_names=b["unit_names"],
-            )
-        )
+        for key in ("gamma", "beta", "running_mean", "running_var"):
+            arr = _dec(b["bn"][key])
+            if arr.shape != (lin.out_dim,):
+                raise ValueError(f"{path}: block {ell} BatchNorm {key} is not one per unit")
+            setattr(bn, key, arr)
+        bindings = EdgeTable.from_columns({k: _dec(v) for k, v in b["bindings"].items()})
+        if len(bindings) != lin.out_dim:
+            raise ValueError(f"{path}: block {ell} has {len(bindings)} bindings for {lin.out_dim} units")
+        unit_names = _unit_names(bindings, names, ell)
+        blocks.append(BirBlock(lin, bn, b["dropout"], bindings, names, unit_names))
+        names = unit_names
     head = DenseHead(layers=[DenseLinear(_dec(l["W"]), _dec(l["b"])) for l in doc["head"]])
-    return BirNetwork(
+    net = BirNetwork(
         doc["input_dim"], doc["feature_names"], blocks, head, doc["class_names"], doc["meta"]
     )
+    if not all(np.isfinite(arr).all() for arr in net.snapshot().values()):
+        raise ValueError(f"{path}: model holds NaN or infinite parameters")
+    return net

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 
 from birdnet.binarize import BinaryMatrix, pack_column
-from birdnet.mining import Implication, MiningConfig
+from birdnet.mining import EdgeTable, Implication, MiningConfig
 from birdnet.network import (
     BirNetwork,
     DenseHead,
@@ -215,7 +215,7 @@ def random_pair_net(
             i, j = rng.choice(in_dim, size=2, replace=False)
             t = TYPES[int(rng.integers(len(TYPES)))]
             spec.append(Implication(int(i), int(j), t, -20.0, 0, 0.0, 10))
-        blk = build_bir_layer(spec, in_dim, rng, input_names=names, layer_index=li,
+        blk = build_bir_layer(EdgeTable.from_implications(spec), in_dim, rng, input_names=names, layer_index=li,
                               dropout=0.0)
         if randomize:
             blk.linear.bias += rng.standard_normal(h) * 0.3

@@ -21,6 +21,7 @@ from birdnet.dataio import LabeledDataset, load_csv
 from birdnet.evaluate import PipelineConfig, cross_validate
 from birdnet.explain import extract_rules, lrp_explain
 from birdnet.mining import (
+    EdgeTable,
     Implication,
     MiningConfig,
     log_binom_lower_tail,
@@ -123,7 +124,7 @@ def _structural_layer(rng, h, d):
         a, b = rng.integers(0, d, size=2)
         if a != b:
             spec.append(Implication(int(a), int(b), "T0", -20.0, 0, 0.0, 10))
-    return build_bir_layer(spec, d, rng)
+    return build_bir_layer(EdgeTable.from_implications(spec), d, rng)
 
 
 def test_criterion_02_sparsity_bound():

@@ -56,6 +56,13 @@ class TestFitThreshold:
         assert not deg
         assert tau == pytest.approx(-5.0 / 3.0, abs=1e-12)
 
+    def test_data_far_from_zero_keeps_the_split(self):
+        # Sorted [-5, -4, 0, 3, 4, 5] + 1e8: the best split is after 2 values.
+        # Uncentred prefix sums of ~1e16 cancel the SSE away and pick another.
+        tau, deg = fit_threshold(np.array([0.0, 3.0, 5.0, -5.0, -4.0, 4.0]) + 1e8)
+        assert not deg
+        assert tau == 1e8 - 0.75
+
     def test_order_invariant(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=30)

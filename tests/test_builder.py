@@ -101,7 +101,7 @@ class TestBuildBirdnet:
                               MiningConfig(mu=5), depth=1, seed=1)
         n2, _ = build_birdnet(X, [f"g{j}" for j in range(20)], ["a", "b"],
                               MiningConfig(mu=5), depth=1, seed=2)
-        assert n1.blocks[0].bindings == n2.blocks[0].bindings
+        assert list(n1.blocks[0].bindings) == list(n2.blocks[0].bindings)
         assert not np.array_equal(n1.blocks[0].linear.w_src, n2.blocks[0].linear.w_src)
 
     def test_running_stats_seeded_with_fold_statistics(self):

@@ -150,3 +150,16 @@ class TestConfigAndErrors:
         assert run(["mine", "--data", data_csv, *BASE,
                     "--out", str(tmp_path / "o"), "--pi", "0.7"]) == 2
         assert "pi" in capsys.readouterr().err
+
+    def test_malformed_model_exits_2(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["build", "--data", data_csv, *BASE, "--out", str(out),
+                    "--mu", "1", "--depth", "1"]) == 0
+        model = out / "model.json"
+        doc = json.loads(model.read_text())
+        doc["blocks"][0]["linear"]["in_dim"] += 3
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["explain", "--model", str(model), "--data", data_csv, *BASE,
+                    "--instance", "0", "--out", str(tmp_path / "e")]) == 2
+        assert "do not chain" in capsys.readouterr().err

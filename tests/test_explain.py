@@ -8,7 +8,7 @@ from birdnet.explain import (
     rules_to_csv,
     unit_activity,
 )
-from birdnet.mining import Implication
+from birdnet.mining import EdgeTable, Implication
 from birdnet.network import BirNetwork, DenseHead, DenseLinear, PairLinear, BatchNorm
 from birdnet.builder import build_birdnet
 from birdnet.mining import MiningConfig
@@ -122,7 +122,7 @@ def single_path_net():
     bn = BatchNorm(1)
     bn.set_stats(np.zeros(1), np.ones(1) - 1e-5)  # scale exactly 1
     blk = BirBlock(linear=lin, bn=bn, dropout=0.0,
-                   bindings=[imp(0, 1, "T0")], input_names=["a", "b"],
+                   bindings=EdgeTable.from_implications([imp(0, 1, "T0")]), input_names=["a", "b"],
                    unit_names=["L0/u0:T0(a,b)"])
     head = DenseHead([DenseLinear(np.array([[2.0], [0.0]]), np.zeros(2))])
     return BirNetwork(2, ["a", "b"], [blk], head, ["c0", "c1"])

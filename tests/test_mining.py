@@ -326,7 +326,7 @@ class TestDedup:
 
         g = ImplicationGraph(["a", "b"], [e1, e2])
         kept = deduplicate_and_cap(g, 100)
-        assert kept == [e1]  # tie on log_p: source < target wins
+        assert list(kept) == [e1]  # tie on log_p: source < target wins
 
     def test_smaller_log_p_wins(self):
         from birdnet.mining import ImplicationGraph
@@ -334,7 +334,7 @@ class TestDedup:
         e1 = Implication(0, 1, "T0", -30.0, 1, 0.02, 50)
         e2 = Implication(1, 0, "T1", -40.0, 1, 0.01, 60)
         kept = deduplicate_and_cap(ImplicationGraph(["a", "b"], [e1, e2]), 100)
-        assert kept == [e2]
+        assert list(kept) == [e2]
 
     def test_distinct_quadrants_kept(self):
         from birdnet.mining import ImplicationGraph

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from birdnet.mining import Implication
+from birdnet.mining import EdgeTable, Implication
 from birdnet.network import (
     BatchNorm,
     BirNetwork,
@@ -22,9 +24,13 @@ def imp(src, tgt, btype):
     return Implication(src, tgt, btype, -20.0, 0, 0.0, 10)
 
 
+def table(*imps):
+    return EdgeTable.from_implications(imps)
+
+
 class TestBuildBirLayer:
     def test_type_aware_init_signs(self):
-        spec = [imp(0, 1, t) for t in ("T0", "T1", "T2", "T3", "T4", "T5")]
+        spec = table(*(imp(0, 1, t) for t in ("T0", "T1", "T2", "T3", "T4", "T5")))
         blk = build_bir_layer(spec, 2, seed_or_rng=0, dropout=0.0)
         ws, wt = blk.linear.w_src, blk.linear.w_tgt
         assert ws[0] > 0 and wt[0] > 0  # T0
@@ -37,21 +43,21 @@ class TestBuildBirLayer:
 
     def test_unit_names(self):
         blk = build_bir_layer(
-            [imp(0, 1, "T0")], 2, 0, input_names=["geneA", "geneB"], layer_index=1
+            table(imp(0, 1, "T0")), 2, 0, input_names=["geneA", "geneB"], layer_index=1
         )
         assert blk.unit_names == ["L1/u0:T0(geneA,geneB)"]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            build_bir_layer([imp(1, 1, "T0")], 3, 0)
+            build_bir_layer(table(imp(1, 1, "T0")), 3, 0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            build_bir_layer([imp(0, 5, "T0")], 3, 0)
+            build_bir_layer(table(imp(0, 5, "T0")), 3, 0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            build_bir_layer([], 3, 0)
+            build_bir_layer(table(), 3, 0)
 
 
 class TestPairLinear:
@@ -167,6 +173,15 @@ class TestForwardModes:
         with pytest.raises(ValueError):
             net.forward(rng.normal(size=(4, 5)), mode="test")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        rng = np.random.default_rng(0)
+        net = random_pair_net(rng, d=5, widths=(6,), k=3)
+        X = rng.normal(size=(4, 5))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            net.forward(X, mode="eval")
+
 
 class TestGradients:
     def _check(self, net, X, y, tol=1e-4):
@@ -264,7 +279,7 @@ class TestAccounting:
             a, b = rng.integers(0, d, size=2)
             if a != b:
                 out.append(imp(int(a), int(b), btype))
-        return out
+        return table(*out)
 
     def test_two_layer_5000_5000_over_2000(self):
         rng = np.random.default_rng(0)
@@ -316,9 +331,11 @@ class TestSerialization:
         for b0, b1 in zip(net.blocks, loaded.blocks):
             assert np.array_equal(b0.bn.running_mean, b1.bn.running_mean)
             assert np.array_equal(b0.bn.running_var, b1.bn.running_var)
-            assert b0.bindings == b1.bindings
+            assert list(b0.bindings) == list(b1.bindings)
             assert b0.unit_names == b1.unit_names
         assert loaded.meta == net.meta
+        # names are derived from the bindings, never stored
+        assert "unit_names" not in p1.read_text() and "input_names" not in p1.read_text()
         # byte-determinism: saving the loaded model reproduces the file
         p2 = tmp_path / "m2.json"
         save_network(loaded, str(p2))
@@ -340,6 +357,44 @@ class TestSerialization:
         p.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a recognized"):
             load_network(str(p))
+
+    @staticmethod
+    def _reload(tmp_path, net, edit_doc=None):
+        p = tmp_path / "m.json"
+        save_network(net, str(p))
+        if edit_doc is not None:
+            doc = json.loads(p.read_text())
+            edit_doc(doc)
+            p.write_text(json.dumps(doc))
+        return load_network(str(p))
+
+    def test_rejects_v1_file(self, tmp_path):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        with pytest.raises(ValueError, match="birdnet-model-v1.*rebuild"):
+            self._reload(tmp_path, net, lambda doc: doc.update(format="birdnet-model-v1"))
+
+    def test_rejects_out_of_range_src(self, tmp_path):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
+        net.blocks[1].linear.src[0] = 6  # layer 1 has 6 inputs
+        with pytest.raises(ValueError, match="outside"):
+            self._reload(tmp_path, net)
+
+    def test_rejects_width_mismatch(self, tmp_path):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
+        with pytest.raises(ValueError, match="do not chain"):
+            self._reload(tmp_path, net, lambda doc: doc["blocks"][0]["linear"].update(in_dim=9))
+
+    def test_rejects_nan_weight(self, tmp_path):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        net.blocks[0].linear.w_tgt[2] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            self._reload(tmp_path, net)
+
+    def test_rejects_binding_count_mismatch(self, tmp_path):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
+        with pytest.raises(ValueError, match="5 bindings for 6 units"):
+            self._reload(tmp_path, net)
 
     def test_snapshot_restore(self):
         rng = np.random.default_rng(5)
