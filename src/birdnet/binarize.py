@@ -40,15 +40,6 @@ class BinaryMatrix:
     n: int
     d: int
 
-    def column_bools(self, j: int) -> np.ndarray:
-        return unpack_column(self.bits[j], self.n)
-
-    def to_bools(self) -> np.ndarray:
-        out = np.empty((self.n, self.d), dtype=bool)
-        for j in range(self.d):
-            out[:, j] = self.column_bools(j)
-        return out
-
 
 def pack_column(bools: np.ndarray) -> np.ndarray:
     """Pack a boolean vector into little-endian uint64 words, zero-padded."""

@@ -21,10 +21,10 @@ import birdnet
 from birdnet.binarize import binarize, fit_binarization
 from birdnet.builder import build_birdnet
 from birdnet.dataio import (
-    anova_f_select,
     apply_standardizer,
     fit_standardizer,
     load_csv,
+    preselect_features,
     stratified_holdout,
 )
 from birdnet.evaluate import PipelineConfig, attach_preprocessing, cross_validate, holdout_rules_run
@@ -207,10 +207,7 @@ def _pipeline_cfg(args, folds: int | None = None) -> PipelineConfig:
 
 
 def _preselect_and_standardize(ds, args):
-    m = args.preselect
-    if m is None and ds.d > 2000:
-        m = 2000
-    cols = anova_f_select(ds, m) if (m is not None and m < ds.d) else np.arange(ds.d)
+    cols = preselect_features(ds, args.preselect)
     std = fit_standardizer(ds.values[:, cols])
     X = apply_standardizer(std, ds.values[:, cols])
     names = [ds.feature_names[c] for c in cols]
@@ -328,6 +325,8 @@ def cmd_explain(args) -> int:
         raise ValueError("model file lacks preprocessing metadata; re-train with this CLI")
     std_meta = net.meta["standardizer"]
     cols = np.asarray(net.meta["selected_features"], dtype=int)
+    if not 0 <= args.instance < ds.n:
+        raise ValueError(f"--instance {args.instance} is out of range: the data has rows 0..{ds.n - 1}")
     row = ds.values[args.instance, cols]
     x = (row - np.asarray(std_meta["means"])) / np.asarray(std_meta["stddevs"])
     if args.target_class is None:

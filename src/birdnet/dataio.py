@@ -15,6 +15,7 @@ __all__ = [
     "load_csv",
     "stratified_kfold",
     "anova_f_select",
+    "preselect_features",
     "fit_standardizer",
     "apply_standardizer",
 ]
@@ -247,6 +248,16 @@ def anova_f_select(data: LabeledDataset, m: int) -> np.ndarray:
     F = np.where((within == 0.0) & (between > 0.0), np.inf, F)
     order = np.lexsort((np.arange(d), -F))  # stable: descending F, then lower index
     return np.sort(order[:m])
+
+
+def preselect_features(data: LabeledDataset, m: int | None) -> np.ndarray:
+    """Columns kept by ANOVA F preselection of the top m features. m=None
+    means 2000 when d > 2000 and no selection otherwise; m >= d keeps all."""
+    if m is None and data.d > 2000:
+        m = 2000
+    if m is None or m >= data.d:
+        return np.arange(data.d)
+    return anova_f_select(data, m)
 
 
 def fit_standardizer(rows: np.ndarray) -> Standardizer:

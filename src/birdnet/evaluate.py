@@ -8,9 +8,9 @@ import numpy as np
 
 from birdnet.dataio import (
     LabeledDataset,
-    anova_f_select,
     apply_standardizer,
     fit_standardizer,
+    preselect_features,
     stratified_holdout,
     stratified_kfold,
 )
@@ -159,14 +159,7 @@ def _fold_scores(logits: np.ndarray, labels: np.ndarray) -> tuple[float, list[in
 
 def _prepare_fold(dataset: LabeledDataset, train_rows: np.ndarray, cfg: PipelineConfig):
     """Feature selection and standardization, fitted on training rows only."""
-    train_ds = dataset.subset(train_rows)
-    m = cfg.preselect_m
-    if m is None and dataset.d > 2000:
-        m = 2000
-    if m is not None and m < dataset.d:
-        cols = anova_f_select(train_ds, m)
-    else:
-        cols = np.arange(dataset.d)
+    cols = preselect_features(dataset.subset(train_rows), cfg.preselect_m)
     std = fit_standardizer(dataset.values[np.ix_(train_rows, cols)])
     return cols, std
 

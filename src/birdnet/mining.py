@@ -19,7 +19,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "MiningConfig",
@@ -27,7 +26,6 @@ __all__ = [
     "EdgeTable",
     "ImplicationGraph",
     "log_binom_lower_tail",
-    "log_binom_lower_tail_curve",
     "test_pair",
     "mine_birs",
     "deduplicate_and_cap",
@@ -148,20 +146,22 @@ class ImplicationGraph:
 # ---------------------------------------------------------------------------
 
 
+def _log_choose(n: int, m: int) -> np.ndarray:
+    """ln C(n, j) for j in 0..m, as running sums of ln((n - i + 1) / i)."""
+    out = np.zeros(m + 1)
+    i = np.arange(1, m + 1, dtype=np.float64)
+    np.cumsum(np.log((n - i + 1) / i), out=out[1:])
+    return out
+
+
 def _log_pmf_terms(n: int, p: float) -> np.ndarray:
     j = np.arange(n + 1, dtype=np.float64)
-    return (
-        gammaln(n + 1.0)
-        - gammaln(j + 1.0)
-        - gammaln(n - j + 1.0)
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-    )
+    return _log_choose(n, n) + j * math.log(p) + (n - j) * math.log1p(-p)
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"binomial success probability must be in (0,1), got {p}")
+def _log_sum_exp(terms: np.ndarray) -> float:
+    top = terms.max()
+    return float(top + math.log(np.exp(terms - top).sum()))
 
 
 def log_binom_lower_tail(k: int, n: int, p: float) -> float:
@@ -171,52 +171,40 @@ def log_binom_lower_tail(k: int, n: int, p: float) -> float:
     directly, or the upper tail followed by log1p(-exp(.)) when the
     lower-tail mass is close to 1.
     """
-    _check_p(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"binomial success probability must be in (0,1), got {p}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == n:
         return 0.0
     terms = _log_pmf_terms(n, p)
-    upper = logsumexp(terms[k + 1 :])
+    upper = _log_sum_exp(terms[k + 1 :])
     if upper < _LN_HALF:
-        return float(np.log1p(-np.exp(upper)))
-    return float(min(logsumexp(terms[: k + 1]), 0.0))
-
-
-def log_binom_lower_tail_curve(n: int, p: float) -> np.ndarray:
-    """ln P(K <= k) for every k in 0..n at once (shared pmf table)."""
-    _check_p(p)
-    terms = _log_pmf_terms(n, p)
-    prefix = np.logaddexp.accumulate(terms)
-    suffix = np.logaddexp.accumulate(terms[::-1])[::-1]
-    upper = np.full(n + 1, -np.inf)
-    upper[:n] = suffix[1:]
-    out = np.minimum(prefix, 0.0)
-    small = upper < _LN_HALF
-    out[small] = np.log1p(-np.exp(upper[small]))
-    out[n] = 0.0
-    return out
+        return math.log1p(-math.exp(upper))
+    return min(_log_sum_exp(terms[: k + 1]), 0.0)
 
 
 def _lower_tail_batch(
-    k: np.ndarray, n: int, p: np.ndarray, log_choose: np.ndarray, width: int
+    k: np.ndarray, n: int, p: np.ndarray, log_choose: np.ndarray
 ) -> np.ndarray:
     """Vectorized ln P(K <= k_i) for small k_i with per-candidate p_i.
 
     Valid for the mining prefilter regime (k well below n*p would make the
     tail large; results are clamped to <= 0 and only the comparison against
-    ln p_star matters). log_choose[j] = ln C(n, j) for j < width. Every row
-    is padded with -inf to `width` terms (width > max(k)); logsumexp sums
-    pairwise, so the padding is part of the result's last bits.
+    ln p_star matters). log_choose[j] = ln C(n, j) for j <= max(k). Each row
+    is scaled by its own max and summed left to right, read at its own k, so
+    a result depends on (k_i, n, p_i) alone, not on the rest of the batch.
     """
-    j = np.arange(width, dtype=np.float64)
+    j = np.arange(int(k.max(initial=0)) + 1, dtype=np.float64)
     T = (
-        log_choose[None, :width]
+        log_choose[None, : j.size]
         + j[None, :] * np.log(p)[:, None]
         + (n - j[None, :]) * np.log1p(-p)[:, None]
     )
     T = np.where(j[None, :] <= k[:, None], T, -np.inf)
-    return np.minimum(logsumexp(T, axis=1), 0.0)
+    top = T.max(axis=1)
+    total = np.cumsum(np.exp(T - top[:, None]), axis=1)[np.arange(k.size), k]
+    return np.minimum(top + np.log(total), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +280,6 @@ def test_pair(
 _QUAD_BITS = np.array([(1, 0), (0, 1), (1, 1), (0, 0)])
 _REV_TYPE = np.array([1, 0, 2, 3])
 _TILE_ELEMS = 1 << 16  # pair counts per row tile (256 kB in float32)
-_TAIL_CHUNK = 8192  # consecutive candidates of one (source, quadrant) sharing a pad length
 _TAIL_ELEMS = 1 << 20  # tail terms evaluated per batch
 _CANDIDATE_BUDGET = 1 << 20  # candidates held before their tails are evaluated
 
@@ -347,23 +334,6 @@ def _candidate_tiles(bmat, cfg: MiningConfig, n1: np.ndarray, live: np.ndarray):
         yield tuple(np.concatenate(x) for x in zip(*block))
 
 
-def _pad_widths(q: np.ndarray, i: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per candidate, 1 + the largest k among its run of up to _TAIL_CHUNK
-    consecutive candidates of the same (quadrant, source). Fixing the pad
-    this way makes every log_p independent of how tails are batched."""
-    m = q.size
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    new_group = np.ones(m, dtype=bool)
-    new_group[1:] = (q[1:] != q[:-1]) | (i[1:] != i[:-1])
-    starts = np.flatnonzero(new_group)
-    rank = np.arange(m) - np.repeat(starts, np.diff(np.append(starts, m)))
-    new_run = new_group.copy()
-    new_run[1:] |= rank[1:] // _TAIL_CHUNK != rank[:-1] // _TAIL_CHUNK
-    runs = np.flatnonzero(new_run)
-    return np.repeat(np.maximum.reduceat(k, runs), np.diff(np.append(runs, m))) + 1
-
-
 class _Kernel:
     """Tail tests and the T4/T5 merge for blocks of candidates of one matrix."""
 
@@ -373,26 +343,19 @@ class _Kernel:
         lo = 1.0 / (2.0 * n)
         # prob[v]: clamped marginal P(feature == v).
         self.prob = (np.clip((n - n1) / n, lo, 1.0 - lo), np.clip(n1 / n, lo, 1.0 - lo))
-        kmax = int(math.floor(cfg.pi * n)) + 1
-        jj = np.arange(kmax + 1, dtype=np.float64)
-        self.log_choose = gammaln(n + 1.0) - gammaln(jj + 1.0) - gammaln(n - jj + 1.0)
+        self.log_choose = _log_choose(n, int(math.floor(cfg.pi * n)) + 1)
 
     def log_p(self, q, i, j, k) -> np.ndarray:
-        """Lower-tail log p-values, one batch per pad width."""
+        """Lower-tail log p-values, in chunks of about _TAIL_ELEMS terms."""
         sb, tb = _QUAD_BITS[q, 0], _QUAD_BITS[q, 1]
         p0 = np.where(sb == 1, self.prob[1][i], self.prob[0][i]) * np.where(
             tb == 1, self.prob[1][j], self.prob[0][j]
         )
-        width = _pad_widths(q, i, k)
-        out = np.empty(q.size)
-        order = np.argsort(width, kind="stable")
-        for grp in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-            if grp.size:
-                w = int(width[grp[0]])
-                step = max(1, _TAIL_ELEMS // w)
-                for s in range(0, grp.size, step):
-                    g = grp[s : s + step]
-                    out[g] = _lower_tail_batch(k[g], self.n, p0[g], self.log_choose, w)
+        step = max(1, _TAIL_ELEMS // (int(k.max(initial=0)) + 1))
+        out = np.empty(k.size)
+        for s in range(0, k.size, step):
+            part = slice(s, s + step)
+            out[part] = _lower_tail_batch(k[part], self.n, p0[part], self.log_choose)
         return out
 
     def edges(self, q, i, j, k) -> tuple:
@@ -447,7 +410,8 @@ def _batches(tiles):
     """Join consecutive tiles until a batch holds _CANDIDATE_BUDGET candidates.
 
     A source's candidates all come from one tile, so batch boundaries never
-    split a pad run, and batches in tile order keep the edges in output order.
+    split a pair's quadrants, and batches in tile order keep the edges in
+    output order.
     """
     pending, held = [], 0
     for tile in tiles:

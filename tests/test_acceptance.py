@@ -25,7 +25,6 @@ from birdnet.mining import (
     Implication,
     MiningConfig,
     log_binom_lower_tail,
-    log_binom_lower_tail_curve,
     mine_birs,
 )
 from birdnet.network import (
@@ -170,14 +169,12 @@ def test_criterion_03_mask_persistence_through_adamw():
 def test_criterion_04_binomial_oracle():
     """log lower tail within 1e-9 relative of direct pmf summation over
     k in 0..n for n in {1,10,100,1000,10000}, p in {.001,.01,.1,.5,.9}."""
-    rng = np.random.default_rng(4)
     worst_rel = 0.0
     for n in (1, 10, 100, 1000, 10000):
         for p in (0.001, 0.01, 0.1, 0.5, 0.9):
-            got = log_binom_lower_tail_curve(n, p)
             want = mp_log_lower_tail_curve(n, p)
             for k in range(n + 1):
-                g, w = got[k], want[k]
+                g, w = log_binom_lower_tail(k, n, p), want[k]
                 if g == w:
                     continue
                 if abs(g - w) <= 1e-315:
@@ -185,10 +182,6 @@ def test_criterion_04_binomial_oracle():
                 rel = abs(g - w) / abs(w)
                 worst_rel = max(worst_rel, rel)
                 assert rel <= 1e-9, f"n={n} p={p} k={k}: rel {rel}"
-            # the scalar entry point agrees with the curve
-            for k in rng.integers(0, n + 1, size=min(n + 1, 50)):
-                s = log_binom_lower_tail(int(k), n, p)
-                assert s == got[k] or abs(s - got[k]) <= 1e-12 * max(abs(got[k]), 1e-300)
     report(4, worst_rel <= 1e-9, f"(worst relative error {worst_rel:.2e})")
 
 

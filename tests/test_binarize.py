@@ -139,22 +139,22 @@ class TestBinarize:
         # giving segment means (0, 7.5) and tau 3.75.
         assert model.thresholds[0] == pytest.approx(3.75)
         bm = binarize(X, model)
-        assert bm.column_bools(0).tolist() == [False, True, True]
+        assert unpack_column(bm.bits[0], bm.n).tolist() == [False, True, True]
 
     def test_value_at_threshold_is_low(self):
         X = np.array([[0.0], [10.0], [5.0]])
         model = fit_binarization(X)
         model.thresholds[0] = 5.0
         bm = binarize(X, model)
-        assert bm.column_bools(0).tolist() == [False, True, False]
+        assert unpack_column(bm.bits[0], bm.n).tolist() == [False, True, False]
 
     def test_degenerate_column_all_zero(self):
         X = np.column_stack([np.full(10, 2.0), np.arange(10.0)])
         model = fit_binarization(X)
         assert model.degenerate.tolist() == [True, False]
         bm = binarize(X, model)
-        assert not bm.column_bools(0).any()
-        assert bm.column_bools(1).any()
+        assert not unpack_column(bm.bits[0], bm.n).any()
+        assert unpack_column(bm.bits[1], bm.n).any()
 
     def test_near_constant_rule(self):
         col = np.zeros(100)
@@ -169,14 +169,14 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize(X[:, :2], model)
 
-    def test_to_bools_matches_columns(self):
+    def test_bits_match_strict_threshold(self):
+        # 67 rows span two words per column.
         rng = np.random.default_rng(2)
         X = rng.normal(size=(67, 4))
-        bm = binarize(X, fit_binarization(X))
-        B = bm.to_bools()
+        model = fit_binarization(X)
+        bm = binarize(X, model)
         for j in range(4):
-            assert np.array_equal(B[:, j], bm.column_bools(j))
-            assert np.array_equal(B[:, j], X[:, j] > fit_binarization(X).thresholds[j])
+            assert np.array_equal(unpack_column(bm.bits[j], bm.n), X[:, j] > model.thresholds[j])
 
     def test_thresholds_report(self):
         X = np.column_stack([np.full(4, 1.0), np.array([0.0, 0.0, 2.0, 2.0])])

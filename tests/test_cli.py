@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import birdnet
 from birdnet.cli import main
 from birdnet.network import load_network
 from helpers import planted_pair_data, write_csv
@@ -22,6 +26,14 @@ def run(argv):
 
 
 BASE = ["--label", "diagnosis", "--id-column", "sample"]
+
+
+@pytest.fixture
+def built_model(data_csv, tmp_path):
+    out = tmp_path / "built"
+    assert run(["build", "--data", data_csv, *BASE, "--out", str(out),
+                "--mu", "1", "--depth", "1"]) == 0
+    return str(out / "model.json")
 
 
 class TestMine:
@@ -163,3 +175,28 @@ class TestConfigAndErrors:
         assert run(["explain", "--model", str(model), "--data", data_csv, *BASE,
                     "--instance", "0", "--out", str(tmp_path / "e")]) == 2
         assert "do not chain" in capsys.readouterr().err
+
+    def test_explain_instance_past_last_row_exits_2(self, data_csv, built_model, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["explain", "--model", built_model, "--data", data_csv, *BASE,
+                    "--instance", "200", "--out", str(tmp_path / "e")]) == 2
+        assert "rows 0..199" in capsys.readouterr().err
+
+    def test_explain_negative_instance_exits_2(self, data_csv, built_model, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["explain", "--model", built_model, "--data", data_csv, *BASE,
+                    "--instance", "-1", "--out", str(tmp_path / "e")]) == 2
+        assert "rows 0..199" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+
+def test_serving_and_cli_imports_load_no_scipy():
+    # The runtime dependencies are numpy alone; scipy stays a benchmark extra.
+    src = os.path.dirname(os.path.dirname(birdnet.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = ("import sys, birdnet, birdnet.cli, birdnet.evaluate, birdnet.explain; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -12,7 +12,6 @@ from birdnet.mining import (
     export_graph,
     graph_to_tsv,
     log_binom_lower_tail,
-    log_binom_lower_tail_curve,
     mine_birs,
     read_graph_tsv,
 )
@@ -23,6 +22,7 @@ from helpers import (
     bmat_from_bools,
     imps_to_tuples,
     mp_log_lower_tail,
+    mp_log_lower_tail_curve,
     naive_mine,
 )
 
@@ -69,12 +69,30 @@ class TestLogBinomLowerTail:
         assert vals[-1] == 0.0
 
     def test_curve_matches_scalar(self):
+        # Every k of each curve, against the arbitrary-precision oracle.
         for n, p in [(1, 0.5), (17, 0.05), (100, 0.9), (64, 0.001)]:
-            curve = log_binom_lower_tail_curve(n, p)
             scalars = np.array([log_binom_lower_tail(k, n, p) for k in range(n + 1)])
-            # The curve shares pmf accumulation across k, so summation order
-            # differs from the scalar path by a few ulps.
-            np.testing.assert_allclose(curve, scalars, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(scalars, mp_log_lower_tail_curve(n, p), rtol=1e-12, atol=0.0)
+
+    def test_kernel_tail_ignores_its_batch(self):
+        # A row's kernel log p-value does not depend on the other rows of its
+        # batch: rows with a larger k widen the batch but not its sums. With
+        # k near n * p many terms weigh alike, so a summation order that
+        # changed with the batch width would change the last bits.
+        import birdnet.mining as mining
+
+        n = 1000
+        log_choose = mining._log_choose(n, 51)
+        k = np.arange(8, 52)
+        p = (k + 1) / n
+        together = mining._lower_tail_batch(k, n, p, log_choose)
+        alone = [mining._lower_tail_batch(k[r : r + 1], n, p[r : r + 1], log_choose)
+                 for r in range(k.size)]
+        assert together.tolist() == np.concatenate(alone).tolist()
+        reordered = mining._lower_tail_batch(k[::-1], n, p[::-1], log_choose)
+        assert reordered.tolist() == together[::-1].tolist()
+        for kk, pp, got in zip(k[::7], p[::7], together[::7]):
+            assert got == pytest.approx(mp_log_lower_tail(int(kk), n, float(pp)), rel=1e-9)
 
     def test_accurate_near_zero_log(self):
         # Lower tail barely below 1: the complement branch keeps precision.
@@ -218,10 +236,10 @@ class TestMineBirs:
         assert_edges_match(got, want)
         assert len(got) > 0
 
-    def test_kernel_tiles_and_pad_lengths(self, monkeypatch):
+    def test_kernel_tiles_and_tail_batches(self, monkeypatch):
         # Pairs straddle row tiles, n is not a multiple of 64, some columns
         # are constant, and source 0's (1, 0)-quadrant candidates carry 0..5
-        # exceptions, so rows padded to one length hold tails of mixed length.
+        # exceptions, so one tail batch holds tails of mixed length.
         import birdnet.mining as mining
 
         rng = np.random.default_rng(43)
