@@ -13,8 +13,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from birdnet.dataio import LabeledDataset
-from birdnet.evaluate import PipelineConfig, cross_validate, holdout_rules_run
-from birdnet.explain import lrp_explain, rule_text
+from birdnet.evaluate import PipelineConfig, apply_preprocessing, cross_validate, holdout_rules_run
+from birdnet.explain import lrp_explain
 from birdnet.mining import MiningConfig
 from birdnet.trainer import TrainConfig
 
@@ -58,13 +58,10 @@ def main():
     net, rules, _ = holdout_rules_run(ds, cfg, test_fraction=0.2)
     print("\ntop rules on the holdout:")
     for r in rules[:5]:
-        print(f"  [{r.class_name}] {rule_text(r.implication, net.blocks[0].input_names)}"
-              f"  precision={r.precision:.2f} lift={r.lift:.2f} support={r.support}")
+        print(f"  [{r.class_name}] {r.rule}  precision={r.precision:.2f} lift={r.lift:.2f} support={r.support}")
 
-    std = net.meta["standardizer"]
-    cols = np.asarray(net.meta["selected_features"], dtype=int)
     i = int(np.argmax(ds.labels == 1))  # a positive instance has active units
-    x = (ds.values[i, cols] - np.asarray(std["means"])) / np.asarray(std["stddevs"])
+    x = apply_preprocessing(net, ds, [i])[0]
     logits, _ = net.forward(x.reshape(1, -1), mode="eval")
     trace = lrp_explain(net, x, int(np.argmax(logits[0])), instance_id=ds.sample_ids[i])
     print("\n" + trace.to_text())

@@ -2,7 +2,7 @@
 
 from birdnet.dataio import LabeledDataset, FoldPlan, Standardizer
 from birdnet.binarize import BinarizationModel, BinaryMatrix
-from birdnet.mining import Implication, ImplicationGraph, MiningConfig
+from birdnet.mining import ImplicationGraph, MiningConfig
 from birdnet.network import BirNetwork
 from birdnet.trainer import TrainConfig, TrainHistory
 
@@ -12,7 +12,6 @@ __all__ = [
     "Standardizer",
     "BinarizationModel",
     "BinaryMatrix",
-    "Implication",
     "ImplicationGraph",
     "MiningConfig",
     "BirNetwork",

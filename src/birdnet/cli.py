@@ -27,7 +27,13 @@ from birdnet.dataio import (
     preselect_features,
     stratified_holdout,
 )
-from birdnet.evaluate import PipelineConfig, attach_preprocessing, cross_validate, holdout_rules_run
+from birdnet.evaluate import (
+    PipelineConfig,
+    apply_preprocessing,
+    attach_preprocessing,
+    cross_validate,
+    holdout_rules_run,
+)
 from birdnet.explain import lrp_explain, rules_to_csv
 from birdnet.mining import (
     MiningConfig,
@@ -321,14 +327,9 @@ def cmd_rules(args) -> int:
 def cmd_explain(args) -> int:
     net = load_network(args.model)
     ds = _load_dataset(args)
-    if "standardizer" not in net.meta:
-        raise ValueError("model file lacks preprocessing metadata; re-train with this CLI")
-    std_meta = net.meta["standardizer"]
-    cols = np.asarray(net.meta["selected_features"], dtype=int)
     if not 0 <= args.instance < ds.n:
         raise ValueError(f"--instance {args.instance} is out of range: the data has rows 0..{ds.n - 1}")
-    row = ds.values[args.instance, cols]
-    x = (row - np.asarray(std_meta["means"])) / np.asarray(std_meta["stddevs"])
+    x = apply_preprocessing(net, ds, [args.instance])[0]
     if args.target_class is None:
         logits, _ = net.forward(x.reshape(1, -1), mode="eval")
         target = int(np.argmax(logits[0]))

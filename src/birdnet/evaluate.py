@@ -8,6 +8,7 @@ import numpy as np
 
 from birdnet.dataio import (
     LabeledDataset,
+    Standardizer,
     apply_standardizer,
     fit_standardizer,
     preselect_features,
@@ -29,6 +30,7 @@ __all__ = [
     "cross_validate",
     "holdout_rules_run",
     "attach_preprocessing",
+    "apply_preprocessing",
 ]
 
 
@@ -173,6 +175,26 @@ def attach_preprocessing(net: BirNetwork, cols, std) -> None:
         "constant": std.constant.astype(int).tolist(),
     }
     net.meta["selected_features"] = [int(c) for c in cols]
+
+
+def apply_preprocessing(net: BirNetwork, dataset: LabeledDataset, rows) -> np.ndarray:
+    """The inverse of attach_preprocessing: the dataset's rows (indices) as the
+    model's inputs. The recorded columns must exist and carry the model's feature
+    names, or a ValueError names the first one that does not."""
+    if "standardizer" not in net.meta:
+        raise ValueError("model file lacks preprocessing metadata; re-train with this CLI")
+    cols = [int(c) for c in net.meta["selected_features"]]
+    for i, (c, want) in enumerate(zip(cols, net.feature_names)):
+        if not 0 <= c < dataset.d:
+            raise ValueError(f"model input {i} reads data column {c}, "
+                             f"but the data has {dataset.d} feature columns")
+        if dataset.feature_names[c] != want:
+            raise ValueError(f"model input {i} is feature {want!r} from data column {c}, "
+                             f"but the data has {dataset.feature_names[c]!r} there")
+    m = net.meta["standardizer"]
+    std = Standardizer(np.asarray(m["means"]), np.asarray(m["stddevs"]),
+                       np.asarray(m["constant"], dtype=bool))
+    return apply_standardizer(std, dataset.values[rows][:, cols])
 
 
 def _fit_fold(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from birdnet.mining import Implication
+from birdnet.mining import TYPES, EdgeTable
 from birdnet.network import BirNetwork, DenseLinear, PairLinear
 from birdnet.trainer import softmax
 
@@ -31,26 +31,30 @@ __all__ = [
 LRP_EPSILON = 1e-6
 DEFAULT_MIN_SUPPORT = 10
 
-_RULE_TEMPLATES = {
-    "T0": "{a} -> {b}",
-    "T1": "!{a} -> !{b}",
-    "T2": "{a} -> !{b}",
-    "T3": "!{a} -> {b}",
-    "T4": "{a} == {b}",
-    "T5": "{a} == !{b}",
-}
+# By type code T0..T5.
+_RULE_TEMPLATES = (
+    "{a} -> {b}",
+    "!{a} -> !{b}",
+    "{a} -> !{b}",
+    "!{a} -> {b}",
+    "{a} == {b}",
+    "{a} == !{b}",
+)
 
 
-def rule_text(imp: Implication, input_names: list[str]) -> str:
-    return _RULE_TEMPLATES[imp.btype].format(
-        a=input_names[imp.source], b=input_names[imp.target]
+def rule_text(bindings: EdgeTable, k: int, input_names: list[str]) -> str:
+    """Row k of a binding table as a rule over the named inputs."""
+    return _RULE_TEMPLATES[bindings.btype[k]].format(
+        a=input_names[bindings.source[k]], b=input_names[bindings.target[k]]
     )
 
 
 @dataclass
 class RuleRecord:
     unit: int
-    implication: Implication
+    source: int  # the unit's bound inputs, indices into the block's input names
+    target: int
+    btype: str  # T0..T5
     rule: str  # human-readable, over named features
     class_index: int
     class_name: str
@@ -115,7 +119,7 @@ def extract_rules(
     active = unit_activity(net, rows)
     n = rows.shape[0]
     k = net.n_classes
-    block = net.blocks[0]
+    bindings, names = net.blocks[0].bindings, net.blocks[0].input_names
     prevalence = np.array([(labels == c).mean() for c in range(k)])
     records: list[RuleRecord] = []
     support = active.sum(axis=0)
@@ -124,6 +128,7 @@ def extract_rules(
         if s < min_support:
             continue
         act_labels = labels[active[:, u]]
+        rule = rule_text(bindings, u, names)
         for c in range(k):
             if prevalence[c] == 0.0:
                 continue
@@ -135,8 +140,10 @@ def extract_rules(
             records.append(
                 RuleRecord(
                     unit=u,
-                    implication=block.bindings[u],
-                    rule=rule_text(block.bindings[u], block.input_names),
+                    source=int(bindings.source[u]),
+                    target=int(bindings.target[u]),
+                    btype=TYPES[bindings.btype[u]],
+                    rule=rule,
                     class_index=c,
                     class_name=net.class_names[c],
                     precision=precision,
@@ -221,30 +228,17 @@ def lrp_explain(
 
     # Argmax chain: from the top block down through the chosen unit's bindings.
     chain: list[tuple[int, int, str, float]] = []
-    if net.blocks:
-        top = len(net.blocks) - 1
-        u = int(np.argmax(layer_rel[top]))
-        chain.append(
-            (
-                top,
-                u,
-                rule_text(net.blocks[top].bindings[u], net.blocks[top].input_names),
-                float(layer_rel[top][u]),
-            )
-        )
-        for ell in range(top - 1, -1, -1):
+    for ell in reversed(range(len(net.blocks))):
+        blk = net.blocks[ell]
+        if chain:
             above = net.blocks[ell + 1].bindings
-            cand = (int(above.source[chain[-1][1]]), int(above.target[chain[-1][1]]))
+            cand = (int(above.source[u]), int(above.target[u]))
             u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
-            chain.append(
-                (
-                    ell,
-                    u,
-                    rule_text(net.blocks[ell].bindings[u], net.blocks[ell].input_names),
-                    float(layer_rel[ell][u]),
-                )
-            )
-        chain.reverse()
+        else:
+            u = int(np.argmax(layer_rel[ell]))
+        rule = rule_text(blk.bindings, u, blk.input_names)
+        chain.append((ell, u, rule, float(layer_rel[ell][u])))
+    chain.reverse()
     conservation = float(layer_rel[0].sum()) if net.blocks else float(R.sum())
     return RelevanceTrace(
         instance_id=instance_id,

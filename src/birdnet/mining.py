@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
 _LN_HALF = math.log(0.5)
 
 TYPES = ("T0", "T1", "T2", "T3", "T4", "T5")
-_TYPE_CODE = {t: c for c, t in enumerate(TYPES)}
 
 
 @dataclass
@@ -57,7 +56,7 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class Implication:
-    """One mined edge of the implication graph."""
+    """One edge as `test_pair` returns it; the library's edges are EdgeTable rows."""
 
     source: int
     target: int
@@ -68,31 +67,17 @@ class Implication:
     antecedent_support: int
 
 
-_COLUMNS = tuple(f.name for f in fields(Implication))
-_DTYPES = (np.int64, np.int64, np.uint8, np.float64, np.int64, np.float64, np.int64)
-
-
 @dataclass(eq=False)
 class EdgeTable:
-    """Edges as parallel columns, one per Implication field; row k is edge k.
-
-    btype holds codes into TYPES. Iterating yields one Implication per row.
-    """
+    """Edges as parallel columns; row k is edge k. btype holds codes into TYPES."""
 
     source: np.ndarray  # int64
     target: np.ndarray  # int64
     btype: np.ndarray  # uint8
-    log_p: np.ndarray  # float64
+    log_p: np.ndarray  # float64, natural-log p-value, <= 0
     exceptions: np.ndarray  # int64
     exception_fraction: np.ndarray  # float64
     antecedent_support: np.ndarray  # int64
-
-    @classmethod
-    def from_implications(cls, edges) -> EdgeTable:
-        edges = list(edges)
-        cols = [[getattr(e, name) for e in edges] for name in _COLUMNS]
-        cols[2] = [_TYPE_CODE[t] for t in cols[2]]
-        return cls(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
 
     @classmethod
     def from_columns(cls, cols: dict) -> EdgeTable:
@@ -118,27 +103,20 @@ class EdgeTable:
     def __len__(self) -> int:
         return self.source.shape[0]
 
-    def __iter__(self):
-        return (Implication(*row) for row in self._rows())
 
-    def __getitem__(self, k: int) -> Implication:
-        row = [col.item(k) for col in vars(self).values()]
-        row[2] = TYPES[row[2]]
-        return Implication(*row)
+_COLUMNS = tuple(f.name for f in fields(EdgeTable))
+_DTYPES = (np.int64, np.int64, np.uint8, np.float64, np.int64, np.float64, np.int64)
 
 
 @dataclass
 class ImplicationGraph:
     vertices: list[str]
-    edges: EdgeTable  # a list of Implication is converted
-    type_counts: Counter = field(default_factory=Counter)
+    edges: EdgeTable
 
-    def __post_init__(self):
-        if not isinstance(self.edges, EdgeTable):
-            self.edges = EdgeTable.from_implications(self.edges)
-        if not self.type_counts:
-            counts = np.bincount(self.edges.btype, minlength=len(TYPES))
-            self.type_counts = Counter({t: int(c) for t, c in zip(TYPES, counts) if c})
+    @property
+    def type_counts(self) -> Counter:
+        counts = np.bincount(self.edges.btype, minlength=len(TYPES))
+        return Counter({t: int(c) for t, c in zip(TYPES, counts) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +431,6 @@ def mine_birs(bmat, cfg: MiningConfig, feature_names=None) -> ImplicationGraph:
 # Dedup, cap, export
 # ---------------------------------------------------------------------------
 
-# Violating (source bit, target bit) cell of each directional type code.
-_SRC_BIT = np.array([1, 0, 1, 0, 0, 0])
-_TGT_BIT = np.array([0, 1, 1, 0, 0, 0])
-
-
 def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> EdgeTable:
     """Collapse orientation duplicates, rank by significance, cap the layer.
 
@@ -468,18 +441,17 @@ def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> EdgeTable:
     """
     t = g.edges
     row = np.arange(len(t))
-    directional = t.btype < 4
-    forward = t.source < t.target
-    lo = np.minimum(t.source, t.target)
-    hi = np.maximum(t.source, t.target)
-    sb, tb = _SRC_BIT[t.btype], _TGT_BIT[t.btype]
+    d = np.flatnonzero(t.btype < 4)
+    src, tgt = t.source[d], t.target[d]
+    forward = src < tgt
+    lo, hi = np.minimum(src, tgt), np.maximum(src, tgt)
+    sb, tb = _QUAD_BITS[t.btype[d]].T
     quad = np.where(forward, 2 * sb + tb, 2 * tb + sb)
     key = (lo * (int(hi.max(initial=0)) + 1) + hi) * 4 + quad
-    d = np.flatnonzero(directional)
-    best = d[np.lexsort((row[d], ~forward[d], t.log_p[d], key[d]))]
+    best = np.lexsort((d, ~forward, t.log_p[d], key))
     first = np.ones(best.size, dtype=bool)
     first[1:] = key[best[1:]] != key[best[:-1]]
-    keep = np.concatenate([np.flatnonzero(~directional), best[first]])
+    keep = np.concatenate([np.flatnonzero(t.btype >= 4), d[best[first]]])
     order = keep[np.lexsort([c[keep] for c in (row, t.btype, t.target, t.source, t.log_p)])]
     return t.take(order[:h_max])
 
@@ -493,20 +465,22 @@ def graph_to_tsv(g: ImplicationGraph) -> str:
 
 
 def read_graph_tsv(text: str) -> ImplicationGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    names: list[str] = []
+    """The graph from an edge list written by graph_to_tsv, vertices numbered
+    by first appearance. A malformed line is a ValueError that names it."""
     index: dict[str, int] = {}
-    edges = []
-    for ln in lines[1:]:
-        src, tgt, btype, log_p, exc, frac, supp = ln.split("\t")
-        for name in (src, tgt):
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-        edges.append(
-            Implication(index[src], index[tgt], btype, float(log_p), int(exc), float(frac), int(supp))
-        )
-    return ImplicationGraph(vertices=names, edges=edges)
+    rows = []
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    for no, ln in lines[1:]:
+        try:  # a wrong cell count, unknown type or unparsed number
+            src, tgt, btype, log_p, exc, frac, supp = ln.split("\t")
+            stats = (TYPES.index(btype), float(log_p), int(exc), float(frac), int(supp))
+        except ValueError:
+            raise ValueError(f"edge list line {no}: expected the {len(_COLUMNS)} tab-separated "
+                             f"cells {_COLUMNS} with a type in {TYPES}, got {ln!r}") from None
+        rows.append((index.setdefault(src, len(index)), index.setdefault(tgt, len(index)), *stats))
+    cols = zip(*rows) if rows else [()] * len(_COLUMNS)
+    edges = EdgeTable(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
+    return ImplicationGraph(vertices=list(index), edges=edges)
 
 
 def export_graph(g: ImplicationGraph, path: str) -> None:

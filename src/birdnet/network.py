@@ -1,4 +1,4 @@
-"""Implication-masked network: layers, forward/backward, accounting, serialization.
+"""The implication-masked network: layers, forward/backward, accounting, serialization.
 
 Each hidden unit of a masked layer binds to exactly the two input features of
 one mined implication, so the dense h x d weight view has at most 2h nonzeros
@@ -84,21 +84,11 @@ class PairLinear:
         np.add.at(dxT, self.tgt, (dz * self.w_tgt).T)
         return dxT.T, grads
 
-    def dense_weight(self) -> np.ndarray:
-        """Materialize the h x d weight matrix (masked positions exactly 0)."""
-        W = np.zeros((self.out_dim, self.in_dim))
-        W[np.arange(self.out_dim), self.src] = self.w_src
-        W[np.arange(self.out_dim), self.tgt] = self.w_tgt
-        return W
-
     def mask(self) -> np.ndarray:
         M = np.zeros((self.out_dim, self.in_dim), dtype=bool)
         M[np.arange(self.out_dim), self.src] = True
         M[np.arange(self.out_dim), self.tgt] = True
         return M
-
-    def active_weight_fraction(self) -> float:
-        return 2.0 * self.out_dim / (self.out_dim * self.in_dim)
 
     def params(self):
         yield "w_src", self.w_src, True
@@ -140,9 +130,6 @@ class DenseLinear:
         grads = {"W": dz.T @ x, "b": dz.sum(axis=0)}
         return dz @ self.W, grads
 
-    def active_weight_fraction(self) -> float:
-        return 1.0
-
     def params(self):
         yield "W", self.W, True
         yield "b", self.b, False
@@ -163,7 +150,7 @@ class BatchNorm:
             var = z.var(axis=0)  # population
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:  # "eval" or "frozen": running statistics, treated as constants
+        else:  # "eval": running statistics, treated as constants
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
@@ -236,10 +223,10 @@ class BirNetwork:
         return self.head.layers[-1].out_dim
 
     def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None):
-        """Returns (logits, cache). Modes: 'train' (batch BN stats, dropout),
-        'eval' (running stats, deterministic), 'frozen' (running stats but a
-        full backward cache; used for gradient checks)."""
-        if mode not in ("train", "eval", "frozen"):
+        """Returns (logits, cache), a cache that backward accepts in either
+        mode. Modes: 'train' (batch BN stats, dropout), 'eval' (running stats,
+        deterministic)."""
+        if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
@@ -508,6 +495,10 @@ def load_network(path: str) -> BirNetwork:
         bindings = EdgeTable.from_columns({k: _dec(v) for k, v in b["bindings"].items()})
         if len(bindings) != lin.out_dim:
             raise ValueError(f"{path}: block {ell} has {len(bindings)} bindings for {lin.out_dim} units")
+        if isinstance(lin, PairLinear) and not (
+            np.array_equal(bindings.source, lin.src) and np.array_equal(bindings.target, lin.tgt)
+        ):
+            raise ValueError(f"{path}: block {ell} bindings name other inputs than its wiring")
         unit_names = _unit_names(bindings, names, ell)
         blocks.append(BirBlock(lin, bn, b["dropout"], bindings, names, unit_names))
         names = unit_names

@@ -8,21 +8,47 @@ sums instead of log-domain float arithmetic) so they can serve as oracles.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from dataclasses import fields
 
 import mpmath
 import numpy as np
 
 from birdnet.binarize import BinaryMatrix, pack_column
-from birdnet.mining import EdgeTable, Implication, MiningConfig
+from birdnet.mining import EdgeTable, MiningConfig
 from birdnet.network import (
     BirNetwork,
     DenseHead,
     DenseLinear,
+    PairLinear,
     build_bir_layer,
 )
 from birdnet.trainer import cross_entropy
 
 TYPES = ("T0", "T1", "T2", "T3", "T4", "T5")
+
+# One edge as a tuple of Python scalars with its type as a name; compares
+# equal to the plain tuples the naive miner returns.
+Edge = namedtuple("Edge", [f.name for f in fields(EdgeTable)])
+_EDGE_DTYPES = (np.int64, np.int64, np.uint8, np.float64, np.int64, np.float64, np.int64)
+_EDGE_DEFAULTS = (-20.0, 0, 0.0, 10)  # log_p, exceptions, fraction, support
+
+
+def edge_table(rows) -> EdgeTable:
+    """A table from rows (source, target, type name, log_p, exceptions,
+    exception_fraction, antecedent_support); a row of only the first three
+    gets a significant, exception-free edge's statistics."""
+    rows = [tuple(r) + _EDGE_DEFAULTS[len(r) - 3 :] for r in rows]
+    cols = list(zip(*rows)) or [()] * len(Edge._fields)
+    cols[2] = [TYPES.index(t) for t in cols[2]]
+    return EdgeTable(*(np.array(c, dtype=t) for c, t in zip(cols, _EDGE_DTYPES)))
+
+
+def edge_rows(table: EdgeTable) -> list[Edge]:
+    """The rows of a table, in order, as Edge tuples."""
+    cols = [getattr(table, name).tolist() for name in Edge._fields]
+    cols[2] = [TYPES[c] for c in cols[2]]
+    return [Edge(*row) for row in zip(*cols)]
 
 
 def bmat_from_bools(B: np.ndarray) -> BinaryMatrix:
@@ -170,14 +196,6 @@ def naive_mine(B: np.ndarray, cfg: MiningConfig):
     return edges
 
 
-def imps_to_tuples(edges: list[Implication]):
-    return [
-        (e.source, e.target, e.btype, e.log_p, e.exceptions, e.exception_fraction,
-         e.antecedent_support)
-        for e in edges
-    ]
-
-
 def assert_edges_match(got, want, log_rel=1e-9):
     """Compare edge lists order-independently; log_p to relative tolerance."""
     key = lambda t: (t[0], t[1], t[2])
@@ -213,9 +231,8 @@ def random_pair_net(
         spec = []
         for _ in range(h):
             i, j = rng.choice(in_dim, size=2, replace=False)
-            t = TYPES[int(rng.integers(len(TYPES)))]
-            spec.append(Implication(int(i), int(j), t, -20.0, 0, 0.0, 10))
-        blk = build_bir_layer(EdgeTable.from_implications(spec), in_dim, rng, input_names=names, layer_index=li,
+            spec.append((int(i), int(j), TYPES[int(rng.integers(len(TYPES)))]))
+        blk = build_bir_layer(edge_table(spec), in_dim, rng, input_names=names, layer_index=li,
                               dropout=0.0)
         if randomize:
             blk.linear.bias += rng.standard_normal(h) * 0.3
@@ -238,11 +255,11 @@ def random_pair_net(
 
 
 def min_kink_gap(net: BirNetwork, X: np.ndarray) -> float:
-    """Smallest |pre-ReLU activation| anywhere in a frozen forward pass.
+    """Smallest |pre-ReLU activation| anywhere in an eval-mode forward pass.
 
     Central differences are only valid away from the ReLU kinks, so gradient
     checks require this gap to be comfortably larger than the step."""
-    _, cache = net.forward(X, mode="frozen")
+    _, cache = net.forward(X, mode="eval")
     gap = math.inf
     for blk, (xhat, _, _) in zip(net.blocks, cache["bn"]):
         y = blk.bn.gamma * xhat + blk.bn.beta
@@ -281,10 +298,10 @@ def min_carried_denominator(net: BirNetwork, x: np.ndarray) -> float:
 
 
 def finite_diff_grads(net: BirNetwork, X, y, step: float = 1e-4):
-    """Central-difference gradients of the frozen-mode cross-entropy loss."""
+    """Central-difference gradients of the eval-mode cross-entropy loss."""
 
     def loss():
-        logits, _ = net.forward(X, mode="frozen")
+        logits, _ = net.forward(X, mode="eval")
         return cross_entropy(logits, y)
 
     out = {}
@@ -301,6 +318,14 @@ def finite_diff_grads(net: BirNetwork, X, y, step: float = 1e-4):
             gf[idx] = (lp - lm) / (2.0 * step)
         out[path] = g
     return out
+
+
+def dense_weight(lin: PairLinear) -> np.ndarray:
+    """The h x d weight matrix of a masked layer, masked positions exactly 0."""
+    W = np.zeros((lin.out_dim, lin.in_dim))
+    W[np.arange(lin.out_dim), lin.src] = lin.w_src
+    W[np.arange(lin.out_dim), lin.tgt] = lin.w_tgt
+    return W
 
 
 def planted_pair_data(

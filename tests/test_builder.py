@@ -4,7 +4,7 @@ import pytest
 from birdnet.builder import build_birdnet
 from birdnet.mining import MiningConfig
 from birdnet.network import PairLinear, active_param_count, save_network
-from helpers import planted_pair_data
+from helpers import dense_weight, edge_rows, planted_pair_data
 
 
 def duplicated_feature_data(rng, n=300, groups=30, noise=0.05):
@@ -31,7 +31,7 @@ class TestBuildBirdnet:
         assert report.layers[0].after_dedup_cap == net.blocks[0].linear.out_dim
         planted = {
             (min(e.source, e.target), max(e.source, e.target))
-            for e in net.blocks[0].bindings
+            for e in edge_rows(net.blocks[0].bindings)
             if e.btype == "T4"
         }
         assert {(2 * g, 2 * g + 1) for g in range(30)} <= planted
@@ -76,8 +76,8 @@ class TestBuildBirdnet:
         for blk in net.blocks:
             assert isinstance(blk.linear, PairLinear)
             d = blk.linear.in_dim
-            assert blk.linear.active_weight_fraction() <= 2.0 / d
-            W = blk.linear.dense_weight()
+            assert blk.linear.mask().mean() <= 2.0 / d
+            W = dense_weight(blk.linear)
             assert int((W != 0.0).sum()) <= 2 * blk.linear.out_dim
 
     def test_deterministic_given_seed(self, tmp_path):
@@ -101,7 +101,7 @@ class TestBuildBirdnet:
                               MiningConfig(mu=5), depth=1, seed=1)
         n2, _ = build_birdnet(X, [f"g{j}" for j in range(20)], ["a", "b"],
                               MiningConfig(mu=5), depth=1, seed=2)
-        assert list(n1.blocks[0].bindings) == list(n2.blocks[0].bindings)
+        assert edge_rows(n1.blocks[0].bindings) == edge_rows(n2.blocks[0].bindings)
         assert not np.array_equal(n1.blocks[0].linear.w_src, n2.blocks[0].linear.w_src)
 
     def test_running_stats_seeded_with_fold_statistics(self):

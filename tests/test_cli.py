@@ -135,6 +135,24 @@ class TestExportGraph:
                     "--out", str(out)]) == 0
         assert (out / "graph.dot").read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("cell, value", [(2, "T9"), (4, "many"), (6, None)])
+    def test_malformed_edge_list_exits_2_naming_the_line(self, data_csv, tmp_path, capsys,
+                                                         cell, value):
+        mine_out = tmp_path / "mine"
+        run(["mine", "--data", data_csv, *BASE, "--out", str(mine_out)])
+        lines = (mine_out / "edges.tsv").read_text().split("\n")
+        cells = lines[1].split("\t")  # the first edge, spoilt and added as line 3
+        if value is None:
+            del cells[cell]
+        else:
+            cells[cell] = value
+        lines[1:2] = [lines[1], "\t".join(cells)]
+        edges = tmp_path / "bad.tsv"
+        edges.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run(["export-graph", "--edges", str(edges), "--out", str(tmp_path / "o")]) == 2
+        assert "error: edge list line 3: " in capsys.readouterr().err
+
 
 class TestConfigAndErrors:
     def test_config_file_fills_defaults_flags_win(self, data_csv, tmp_path):
@@ -182,6 +200,28 @@ class TestConfigAndErrors:
                     "--instance", "200", "--out", str(tmp_path / "e")]) == 2
         assert "rows 0..199" in capsys.readouterr().err
 
+    @staticmethod
+    def _rewrite_columns(src, dst, order):
+        """Copy a CSV keeping the cells of each line at the positions in order."""
+        with open(src, encoding="utf-8") as fh:
+            rows = [ln.split(",") for ln in fh.read().splitlines()]
+        dst.write_text("\n".join(",".join(r[i] for i in order) for r in rows) + "\n")
+
+    @pytest.mark.parametrize("order, message", [
+        ([0, 1, 2, 3, 7], "model input 3 reads data column 3, but the data has 3 feature columns"),
+        ([0, 1, 3, 2, 4, 5, 6, 7], "model input 1 is feature 'g1' from data column 1, "
+                                   "but the data has 'g2' there"),
+    ], ids=["narrower", "swapped"])
+    def test_explain_csv_unlike_the_model_exits_2(self, data_csv, built_model, tmp_path, capsys,
+                                                 order, message):
+        # Columns sample, g0..g5, diagnosis; the model reads g0..g5 by position.
+        other = tmp_path / "other.csv"
+        self._rewrite_columns(data_csv, other, order)
+        capsys.readouterr()
+        assert run(["explain", "--model", built_model, "--data", str(other), *BASE,
+                    "--instance", "0", "--out", str(tmp_path / "e")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_explain_negative_instance_exits_2(self, data_csv, built_model, tmp_path, capsys):
         capsys.readouterr()
         assert run(["explain", "--model", built_model, "--data", data_csv, *BASE,
@@ -190,13 +230,33 @@ class TestConfigAndErrors:
         assert not (tmp_path / "e").exists()
 
 
-def test_serving_and_cli_imports_load_no_scipy():
-    # The runtime dependencies are numpy alone; scipy stays a benchmark extra.
+def _run_python(*args):
+    """Run python with this checkout's birdnet first on the path."""
     src = os.path.dirname(os.path.dirname(birdnet.__file__))
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_serving_and_cli_imports_load_no_scipy():
+    # The runtime dependencies are numpy alone; scipy stays a benchmark extra.
     code = ("import sys, birdnet, birdnet.cli, birdnet.evaluate, birdnet.explain; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_synthetic_demo_script_runs():
+    # The README's quick start: mine, train, cross-validate, rules and a trace.
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_synthetic_demo.py")
+    done = _run_python(script, "--seed", "42")
+    assert done.returncode == 0, done.stderr
+    out = done.stdout.rstrip().splitlines()
+    assert out[0].startswith("AUROC ")
+    rules = out[out.index("top rules on the holdout:") + 1 :]
+    assert rules[0].startswith("  [") and "g0 -> g1  precision=" in "\n".join(rules)
+    assert any(line.startswith("instance s") for line in out)
+    assert any("~>  class = pos" in line for line in out)
+    assert out[-1].startswith("sum of layer-0 relevances: ")

@@ -8,27 +8,26 @@ from birdnet.explain import (
     rules_to_csv,
     unit_activity,
 )
-from birdnet.mining import EdgeTable, Implication
 from birdnet.network import BirNetwork, DenseHead, DenseLinear, PairLinear, BatchNorm
 from birdnet.builder import build_birdnet
 from birdnet.mining import MiningConfig
-from helpers import min_carried_denominator, planted_pair_data, random_pair_net
+from helpers import (
+    TYPES,
+    edge_rows,
+    edge_table,
+    min_carried_denominator,
+    planted_pair_data,
+    random_pair_net,
+)
 from birdnet.network import BirBlock
-
-
-def imp(src, tgt, btype):
-    return Implication(src, tgt, btype, -20.0, 0, 0.0, 10)
 
 
 class TestRuleText:
     def test_all_templates(self):
-        names = ["A", "B"]
-        assert rule_text(imp(0, 1, "T0"), names) == "A -> B"
-        assert rule_text(imp(0, 1, "T1"), names) == "!A -> !B"
-        assert rule_text(imp(0, 1, "T2"), names) == "A -> !B"
-        assert rule_text(imp(0, 1, "T3"), names) == "!A -> B"
-        assert rule_text(imp(0, 1, "T4"), names) == "A == B"
-        assert rule_text(imp(0, 1, "T5"), names) == "A == !B"
+        table = edge_table([(0, 1, t) for t in TYPES] + [(1, 0, "T2")])
+        assert [rule_text(table, k, ["A", "B"]) for k in range(len(table))] == [
+            "A -> B", "!A -> !B", "A -> !B", "!A -> B", "A == B", "A == !B", "B -> !A",
+        ]
 
 
 class TestUnitActivity:
@@ -82,11 +81,21 @@ class TestExtractRules:
         records = extract_rules(net, X, y, min_support=10)
         planted = [
             r for r in records
-            if {r.implication.source, r.implication.target} == {0, 1}
+            if {r.source, r.target} == {0, 1}
             and r.class_name == "pos"
         ]
         assert planted
         assert max(r.precision for r in planted) >= 0.95
+
+    def test_records_read_their_unit_binding(self):
+        net, X, y = self._net_and_data()
+        records = extract_rules(net, X, y, min_support=10)
+        assert records
+        bindings, names = net.blocks[0].bindings, net.blocks[0].input_names
+        rows = edge_rows(bindings)
+        for r in records:
+            assert (r.source, r.target, r.btype) == rows[r.unit][:3]
+            assert r.rule == rule_text(bindings, r.unit, names)
 
     def test_min_support_filters(self):
         net, X, y = self._net_and_data()
@@ -122,7 +131,7 @@ def single_path_net():
     bn = BatchNorm(1)
     bn.set_stats(np.zeros(1), np.ones(1) - 1e-5)  # scale exactly 1
     blk = BirBlock(linear=lin, bn=bn, dropout=0.0,
-                   bindings=EdgeTable.from_implications([imp(0, 1, "T0")]), input_names=["a", "b"],
+                   bindings=edge_table([(0, 1, "T0")]), input_names=["a", "b"],
                    unit_names=["L0/u0:T0(a,b)"])
     head = DenseHead([DenseLinear(np.array([[2.0], [0.0]]), np.zeros(2))])
     return BirNetwork(2, ["a", "b"], [blk], head, ["c0", "c1"])
@@ -178,8 +187,8 @@ class TestLrp:
         assert len(trace.chain) == 2
         (l0, u0, _, _), (l1, u1, _, _) = trace.chain
         assert (l0, l1) == (0, 1)
-        top_imp = net.blocks[1].bindings[u1]
-        assert u0 in (top_imp.source, top_imp.target)
+        top = net.blocks[1].bindings
+        assert u0 in (top.source[u1], top.target[u1])
         assert u1 == int(np.argmax(trace.layer_relevances[1]))
 
     def test_trace_text(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birdnet.mining import (
-    Implication,
+    ImplicationGraph,
     MiningConfig,
     deduplicate_and_cap,
     export_graph,
@@ -20,7 +20,8 @@ from birdnet.binarize import pack_column
 from helpers import (
     assert_edges_match,
     bmat_from_bools,
-    imps_to_tuples,
+    edge_rows,
+    edge_table,
     mp_log_lower_tail,
     mp_log_lower_tail_curve,
     naive_mine,
@@ -219,7 +220,7 @@ class TestMineBirs:
             d = int(rng.integers(2, 9))
             B = random_correlated_bools(rng, n, d)
             cfg = configs[trial % len(configs)]
-            got = imps_to_tuples(mine_birs(bmat_from_bools(B), cfg).edges)
+            got = edge_rows(mine_birs(bmat_from_bools(B), cfg).edges)
             want = naive_mine(B, cfg)
             assert_edges_match(got, want)
             checked_nonempty += bool(want)
@@ -230,7 +231,7 @@ class TestMineBirs:
         # included: pairs ascending, T4/T5 first, then i->j, then j->i.
         rng = np.random.default_rng(11)
         B = random_correlated_bools(rng, 150, 12)
-        got = imps_to_tuples(mine_birs(bmat_from_bools(B), CFG).edges)
+        got = edge_rows(mine_birs(bmat_from_bools(B), CFG).edges)
         want = naive_mine(B, CFG)
         assert [t[:3] for t in got] == [t[:3] for t in want]
         assert_edges_match(got, want)
@@ -257,7 +258,7 @@ class TestMineBirs:
             B[ones[:flips], c] = False
         monkeypatch.setattr(mining, "_TILE_ELEMS", 5 * d)
         assert mining._row_tile(d) < d
-        got = imps_to_tuples(mine_birs(bmat_from_bools(B), CFG).edges)
+        got = edge_rows(mine_birs(bmat_from_bools(B), CFG).edges)
         want = naive_mine(B, CFG)
         assert [t[:3] for t in got] == [t[:3] for t in want]
         assert_edges_match(got, want)
@@ -268,7 +269,7 @@ class TestMineBirs:
         monkeypatch.setattr(mining, "_TILE_ELEMS", 1)
         monkeypatch.setattr(mining, "_CANDIDATE_BUDGET", 1)
         monkeypatch.setattr(mining, "_TAIL_ELEMS", 1)
-        assert imps_to_tuples(mine_birs(bmat_from_bools(B), CFG).edges) == got
+        assert edge_rows(mine_birs(bmat_from_bools(B), CFG).edges) == got
 
     def test_column_swap_symmetry(self):
         # Swapping two columns relabels the edges but changes nothing else.
@@ -278,7 +279,7 @@ class TestMineBirs:
         relabel = {0: 1, 1: 0, 2: 2, 3: 3, 4: 4, 5: 5}
         base = {
             (e.source, e.target, e.btype, e.exceptions)
-            for e in mine_birs(bmat_from_bools(B), CFG).edges
+            for e in edge_rows(mine_birs(bmat_from_bools(B), CFG).edges)
         }
         # T4/T5 are stored with source < target, so re-canonicalize.
         def canon(edges):
@@ -291,7 +292,7 @@ class TestMineBirs:
 
         moved = {
             (relabel[e.source], relabel[e.target], e.btype, e.exceptions)
-            for e in mine_birs(bmat_from_bools(swapped), CFG).edges
+            for e in edge_rows(mine_birs(bmat_from_bools(swapped), CFG).edges)
         }
         assert canon(base) == canon(moved)
 
@@ -302,8 +303,8 @@ class TestMineBirs:
         b = a ^ (rng.random(300) < 0.02)
         pairmap = {"T0": "T2", "T2": "T0", "T1": "T3", "T3": "T1",
                    "T4": "T5", "T5": "T4"}
-        base = mine_birs(bmat_from_bools(np.column_stack([a, b])), CFG).edges
-        flipped = mine_birs(bmat_from_bools(np.column_stack([a, ~b])), CFG).edges
+        base = edge_rows(mine_birs(bmat_from_bools(np.column_stack([a, b])), CFG).edges)
+        flipped = edge_rows(mine_birs(bmat_from_bools(np.column_stack([a, ~b])), CFG).edges)
         assert {(e.source, e.target, pairmap[e.btype]) for e in base} == {
             (e.source, e.target, e.btype) for e in flipped
         }
@@ -311,9 +312,9 @@ class TestMineBirs:
     def test_t4_from_equivalent_pair(self):
         rng = np.random.default_rng(23)
         a = rng.random(200) < 0.5
-        g = mine_birs(bmat_from_bools(np.column_stack([a, a])), CFG)
-        assert [e.btype for e in g.edges] == ["T4"]
-        e = g.edges[0]
+        edges = edge_rows(mine_birs(bmat_from_bools(np.column_stack([a, a])), CFG).edges)
+        assert [e.btype for e in edges] == ["T4"]
+        e = edges[0]
         assert (e.source, e.target) == (0, 1)
         assert e.exceptions == 0 and e.antecedent_support == 200
 
@@ -321,7 +322,7 @@ class TestMineBirs:
         rng = np.random.default_rng(29)
         a = rng.random(200) < 0.5
         g = mine_birs(bmat_from_bools(np.column_stack([a, ~a])), CFG)
-        assert [e.btype for e in g.edges] == ["T5"]
+        assert [e.btype for e in edge_rows(g.edges)] == ["T5"]
 
     def test_type_counts(self):
         rng = np.random.default_rng(31)
@@ -338,50 +339,37 @@ class TestMineBirs:
 class TestDedup:
     def test_orientation_duplicates_collapse(self):
         # T0 a->b and T1 b->a test the same (1,0) quadrant: one rule.
-        e1 = Implication(0, 1, "T0", -30.0, 0, 0.0, 50)
-        e2 = Implication(1, 0, "T1", -30.0, 0, 0.0, 60)
-        from birdnet.mining import ImplicationGraph
-
-        g = ImplicationGraph(["a", "b"], [e1, e2])
+        e1 = (0, 1, "T0", -30.0, 0, 0.0, 50)
+        e2 = (1, 0, "T1", -30.0, 0, 0.0, 60)
+        g = ImplicationGraph(["a", "b"], edge_table([e1, e2]))
         kept = deduplicate_and_cap(g, 100)
-        assert list(kept) == [e1]  # tie on log_p: source < target wins
+        assert edge_rows(kept) == [e1]  # tie on log_p: source < target wins
 
     def test_smaller_log_p_wins(self):
-        from birdnet.mining import ImplicationGraph
-
-        e1 = Implication(0, 1, "T0", -30.0, 1, 0.02, 50)
-        e2 = Implication(1, 0, "T1", -40.0, 1, 0.01, 60)
-        kept = deduplicate_and_cap(ImplicationGraph(["a", "b"], [e1, e2]), 100)
-        assert list(kept) == [e2]
+        e1 = (0, 1, "T0", -30.0, 1, 0.02, 50)
+        e2 = (1, 0, "T1", -40.0, 1, 0.01, 60)
+        kept = deduplicate_and_cap(ImplicationGraph(["a", "b"], edge_table([e1, e2])), 100)
+        assert edge_rows(kept) == [e2]
 
     def test_distinct_quadrants_kept(self):
-        from birdnet.mining import ImplicationGraph
-
-        e1 = Implication(0, 1, "T0", -30.0, 0, 0.0, 50)  # quadrant (1,0)
-        e2 = Implication(0, 1, "T1", -25.0, 0, 0.0, 50)  # quadrant (0,1)
-        kept = deduplicate_and_cap(ImplicationGraph(["a", "b"], [e1, e2]), 100)
-        assert len(kept) == 2
-        assert kept[0] == e1  # sorted by log_p ascending
+        e1 = (0, 1, "T0", -30.0, 0, 0.0, 50)  # quadrant (1,0)
+        e2 = (0, 1, "T1", -25.0, 0, 0.0, 50)  # quadrant (0,1)
+        kept = deduplicate_and_cap(ImplicationGraph(["a", "b"], edge_table([e1, e2])), 100)
+        assert edge_rows(kept) == [e1, e2]  # sorted by log_p ascending
 
     def test_cap(self):
-        from birdnet.mining import ImplicationGraph
-
-        edges = [
-            Implication(i, i + 1, "T0", -10.0 - i, 0, 0.0, 50) for i in range(20)
-        ]
+        edges = edge_table([(i, i + 1, "T0", -10.0 - i, 0, 0.0, 50) for i in range(20)])
         kept = deduplicate_and_cap(ImplicationGraph([f"f{i}" for i in range(21)], edges), 5)
         assert len(kept) == 5
-        assert [e.source for e in kept] == [19, 18, 17, 16, 15]
+        assert kept.source.tolist() == [19, 18, 17, 16, 15]
 
     def test_exactly_one_edge_for_duplicated_feature(self):
         rng = np.random.default_rng(37)
         a = rng.random(200) < 0.5
         c = rng.random(200) < 0.5
         g = mine_birs(bmat_from_bools(np.column_stack([a, a, c])), CFG)
-        kept = deduplicate_and_cap(g, 100)
-        assert len(kept) == 1
-        assert kept[0].btype == "T4"
-        assert (kept[0].source, kept[0].target) == (0, 1)
+        kept = edge_rows(deduplicate_and_cap(g, 100))
+        assert [e[:3] for e in kept] == [(0, 1, "T4")]
 
 
 class TestGraphIO:
@@ -399,11 +387,28 @@ class TestGraphIO:
         g = self._graph()
         assert len(g.edges) > 0
         g2 = read_graph_tsv(graph_to_tsv(g))
-        assert [g.vertices[e.source] for e in g.edges] == [
-            g2.vertices[e.source] for e in g2.edges
-        ]
-        assert [e.btype for e in g.edges] == [e.btype for e in g2.edges]
-        assert [e.log_p for e in g.edges] == [e.log_p for e in g2.edges]
+        named = lambda g: [(g.vertices[e.source], g.vertices[e.target], *e[2:])
+                           for e in edge_rows(g.edges)]
+        assert named(g2) == named(g)
+        assert graph_to_tsv(g2) == graph_to_tsv(g)
+
+    def test_read_empty_edge_list(self):
+        g = read_graph_tsv(graph_to_tsv(ImplicationGraph(["a"], edge_table([]))))
+        assert g.vertices == [] and len(g.edges) == 0 and g.type_counts == {}
+
+    @pytest.mark.parametrize("bad", [
+        "a\tb\tT0\t-30.0\t0\t0.0",  # six cells
+        "a\tb\tT0\t-30.0\t0\t0.0\t50\t1",  # eight cells
+        "a\tb\tT9\t-30.0\t0\t0.0\t50",  # unknown type
+        "a\tb\tT0\t-30.0\t0.5\t0.0\t50",  # exceptions not an integer
+        "a\tb\tT0\tlow\t0\t0.0\t50",  # log_p not a number
+    ])
+    def test_read_names_malformed_line(self, bad):
+        good = "a\tb\tT0\t-30.0\t0\t0.0\t50"
+        header = graph_to_tsv(ImplicationGraph([], edge_table([])))
+        assert len(read_graph_tsv(f"{header}{good}\n\n{good}\n").edges) == 2
+        with pytest.raises(ValueError, match="edge list line 4: "):
+            read_graph_tsv(f"{header}{good}\n\n{bad}\n")
 
     def test_dot_export(self, tmp_path):
         g = self._graph()
@@ -412,6 +417,6 @@ class TestGraphIO:
         text = path.read_text()
         assert text.startswith("digraph")
         assert '"alpha"' in text
-        for e in g.edges:
+        for e in edge_rows(g.edges):
             if e.btype in ("T4", "T5"):
                 assert "dir=none" in text

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from birdnet.mining import EdgeTable, Implication
 from birdnet.network import (
     BatchNorm,
     BirNetwork,
@@ -17,20 +16,12 @@ from birdnet.network import (
     to_matched_mlp,
 )
 from birdnet.trainer import cross_entropy, cross_entropy_grad
-from helpers import finite_diff_grads, min_kink_gap, random_pair_net
-
-
-def imp(src, tgt, btype):
-    return Implication(src, tgt, btype, -20.0, 0, 0.0, 10)
-
-
-def table(*imps):
-    return EdgeTable.from_implications(imps)
+from helpers import dense_weight, edge_rows, edge_table, finite_diff_grads, min_kink_gap, random_pair_net
 
 
 class TestBuildBirLayer:
     def test_type_aware_init_signs(self):
-        spec = table(*(imp(0, 1, t) for t in ("T0", "T1", "T2", "T3", "T4", "T5")))
+        spec = edge_table((0, 1, t) for t in ("T0", "T1", "T2", "T3", "T4", "T5"))
         blk = build_bir_layer(spec, 2, seed_or_rng=0, dropout=0.0)
         ws, wt = blk.linear.w_src, blk.linear.w_tgt
         assert ws[0] > 0 and wt[0] > 0  # T0
@@ -43,21 +34,21 @@ class TestBuildBirLayer:
 
     def test_unit_names(self):
         blk = build_bir_layer(
-            table(imp(0, 1, "T0")), 2, 0, input_names=["geneA", "geneB"], layer_index=1
+            edge_table([(0, 1, "T0")]), 2, 0, input_names=["geneA", "geneB"], layer_index=1
         )
         assert blk.unit_names == ["L1/u0:T0(geneA,geneB)"]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            build_bir_layer(table(imp(1, 1, "T0")), 3, 0)
+            build_bir_layer(edge_table([(1, 1, "T0")]), 3, 0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            build_bir_layer(table(imp(0, 5, "T0")), 3, 0)
+            build_bir_layer(edge_table([(0, 5, "T0")]), 3, 0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            build_bir_layer(table(), 3, 0)
+            build_bir_layer(edge_table([]), 3, 0)
 
 
 class TestPairLinear:
@@ -70,7 +61,7 @@ class TestPairLinear:
 
     def test_mask_and_dense_weight(self):
         lin = PairLinear([0, 2], [1, 0], [1.5, -2.0], [0.5, 3.0], [0.0, 0.0], 4)
-        W = lin.dense_weight()
+        W = dense_weight(lin)
         assert W.shape == (2, 4)
         assert W[0].tolist() == [1.5, 0.5, 0.0, 0.0]
         assert W[1].tolist() == [3.0, 0.0, -2.0, 0.0]
@@ -80,7 +71,7 @@ class TestPairLinear:
 
     def test_active_weight_fraction_is_two_over_d(self):
         lin = PairLinear([0], [1], [1.0], [1.0], [0.0], in_dim=500)
-        assert lin.active_weight_fraction() == 2.0 / 500
+        assert lin.mask().mean() == 2.0 / 500
 
     def test_backward_matches_squared_loss_closed_form(self):
         # Single unit z = w_s x_s + w_t x_t + b; L = (z - y)^2 means
@@ -185,7 +176,7 @@ class TestForwardModes:
 
 class TestGradients:
     def _check(self, net, X, y, tol=1e-4):
-        logits, cache = net.forward(X, mode="frozen")
+        logits, cache = net.forward(X, mode="eval")
         analytic = net.backward(cache, cross_entropy_grad(logits, y))
         numeric = finite_diff_grads(net, X, y, step=1e-4)
         for path in numeric:
@@ -206,11 +197,11 @@ class TestGradients:
                 return net, X, y
         raise AssertionError("no kink-free configuration found")
 
-    def test_frozen_mode_two_blocks(self):
+    def test_eval_mode_two_blocks(self):
         net, X, y = self._net_and_batch(0, d=6, widths=(5, 4), k=3)
         self._check(net, X, y)
 
-    def test_frozen_mode_with_head_hidden(self):
+    def test_eval_mode_with_head_hidden(self):
         net, X, y = self._net_and_batch(100, d=5, widths=(4,), k=3, head_hidden=6)
         self._check(net, X, y)
 
@@ -260,7 +251,7 @@ class TestGradients:
 
     def test_masked_positions_receive_no_gradient(self):
         net, X, y = self._net_and_batch(400, d=8, widths=(6,), k=3)
-        logits, cache = net.forward(X, mode="frozen")
+        logits, cache = net.forward(X, mode="eval")
         grads = net.backward(cache, cross_entropy_grad(logits, y))
         lin = net.blocks[0].linear
         # Gradients exist only for the 2h stored weights; the dense gradient
@@ -278,8 +269,8 @@ class TestAccounting:
         while len(out) < h:
             a, b = rng.integers(0, d, size=2)
             if a != b:
-                out.append(imp(int(a), int(b), btype))
-        return table(*out)
+                out.append((int(a), int(b), btype))
+        return edge_table(out)
 
     def test_two_layer_5000_5000_over_2000(self):
         rng = np.random.default_rng(0)
@@ -292,7 +283,7 @@ class TestAccounting:
         assert acc["width"] == 10000
         assert acc["bir_active"] == 30000
         # layer sparsity: active fraction is exactly 2/d
-        assert blk0.linear.active_weight_fraction() == 0.001
+        assert blk0.linear.mask().mean() == 0.001
 
     def test_single_layer_compression_is_d_over_2(self):
         rng = np.random.default_rng(1)
@@ -331,7 +322,7 @@ class TestSerialization:
         for b0, b1 in zip(net.blocks, loaded.blocks):
             assert np.array_equal(b0.bn.running_mean, b1.bn.running_mean)
             assert np.array_equal(b0.bn.running_var, b1.bn.running_var)
-            assert list(b0.bindings) == list(b1.bindings)
+            assert edge_rows(b0.bindings) == edge_rows(b1.bindings)
             assert b0.unit_names == b1.unit_names
         assert loaded.meta == net.meta
         # names are derived from the bindings, never stored
@@ -395,6 +386,19 @@ class TestSerialization:
         net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
         with pytest.raises(ValueError, match="5 bindings for 6 units"):
             self._reload(tmp_path, net)
+
+    def test_rejects_bindings_unlike_wiring(self, tmp_path):
+        # Rule text and the LRP chain read the bindings, the forward pass
+        # reads the wiring: a file where they differ names the wrong inputs.
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
+        for col in ("source", "target"):
+            bad = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
+            blk = bad.blocks[1]
+            blk.bindings = blk.bindings.take(np.arange(len(blk.bindings)))  # not the wiring's arrays
+            getattr(blk.bindings, col)[0] += 1
+            with pytest.raises(ValueError, match="block 1 bindings name other inputs"):
+                self._reload(tmp_path, bad)
+        self._reload(tmp_path, net)
 
     def test_snapshot_restore(self):
         rng = np.random.default_rng(5)

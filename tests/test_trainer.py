@@ -13,7 +13,7 @@ from birdnet.trainer import (
     softmax,
     train,
 )
-from helpers import planted_pair_data, random_pair_net
+from helpers import dense_weight, planted_pair_data, random_pair_net
 
 
 class TestCrossEntropy:
@@ -125,7 +125,7 @@ class TestTrain:
                           weight_decay=1e-2, dropout=0.2)
         net, hist = train(net, Xt, yt, Xv, yv, cfg)
         lin = net.blocks[0].linear
-        W = lin.dense_weight()
+        W = dense_weight(lin)
         off_mask = W[~lin.mask()]
         assert off_mask.size > 0
         assert np.max(np.abs(off_mask)) == 0.0
