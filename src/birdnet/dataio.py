@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-import math
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,25 @@ class FoldPlan:
         return "\n".join(str(int(f)) for f in self.fold_of_sample) + "\n"
 
 
+# One parser reads every data cell: numpy's C loadtxt over the file's lines.
+_CSV = dict(dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2)
+# A line of nothing but these characters holds no cell and is skipped.
+_BLANK = " \t\r\n\f\v,"
+
+
+def _zero(cell: str) -> float:
+    return 0.0
+
+
+def _data_lines(fh, line_nums: list[int]):
+    """The lines after the header that are not blank, appending each one's
+    line number in the file to line_nums as it is read."""
+    for num, line in enumerate(fh, start=2):
+        if line.strip(_BLANK):
+            line_nums.append(num)
+            yield line
+
+
 def load_csv(
     path: str,
     label_column: str,
@@ -94,82 +114,118 @@ def load_csv(
     must be numeric; a non-parseable cell is a hard error naming the cell.
     Rows that parse to NaN or +-inf are rejected and counted.
     Labels are factorized into class indices by first appearance.
+    The cell contract (what counts as a number, a blank line or a quoted
+    cell) is set out in the README's data section.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as e:
         raise FileNotFoundError(f"cannot open dataset file {path!r}: {e}") from e
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header_line = fh.readline()
+        if not header_line:
             raise ValueError(f"{path}: empty file, expected a header row")
+        header = next(csv.reader([header_line]))
+        dupes = sorted(name for name, count in Counter(header).items() if count > 1)
+        if dupes:
+            raise ValueError(f"{path}: duplicate column names {dupes} in header")
         if label_column not in header:
             raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
         skip = set(drop_columns) | {label_column}
         if id_column is not None:
             if id_column not in header:
                 raise ValueError(f"{path}: id column {id_column!r} not in header")
+            if id_column == label_column:
+                raise ValueError(f"{path}: column {id_column!r} cannot be both the label and the id")
             skip.add(id_column)
         feat_cols = [i for i, name in enumerate(header) if name not in skip]
         label_col = header.index(label_column)
-        id_col = header.index(id_column) if id_column is not None else None
 
-        rows: list[list[float]] = []
+        class_code: dict[str, int] = {}
         ids: list[str] = []
-        raw_labels: list[str] = []
-        n_rejected = 0
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
-                )
-            vals = []
-            finite = True
-            for c in feat_cols:
-                cell = row[c].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value {cell!r} at row {row_num}, "
-                        f"column {header[c]!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    finite = False
-                vals.append(v)
-            label = row[label_col].strip()
-            if label == "":
-                raise ValueError(f"{path}: missing label at row {row_num}")
-            if not finite:
-                n_rejected += 1
-                continue
-            rows.append(vals)
-            raw_labels.append(label)
-            ids.append(row[id_col].strip() if id_col is not None else f"row{row_num}")
 
-    if not rows:
-        raise ValueError(f"{path}: no usable data rows")
-    class_names: list[str] = []
-    class_index: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, lab in enumerate(raw_labels):
-        if lab not in class_index:
-            class_index[lab] = len(class_names)
-            class_names.append(lab)
-        labels[i] = class_index[lab]
-    feature_names = [header[c] for c in feat_cols]
+        def label_code(cell: str) -> int:
+            label = cell.strip()
+            if not label:
+                raise ValueError("missing label")
+            return class_code.setdefault(label, len(class_code))
+
+        def read_id(cell: str) -> float:
+            ids.append(cell.strip())
+            return 0.0
+
+        converters = {c: _zero for c in range(len(header)) if header[c] in skip}
+        converters[label_col] = label_code
+        if id_column is not None:
+            converters[header.index(id_column)] = read_id
+        # Lines stream into loadtxt, so the file's text is never held whole.
+        row_nums: list[int] = []
+        rows = _data_lines(fh, row_nums)
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: no usable data rows")
+        try:
+            table = np.loadtxt(itertools.chain([first], rows), converters=converters, **_CSV)
+        except ValueError:
+            table = None
+    if table is None or table.shape != (len(row_nums), len(header)):
+        raise _bad_row_error(path, header, feat_cols, converters)
+
+    # Non-feature columns hold 0.0 or a class code, so a non-finite cell is a feature's.
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.any():
+        raise ValueError(f"{path}: no usable data rows, all {finite.size} have non-finite values")
+    codes = table[finite, label_col].astype(np.int64)
+    uniq, first_at, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first_at)  # classes by first appearance among the kept rows
+    names = list(class_code)
+    if id_column is None:
+        ids = [f"row{num}" for num in row_nums]
     return LabeledDataset(
-        values=np.asarray(rows, dtype=np.float64),
-        feature_names=feature_names,
-        sample_ids=ids,
-        labels=labels,
-        class_names=class_names,
-        n_rejected_rows=n_rejected,
+        values=table[np.ix_(finite, feat_cols)],
+        feature_names=[header[c] for c in feat_cols],
+        sample_ids=[ids[i] for i in np.flatnonzero(finite)],
+        labels=np.argsort(order)[inverse],
+        class_names=[names[u] for u in uniq[order]],
+        n_rejected_rows=int(finite.size - finite.sum()),
     )
+
+
+def _bad_row_error(path, header, feat_cols, converters) -> ValueError:
+    """The error for a file the one-pass parse rejected: the first row, in
+    file order, that loadtxt rejects on its own or that is not as wide as the
+    header, naming its first non-numeric cell if it has one. Each row is
+    split and read by loadtxt again, so data still has a single parser."""
+    with open(path, encoding="utf-8-sig") as fh:
+        fh.readline()
+        nums: list[int] = []
+        for line in _data_lines(fh, nums):
+            try:
+                if np.loadtxt([line], converters=converters, **_CSV).shape[1] == len(header):
+                    continue
+            except ValueError:
+                pass
+            cells: list[str] = []  # the row as loadtxt splits it
+            np.loadtxt([line], converters=lambda cell: cells.append(cell) or 0.0, **_CSV)
+            num = nums[-1]
+            if len(cells) != len(header):
+                return ValueError(f"{path}: row {num} has {len(cells)} cells, header has {len(header)}")
+            for c in feat_cols:
+                if not _reads_as_number(cells[c]):
+                    return ValueError(f"{path}: non-numeric value {cells[c].strip()!r} "
+                                      f"at row {num}, column {header[c]!r}")
+            return ValueError(f"{path}: missing label at row {num}")
+    return ValueError(f"{path}: a quoted cell runs across a line break")
+
+
+def _reads_as_number(cell: str) -> bool:
+    """Whether loadtxt reads this (already unquoted) cell as a float."""
+    if not cell.strip():
+        return False
+    try:
+        return np.loadtxt([cell], **{**_CSV, "quotechar": None}).size == 1
+    except ValueError:
+        return False
 
 
 def stratified_kfold(labels: np.ndarray, folds: int, seed: int, val_fraction: float = 0.15) -> FoldPlan:

@@ -7,6 +7,7 @@ sums instead of log-domain float arithmetic) so they can serve as oracles.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import namedtuple
 from dataclasses import fields
@@ -15,6 +16,7 @@ import mpmath
 import numpy as np
 
 from birdnet.binarize import BinaryMatrix, pack_column
+from birdnet.dataio import LabeledDataset
 from birdnet.mining import EdgeTable, MiningConfig
 from birdnet.network import (
     BirNetwork,
@@ -364,3 +366,81 @@ def write_csv(path, X, y, class_names=("neg", "pos"), id_col: bool = False):
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Per-cell CSV reference parser
+# ---------------------------------------------------------------------------
+
+
+def oracle_load_csv(path, label_column, id_column=None, drop_columns=()) -> LabeledDataset:
+    """The CSV loader as it was before the one-pass loadtxt parser: the csv
+    module splits each record and Python's float() reads each cell. Kept as
+    the reference for dataio.load_csv on the files both accept."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if label_column not in header:
+            raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
+        skip = set(drop_columns) | {label_column}
+        if id_column is not None:
+            if id_column not in header:
+                raise ValueError(f"{path}: id column {id_column!r} not in header")
+            skip.add(id_column)
+        feat_cols = [i for i, name in enumerate(header) if name not in skip]
+        label_col = header.index(label_column)
+        id_col = header.index(id_column) if id_column is not None else None
+
+        rows: list[list[float]] = []
+        ids: list[str] = []
+        raw_labels: list[str] = []
+        n_rejected = 0
+        for row_num, row in enumerate(reader, start=2):
+            if not row or all(c.strip() == "" for c in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
+                )
+            vals = []
+            finite = True
+            for c in feat_cols:
+                cell = row[c].strip()
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric value {cell!r} at row {row_num}, "
+                        f"column {header[c]!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    finite = False
+                vals.append(v)
+            label = row[label_col].strip()
+            if label == "":
+                raise ValueError(f"{path}: missing label at row {row_num}")
+            if not finite:
+                n_rejected += 1
+                continue
+            rows.append(vals)
+            raw_labels.append(label)
+            ids.append(row[id_col].strip() if id_col is not None else f"row{row_num}")
+
+    if not rows:
+        raise ValueError(f"{path}: no usable data rows")
+    class_names: list[str] = []
+    class_index: dict[str, int] = {}
+    labels = np.empty(len(raw_labels), dtype=np.int64)
+    for i, lab in enumerate(raw_labels):
+        if lab not in class_index:
+            class_index[lab] = len(class_names)
+            class_names.append(lab)
+        labels[i] = class_index[lab]
+    return LabeledDataset(
+        values=np.asarray(rows, dtype=np.float64),
+        feature_names=[header[c] for c in feat_cols],
+        sample_ids=ids,
+        labels=labels,
+        class_names=class_names,
+        n_rejected_rows=n_rejected,
+    )

@@ -135,6 +135,14 @@ class TestExportGraph:
                     "--out", str(out)]) == 0
         assert (out / "graph.dot").read_text().startswith("digraph")
 
+        # The edge list carries no isolated features and numbers vertices by
+        # first appearance, so only the edge lines match mine's own DOT.
+        def edge_lines(path):
+            return [ln for ln in path.read_text().splitlines() if " -> " in ln]
+
+        mined = edge_lines(mine_out / "graph.dot")
+        assert mined and edge_lines(out / "graph.dot") == mined
+
     @pytest.mark.parametrize("cell, value", [(2, "T9"), (4, "many"), (6, None)])
     def test_malformed_edge_list_exits_2_naming_the_line(self, data_csv, tmp_path, capsys,
                                                          cell, value):
@@ -152,6 +160,39 @@ class TestExportGraph:
         capsys.readouterr()
         assert run(["export-graph", "--edges", str(edges), "--out", str(tmp_path / "o")]) == 2
         assert "error: edge list line 3: " in capsys.readouterr().err
+
+
+class TestDataErrors:
+    """Each way a CSV can fail to load exits 2 with the reason on stderr."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("g0,g1,label\n1,2,a\n3,oops,b\n", "non-numeric value 'oops' at row 3, column 'g1'"),
+        ("g0,g1,label\n1,2,a\n3,b\n", "row 3 has 2 cells, header has 3"),
+        ("g0,g1,label\n1,2,a\n3,4,5,b\n", "row 3 has 4 cells, header has 3"),
+        ("g0,g1,label\n1,2,a\n3,4, \n", "missing label at row 3"),
+        ("", "empty file, expected a header row"),
+        ("g0,g1,label\n", "no usable data rows"),
+        ("g0,g1,label\nnan,1,a\n2,inf,b\n", "no usable data rows, all 2 have non-finite values"),
+        ("id,g,g,label\ns1,1,2,a\n", "duplicate column names ['g'] in header"),
+    ], ids=["cell", "short-row", "long-row", "missing-label", "empty", "header-only",
+            "all-non-finite", "duplicate-names"])
+    def test_exits_2_naming_the_cause(self, tmp_path, capsys, text, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        assert run(["mine", "--data", str(data), "--label", "label",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_rejected_row_count_on_stderr(self, data_csv, tmp_path, capsys):
+        with open(data_csv, encoding="utf-8") as fh:
+            rows = [ln.split(",") for ln in fh.read().splitlines()]
+        rows[3][1], rows[7][2] = "nan", "-inf"  # column 0 is the sample id
+        data = tmp_path / "some_nan.csv"
+        data.write_text("".join(",".join(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert run(["mine", "--data", str(data), *BASE, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == "rejected 2 rows with non-finite values\n"
 
 
 class TestConfigAndErrors:

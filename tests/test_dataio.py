@@ -13,6 +13,7 @@ from birdnet.dataio import (
     stratified_holdout,
     stratified_kfold,
 )
+from helpers import oracle_load_csv
 
 
 class TestLoadCsv:
@@ -74,6 +75,132 @@ class TestLoadCsv:
         path = self._write(tmp_path, "g0,label\n1.0,a\n\n2.0,b\n")
         ds = load_csv(path, "label")
         assert ds.n == 2
+
+
+def _write(tmp_path, text, name="data.csv", encoding="utf-8"):
+    p = tmp_path / name
+    p.write_bytes(text.encode(encoding))
+    return str(p)
+
+
+# Generated cells by kind. Every kind but "divergent" is read alike by the
+# oracle (csv module + float()) and by load_csv; "divergent" cells are ones
+# float() reads and the cell contract rejects.
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_CELLS = {
+    "number": st.builds(lambda a, v, b: a + v + b, _PAD, _NUMBER, _PAD),
+    "quoted": _NUMBER.map(lambda v: f'"{v}"'),
+    "nonfinite": st.sampled_from(["nan", "NaN", "+inf", "-inf", "Infinity", "1e400", " -1E400 "]),
+    "bad": st.sampled_from(["oops", "", " ", "1e", "0x10", ' "4"', '"1,5"']),
+    "divergent": st.sampled_from(["1_000", "2_5.0", "１２"]),
+}
+_LABELS = ["a", "b", " c ", '"x,y"', '"q""t"']
+_GOOD = ["number"] * 4 + ["quoted", "nonfinite"]
+_BLANK_LINES = st.sampled_from(["", " ", ",,", "\t, ,"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text plus the error the cell contract gives it (None if it loads).
+
+    The expected error follows the contract's order: the first non-blank
+    row, in file order, that has the wrong width, else a bad feature cell
+    (the first from the left), else an empty label."""
+    d = draw(st.integers(1, 4))
+    use_id = draw(st.booleans())
+    names = [f"g{j}" for j in range(d)]
+    header = (["id"] if use_id else []) + [draw(st.sampled_from([n, f'"{n}"'])) for n in names]
+    header.append("label")
+    feat_at = list(range(1 if use_id else 0, len(header) - 1))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines, error = [",".join(header)], None
+    # Half the files are spoilt: any cell may be bad, a label empty, a row
+    # too short or too long.
+    spoilt = draw(st.booleans())
+    kinds_of = st.sampled_from(_GOOD + ["bad", "divergent"] if spoilt else _GOOD)
+    labels = st.sampled_from(_LABELS + ["", "  "] if spoilt else _LABELS)
+    widths = st.sampled_from([0] * 8 + [-1, 1] if spoilt else [0])
+    for i in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANK_LINES))
+        kinds = draw(st.lists(kinds_of, min_size=d, max_size=d))
+        cells = ([draw(st.sampled_from([f"s{i}", f'"s,{i}"', f" s{i}\t"]))] if use_id else [])
+        cells += [draw(_CELLS[k]) for k in kinds] + [draw(labels)]
+        width = draw(widths)
+        cells = cells[:width] if width < 0 else cells + ["9"] * width
+        lines.append(",".join(cells))
+        num = len(lines)
+        if error is not None or all(c.strip() == "" for c in cells):
+            continue
+        if len(cells) != len(header):
+            error = f"row {num} has {len(cells)} cells, header has {len(header)}"
+            continue
+        bad = [(c, cells[c]) for c, k in zip(feat_at, kinds) if k in ("bad", "divergent")]
+        if bad:
+            c, cell = bad[0]
+            shown = cell.strip()[1:-1] if cell.startswith('"') else cell.strip()
+            error = f"non-numeric value {shown!r} at row {num}, column {names[c - feat_at[0]]!r}"
+        elif cells[-1].strip() == "":
+            error = f"missing label at row {num}"
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return text, ("id" if use_id else None), error
+
+
+def _outcome(load, path, id_column):
+    try:
+        return load(path, "label", id_column=id_column)
+    except ValueError as e:
+        return str(e)
+
+
+class TestCellContract:
+    """load_csv against the per-cell oracle it replaced (tests/helpers.py)."""
+
+    @given(csv_files())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_where_the_contract_agrees(self, tmp_path_factory, case):
+        text, id_column, error = case
+        path = _write(tmp_path_factory.mktemp("csv"), text)
+        got = _outcome(load_csv, path, id_column)
+        if error is not None:
+            assert got == f"{path}: {error}"
+            return
+        want = _outcome(oracle_load_csv, path, id_column)
+        if isinstance(want, str):  # every row rejected as non-finite, or none at all
+            assert isinstance(got, str) and got.startswith(want)
+            return
+        assert not isinstance(got, str), got
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.dtype == np.float64
+        assert got.sample_ids == want.sample_ids
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.class_names == want.class_names
+        assert got.feature_names == want.feature_names
+        assert got.n_rejected_rows == want.n_rejected_rows
+
+    def test_quoted_cell_may_not_span_lines(self, tmp_path):
+        path = _write(tmp_path, 'g0,label\n4,"x\n5,y"\n')
+        assert oracle_load_csv(path, "label").class_names == ["x\n5,y"]
+        with pytest.raises(ValueError, match="quoted cell runs across a line break"):
+            load_csv(path, "label")
+
+    def test_label_column_cannot_be_the_id(self, tmp_path):
+        path = _write(tmp_path, "g0,label\n1,a\n")
+        with pytest.raises(ValueError, match="both the label and the id"):
+            load_csv(path, "label", id_column="label")
+
+    def test_utf8_bom_is_read(self, tmp_path):
+        text = "label,g0,g1\na,1.0,2.0\nb,3.0,4.0\n"
+        plain = load_csv(_write(tmp_path, text, "plain.csv"), "label")
+        bom = load_csv(_write(tmp_path, text, "bom.csv", encoding="utf-8-sig"), "label")
+        assert bom.feature_names == plain.feature_names == ["g0", "g1"]
+        assert bom.values.tobytes() == plain.values.tobytes()
+        assert bom.class_names == plain.class_names and bom.sample_ids == plain.sample_ids
 
 
 class TestStratifiedKfold:
