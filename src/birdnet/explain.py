@@ -1,22 +1,26 @@
 """Symbolic rule extraction and per-instance relevance traces.
 
 A first-layer unit is "active" on a sample when its post-ReLU output is
-positive. Rules are scored on held-out data: precision = P(class | active),
-recall = P(active | class), lift = precision / class prevalence. Per-instance
-explanations propagate the target logit backward with an epsilon-stabilized
-relevance rule; BatchNorm is folded into the adjacent linear map first, and
-bias terms absorb no relevance, so the propagated total is conserved up to
-the epsilon leakage.
+positive; only block 0 is evaluated. Rules are scored on held-out data:
+precision = P(class | active), recall = P(active | class), lift = precision /
+class prevalence, with every hit count from one `active.T @ onehot(labels)`.
+
+Per-instance explanations propagate the target logit backward with an
+epsilon-stabilized relevance rule over the folded layers the eval forward
+runs (`BirBlock.fold`); bias terms absorb no relevance, so the propagated
+total is conserved up to the epsilon leakage. Dense layers propagate
+matrix-free, R_in = a * (W^T (s * R / stab(s * W a))), and pair layers
+scatter with one `np.bincount`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from birdnet.mining import TYPES, EdgeTable
-from birdnet.network import BirNetwork, DenseLinear, PairLinear
+from birdnet.network import BirNetwork, PairLinear
 from birdnet.trainer import softmax
 
 __all__ = [
@@ -98,11 +102,11 @@ class RelevanceTrace:
 
 
 def unit_activity(net: BirNetwork, rows: np.ndarray) -> np.ndarray:
-    """Boolean (rows x first-layer units): post-ReLU output positive, eval mode."""
+    """Boolean (rows x first-layer units): post-ReLU output positive, eval
+    mode. Only block 0 is evaluated."""
     if not net.blocks:
         raise ValueError("network has no hidden blocks")
-    _, cache = net.forward(np.asarray(rows, dtype=np.float64), mode="eval")
-    return cache["post_bn"][0] > 0.0
+    return net.blocks[0].linear.folded(net.check_input(rows), *net.blocks[0].fold()) > 0.0
 
 
 def extract_rules(
@@ -113,47 +117,27 @@ def extract_rules(
 ) -> list[RuleRecord]:
     """Per (first-layer unit, class) rule statistics on held-out data,
     sorted by (class, precision desc, lift desc)."""
-    labels = np.asarray(labels)
     if rows.shape[0] == 0:
         raise ValueError("held-out set is empty")
     active = unit_activity(net, rows)
-    n = rows.shape[0]
-    k = net.n_classes
     bindings, names = net.blocks[0].bindings, net.blocks[0].input_names
-    prevalence = np.array([(labels == c).mean() for c in range(k)])
-    records: list[RuleRecord] = []
-    support = active.sum(axis=0)
-    for u in range(active.shape[1]):
-        s = int(support[u])
-        if s < min_support:
-            continue
-        act_labels = labels[active[:, u]]
-        rule = rule_text(bindings, u, names)
-        for c in range(k):
-            if prevalence[c] == 0.0:
-                continue
-            n_c = int((labels == c).sum())
-            hits = int((act_labels == c).sum())
-            precision = hits / s
-            recall = hits / n_c
-            lift = float(precision / prevalence[c])
-            records.append(
-                RuleRecord(
-                    unit=u,
-                    source=int(bindings.source[u]),
-                    target=int(bindings.target[u]),
-                    btype=TYPES[bindings.btype[u]],
-                    rule=rule,
-                    class_index=c,
-                    class_name=net.class_names[c],
-                    precision=precision,
-                    recall=recall,
-                    lift=lift,
-                    support=s,
-                )
-            )
-    records.sort(key=lambda r: (r.class_index, -r.precision, -r.lift, r.unit))
-    return records
+    onehot = np.asarray(labels)[:, None] == np.arange(net.n_classes)
+    hits = active.T.astype(np.int64) @ onehot  # (units, classes)
+    support, n_c = active.sum(axis=0), onehot.sum(axis=0)
+    prevalence = onehot.mean(axis=0)
+    unit, cls = np.nonzero((support >= max(min_support, 1))[:, None] & (n_c > 0))
+    precision = hits[unit, cls] / support[unit]
+    recall = hits[unit, cls] / n_c[cls]
+    lift = precision / prevalence[cls]
+    order = np.lexsort((unit, -lift, -precision, cls))
+    columns = (unit, cls, precision, recall, lift, support[unit])
+    return [
+        RuleRecord(unit=u, source=int(bindings.source[u]), target=int(bindings.target[u]),
+                   btype=TYPES[bindings.btype[u]], rule=rule_text(bindings, u, names),
+                   class_index=c, class_name=net.class_names[c],
+                   precision=p, recall=r, lift=li, support=s)
+        for u, c, p, r, li, s in zip(*(col[order].tolist() for col in columns))
+    ]
 
 
 def rules_to_csv(records: list[RuleRecord]) -> str:
@@ -166,26 +150,21 @@ def rules_to_csv(records: list[RuleRecord]) -> str:
 
 
 def _stabilize(z: np.ndarray, epsilon: float) -> np.ndarray:
-    s = np.where(z >= 0.0, 1.0, -1.0)
-    return z + epsilon * s
+    return z + epsilon * np.where(z >= 0.0, 1.0, -1.0)
 
 
 def _propagate_dense(R_out, a_in, W, scale, epsilon):
-    # contribution of input i to unit j: a_i * W[j, i] * scale_j
-    contrib = a_in[None, :] * W * scale[:, None]  # (out, in)
-    denom = _stabilize(contrib.sum(axis=1), epsilon)
-    return contrib.T @ (R_out / denom)
+    # Matrix-free: input i receives a_i * sum_j W[j, i] * scale_j * R_j / stab(z_j).
+    share = scale * R_out / _stabilize((W @ a_in) * scale, epsilon)
+    return a_in * (share @ W)
 
 
 def _propagate_pair(R_out, a_in, lin: PairLinear, scale, epsilon):
-    c_src = a_in[lin.src] * lin.w_src * scale
-    c_tgt = a_in[lin.tgt] * lin.w_tgt * scale
-    denom = _stabilize(c_src + c_tgt, epsilon)
-    share = R_out / denom
-    R_in = np.zeros(lin.in_dim)
-    np.add.at(R_in, lin.src, c_src * share)
-    np.add.at(R_in, lin.tgt, c_tgt * share)
-    return R_in
+    c_src = a_in[lin.src] * (lin.w_src * scale)
+    c_tgt = a_in[lin.tgt] * (lin.w_tgt * scale)
+    share = R_out / _stabilize(c_src + c_tgt, epsilon)
+    idx = np.concatenate([lin.src, lin.tgt])
+    return np.bincount(idx, np.concatenate([c_src * share, c_tgt * share]), minlength=lin.in_dim)
 
 
 def lrp_explain(
@@ -206,21 +185,16 @@ def lrp_explain(
     probs = softmax(logits)[0]
     pred = int(np.argmax(logits[0]))
     target_logit = float(logits[0, target_class])
-    trained = bool(net.meta.get("trained", True))
-
     R = np.zeros(net.n_classes)
     R[target_class] = target_logit
     # Head, top down. Hidden head activations are cached inputs of later layers.
     for i in reversed(range(len(net.head.layers))):
-        lay = net.head.layers[i]
-        a_in = cache["head_in"][i][0]
-        R = _propagate_dense(R, a_in, lay.W, np.ones(lay.out_dim), epsilon)
+        R = _propagate_dense(R, cache["head_in"][i][0], net.head.layers[i].W, 1.0, epsilon)
     layer_rel: list[np.ndarray] = [None] * len(net.blocks)
     for ell in reversed(range(len(net.blocks))):
-        blk = net.blocks[ell]
-        layer_rel[ell] = R.copy()
-        scale = blk.bn.gamma / np.sqrt(blk.bn.running_var + blk.bn.eps)
-        a_in = cache["block_in"][ell][0]
+        blk, a_in = net.blocks[ell], cache["block_in"][ell][0]
+        layer_rel[ell] = R
+        scale, _ = blk.fold()
         if isinstance(blk.linear, PairLinear):
             R = _propagate_pair(R, a_in, blk.linear, scale, epsilon)
         else:
@@ -239,7 +213,6 @@ def lrp_explain(
         rule = rule_text(blk.bindings, u, blk.input_names)
         chain.append((ell, u, rule, float(layer_rel[ell][u])))
     chain.reverse()
-    conservation = float(layer_rel[0].sum()) if net.blocks else float(R.sum())
     return RelevanceTrace(
         instance_id=instance_id,
         predicted_class=net.class_names[pred],
@@ -248,6 +221,6 @@ def lrp_explain(
         target_logit=target_logit,
         layer_relevances=layer_rel if net.blocks else [R],
         chain=chain,
-        conservation_total=conservation,
-        trained=trained,
+        conservation_total=float(layer_rel[0].sum()) if net.blocks else float(R.sum()),
+        trained=bool(net.meta.get("trained", True)),
     )

@@ -3,6 +3,11 @@
 Each hidden unit of a masked layer binds to exactly the two input features of
 one mined implication, so the dense h x d weight view has at most 2h nonzeros
 (active fraction <= 2/d). Gradients are hand-derived; there is no autodiff.
+
+Eval mode, the one inference path of predict, batch, relevance traces and
+rules, runs each block as a gather-FMA-ReLU with BatchNorm folded in
+(`BirBlock.fold`). The fold is recomputed per call, never cached: AdamW,
+`restore`, `set_stats` and in-place edits write parameters where they lie.
 """
 
 from __future__ import annotations
@@ -73,6 +78,13 @@ class PairLinear:
             raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
         return x[:, self.src] * self.w_src + x[:, self.tgt] * self.w_tgt + self.bias
 
+    def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """(W x) * scale + shift, the scale folded into the two weights."""
+        z = x.take(self.src, axis=1) * (self.w_src * scale)
+        z += x.take(self.tgt, axis=1) * (self.w_tgt * scale)
+        z += shift
+        return z
+
     def backward(self, dz: np.ndarray, x: np.ndarray):
         grads = {
             "w_src": (dz * x[:, self.src]).sum(axis=0),
@@ -125,6 +137,10 @@ class DenseLinear:
         if x.shape[1] != self.in_dim:
             raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
         return x @ self.W.T + self.b
+
+    def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """(W x) * scale + shift, scaled on the output: no out x in folded weight."""
+        return (x @ self.W.T) * scale + shift
 
     def backward(self, dz: np.ndarray, x: np.ndarray):
         grads = {"W": dz.T @ x, "b": dz.sum(axis=0)}
@@ -192,6 +208,15 @@ class BirBlock:
     input_names: list[str]
     unit_names: list[str]  # derived by _unit_names, never stored
 
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode BatchNorm folded into the linear map, from the current
+        parameters: (s, b') with BN(W x + bias) = (W x) * s + b', where
+        s = gamma / sqrt(running_var + eps), b' = (bias - running_mean) * s + beta."""
+        bn, lin = self.bn, self.linear
+        s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        bias = lin.bias if isinstance(lin, PairLinear) else lin.b
+        return s, (bias - bn.running_mean) * s + bn.beta
+
 
 @dataclass
 class DenseHead:
@@ -222,29 +247,39 @@ class BirNetwork:
     def n_classes(self) -> int:
         return self.head.layers[-1].out_dim
 
-    def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None):
-        """Returns (logits, cache), a cache that backward accepts in either
-        mode. Modes: 'train' (batch BN stats, dropout), 'eval' (running stats,
-        deterministic)."""
-        if mode not in ("train", "eval"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def check_input(self, X) -> np.ndarray:
+        """X as a float64 batch of the input width with only finite values."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected batch of width {self.input_dim}, got {X.shape}")
         if not np.isfinite(X).all():
             raise ValueError("input rows hold NaN or infinite values")
+        return X
+
+    def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None):
+        """Returns (logits, cache), a cache that backward accepts in either
+        mode. Modes: 'train' (batch BN stats, dropout), 'eval' (running stats
+        folded into each block, deterministic; no BatchNorm state cached)."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"unknown mode {mode!r}")
+        X = self.check_input(X)
         if mode == "train" and X.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
-        cache = {"mode": mode, "block_in": [], "bn": [], "post_bn": [], "drop": []}
+        cache = {"mode": mode, "block_in": [], "post_bn": [], "head_in": []}
+        if mode == "train":
+            cache.update(bn=[], drop=[])
         a = X
         for blk in self.blocks:
             cache["block_in"].append(a)
-            z = blk.linear.forward(a)
-            y, bn_cache = blk.bn.forward(z, mode)
+            if mode == "eval":
+                a = blk.linear.folded(a, *blk.fold())
+                cache["post_bn"].append(np.maximum(a, 0.0, out=a))
+                continue
+            y, bn_cache = blk.bn.forward(blk.linear.forward(a), mode)
             cache["bn"].append(bn_cache)
             a = np.maximum(y, 0.0)
             cache["post_bn"].append(a)  # post-ReLU, pre-dropout
-            if mode == "train" and blk.dropout > 0.0:
+            if blk.dropout > 0.0:
                 if rng is None:
                     raise ValueError("train-mode forward with dropout needs an rng")
                 keep = rng.random(a.shape) >= blk.dropout
@@ -252,7 +287,6 @@ class BirNetwork:
                 cache["drop"].append(keep)
             else:
                 cache["drop"].append(None)
-        cache["head_in"] = []
         for i, lay in enumerate(self.head.layers):
             cache["head_in"].append(a)
             a = lay.forward(a)
@@ -274,14 +308,18 @@ class BirNetwork:
                 da = da * (cache["head_in"][i] > 0.0)
         for ell in reversed(range(len(self.blocks))):
             blk = self.blocks[ell]
-            keep = cache["drop"][ell]
+            x = cache["block_in"][ell]
+            if cache["mode"] == "train":
+                keep, bn_cache = cache["drop"][ell], cache["bn"][ell]
+            else:  # the eval cache holds no BatchNorm state: recompute it from x
+                keep, (_, bn_cache) = None, blk.bn.forward(blk.linear.forward(x), "eval")
             if keep is not None:
                 da = da * keep / (1.0 - blk.dropout)
             da = da * (cache["post_bn"][ell] > 0.0)  # ReLU gate
-            da, g_bn = blk.bn.backward(da, cache["bn"][ell])
+            da, g_bn = blk.bn.backward(da, bn_cache)
             for name, arr in g_bn.items():
                 grads[f"block{ell}.bn.{name}"] = arr
-            da, g_lin = blk.linear.backward(da, cache["block_in"][ell])
+            da, g_lin = blk.linear.backward(da, x)
             for name, arr in g_lin.items():
                 grads[f"block{ell}.{name}"] = arr
         return grads
@@ -426,6 +464,10 @@ def _dec(obj: dict) -> np.ndarray:
     ).reshape(obj["shape"]).copy()
 
 
+_LINEAR_KEYS = {"pair": ("src", "tgt", "w_src", "w_tgt", "bias"), "dense": ("W", "b")}
+_BN_KEYS = ("gamma", "beta", "running_mean", "running_var")
+
+
 def save_network(net: BirNetwork, path: str) -> None:
     doc = {
         "format": MODEL_FORMAT,
@@ -437,31 +479,18 @@ def save_network(net: BirNetwork, path: str) -> None:
         "head": [],
     }
     for blk in net.blocks:
-        b = {
-            "kind": blk.linear.kind,
+        lin, bn = blk.linear, blk.bn
+        linear = {k: _enc(getattr(lin, k)) for k in _LINEAR_KEYS[lin.kind]}
+        if isinstance(lin, PairLinear):
+            linear["in_dim"] = lin.in_dim
+        doc["blocks"].append({
+            "kind": lin.kind,
             "dropout": blk.dropout,
             "bindings": {name: _enc(col) for name, col in vars(blk.bindings).items()},
-            "bn": {
-                "gamma": _enc(blk.bn.gamma),
-                "beta": _enc(blk.bn.beta),
-                "running_mean": _enc(blk.bn.running_mean),
-                "running_var": _enc(blk.bn.running_var),
-                "eps": blk.bn.eps,
-                "momentum": blk.bn.momentum,
-            },
-        }
-        if isinstance(blk.linear, PairLinear):
-            b["linear"] = {
-                "in_dim": blk.linear.in_dim,
-                "src": _enc(blk.linear.src),
-                "tgt": _enc(blk.linear.tgt),
-                "w_src": _enc(blk.linear.w_src),
-                "w_tgt": _enc(blk.linear.w_tgt),
-                "bias": _enc(blk.linear.bias),
-            }
-        else:
-            b["linear"] = {"W": _enc(blk.linear.W), "b": _enc(blk.linear.b)}
-        doc["blocks"].append(b)
+            "bn": {k: _enc(getattr(bn, k)) for k in _BN_KEYS}
+            | {"eps": bn.eps, "momentum": bn.momentum},
+            "linear": linear,
+        })
     for lay in net.head.layers:
         doc["head"].append({"W": _enc(lay.W), "b": _enc(lay.b)})
     with open(path, "w", encoding="utf-8") as fh:
@@ -481,13 +510,11 @@ def load_network(path: str) -> BirNetwork:
     names = doc["feature_names"]
     for ell, b in enumerate(doc["blocks"]):
         lin_doc = b["linear"]
-        if b["kind"] == "pair":
-            arrays = (_dec(lin_doc[k]) for k in ("src", "tgt", "w_src", "w_tgt", "bias"))
-            lin = PairLinear(*arrays, lin_doc["in_dim"])
-        else:
-            lin = DenseLinear(_dec(lin_doc["W"]), _dec(lin_doc["b"]))
+        arrays = [_dec(lin_doc[k]) for k in _LINEAR_KEYS[b["kind"]]]
+        pair = b["kind"] == "pair"
+        lin = PairLinear(*arrays, lin_doc["in_dim"]) if pair else DenseLinear(*arrays)
         bn = BatchNorm(lin.out_dim, eps=b["bn"]["eps"], momentum=b["bn"]["momentum"])
-        for key in ("gamma", "beta", "running_mean", "running_var"):
+        for key in _BN_KEYS:
             arr = _dec(b["bn"][key])
             if arr.shape != (lin.out_dim,):
                 raise ValueError(f"{path}: block {ell} BatchNorm {key} is not one per unit")

@@ -17,6 +17,7 @@ import numpy as np
 
 from birdnet.binarize import BinaryMatrix, pack_column
 from birdnet.dataio import LabeledDataset
+from birdnet.explain import RelevanceTrace, RuleRecord, rule_text
 from birdnet.mining import EdgeTable, MiningConfig
 from birdnet.network import (
     BirNetwork,
@@ -24,8 +25,9 @@ from birdnet.network import (
     DenseLinear,
     PairLinear,
     build_bir_layer,
+    to_matched_mlp,
 )
-from birdnet.trainer import cross_entropy
+from birdnet.trainer import cross_entropy, softmax
 
 TYPES = ("T0", "T1", "T2", "T3", "T4", "T5")
 
@@ -237,10 +239,7 @@ def random_pair_net(
         blk = build_bir_layer(edge_table(spec), in_dim, rng, input_names=names, layer_index=li,
                               dropout=0.0)
         if randomize:
-            blk.linear.bias += rng.standard_normal(h) * 0.3
-            blk.bn.gamma = rng.uniform(0.5, 1.5, h)
-            blk.bn.beta = rng.standard_normal(h) * 0.3
-            blk.bn.set_stats(rng.standard_normal(h) * 0.2, rng.uniform(0.5, 2.0, h))
+            randomize_block_state(blk, rng)
         blocks.append(blk)
         in_dim = h
         names = blk.unit_names
@@ -256,6 +255,33 @@ def random_pair_net(
                       [f"c{c}" for c in range(k)])
 
 
+def randomize_block_state(blk, rng: np.random.Generator) -> None:
+    """Random bias and BatchNorm affine and running statistics on a block, so
+    the eval-mode fold is far from the identity."""
+    h = blk.linear.out_dim
+    if isinstance(blk.linear, PairLinear):
+        blk.linear.bias += rng.standard_normal(h) * 0.3
+    else:
+        blk.linear.b += rng.standard_normal(h) * 0.3
+    blk.bn.gamma = rng.uniform(0.5, 1.5, h)
+    blk.bn.beta = rng.standard_normal(h) * 0.3
+    blk.bn.set_stats(rng.standard_normal(h) * 0.2, rng.uniform(0.5, 2.0, h))
+
+
+def inference_nets(seed: int):
+    """(name, net) for the network shapes the inference path must serve: two
+    pair blocks under a one-layer head, three under a hidden-layer head, and
+    the matched dense MLP of the latter."""
+    rng = np.random.default_rng(seed)
+    yield "pair", random_pair_net(rng, d=7, widths=(6, 5), k=3)
+    deep = random_pair_net(rng, d=9, widths=(8, 6, 5), k=4, head_hidden=6)
+    yield "pair+head_hidden", deep
+    mlp = to_matched_mlp(deep, seed=seed)
+    for blk in mlp.blocks:
+        randomize_block_state(blk, rng)
+    yield "matched_mlp", mlp
+
+
 def min_kink_gap(net: BirNetwork, X: np.ndarray) -> float:
     """Smallest |pre-ReLU activation| anywhere in an eval-mode forward pass.
 
@@ -263,9 +289,8 @@ def min_kink_gap(net: BirNetwork, X: np.ndarray) -> float:
     checks require this gap to be comfortably larger than the step."""
     _, cache = net.forward(X, mode="eval")
     gap = math.inf
-    for blk, (xhat, _, _) in zip(net.blocks, cache["bn"]):
-        y = blk.bn.gamma * xhat + blk.bn.beta
-        gap = min(gap, float(np.abs(y).min()))
+    for blk, a_in in zip(net.blocks, cache["block_in"]):
+        gap = min(gap, float(np.abs(blk.linear.folded(a_in, *blk.fold())).min()))
     for i, lay in enumerate(net.head.layers[:-1]):
         z = cache["head_in"][i] @ lay.W.T + lay.b
         gap = min(gap, float(np.abs(z).min()))
@@ -444,3 +469,130 @@ def oracle_load_csv(path, label_column, id_column=None, drop_columns=()) -> Labe
         class_names=class_names,
         n_rejected_rows=n_rejected,
     )
+
+
+# ---------------------------------------------------------------------------
+# Unfolded inference: eval forward and relevance traces as they were before
+# BatchNorm was folded into each block
+# ---------------------------------------------------------------------------
+
+
+def oracle_eval_forward(net: BirNetwork, X):
+    """Eval-mode logits the unfolded way: each block's linear map, then
+    BatchNorm on its running statistics as a pass of its own, then ReLU.
+    Returns (logits, cache) with the block inputs, post-ReLU block outputs
+    and head inputs."""
+    a = np.asarray(X, dtype=np.float64)
+    cache = {"block_in": [], "post_bn": [], "head_in": []}
+    for blk in net.blocks:
+        cache["block_in"].append(a)
+        z = blk.linear.forward(a)
+        bn = blk.bn
+        xhat = (z - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + bn.eps))
+        a = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
+        cache["post_bn"].append(a)
+    for i, lay in enumerate(net.head.layers):
+        cache["head_in"].append(a)
+        a = lay.forward(a)
+        if i < len(net.head.layers) - 1:
+            a = np.maximum(a, 0.0)
+    return a, cache
+
+
+def _oracle_stabilize(z, epsilon):
+    return z + epsilon * np.where(z >= 0.0, 1.0, -1.0)
+
+
+def _oracle_propagate_dense(R_out, a_in, W, scale, epsilon):
+    # contribution of input i to unit j: a_i * W[j, i] * scale_j
+    contrib = a_in[None, :] * W * scale[:, None]  # (out, in)
+    denom = _oracle_stabilize(contrib.sum(axis=1), epsilon)
+    return contrib.T @ (R_out / denom)
+
+
+def _oracle_propagate_pair(R_out, a_in, lin: PairLinear, scale, epsilon):
+    c_src = a_in[lin.src] * lin.w_src * scale
+    c_tgt = a_in[lin.tgt] * lin.w_tgt * scale
+    share = R_out / _oracle_stabilize(c_src + c_tgt, epsilon)
+    R_in = np.zeros(lin.in_dim)
+    np.add.at(R_in, lin.src, c_src * share)
+    np.add.at(R_in, lin.tgt, c_tgt * share)
+    return R_in
+
+
+def oracle_lrp_explain(net: BirNetwork, instance, target_class: int, epsilon: float = 1e-6):
+    """explain.lrp_explain as it was before the folded layer: the unfolded
+    forward, BatchNorm's scale applied per contribution, a dense (out x in)
+    contribution matrix per dense layer and np.add.at scatters."""
+    x = np.asarray(instance, dtype=np.float64).reshape(1, -1)
+    logits, cache = oracle_eval_forward(net, x)
+    probs = softmax(logits)[0]
+    pred = int(np.argmax(logits[0]))
+    target_logit = float(logits[0, target_class])
+    R = np.zeros(net.n_classes)
+    R[target_class] = target_logit
+    for i in reversed(range(len(net.head.layers))):
+        lay = net.head.layers[i]
+        R = _oracle_propagate_dense(R, cache["head_in"][i][0], lay.W, np.ones(lay.out_dim), epsilon)
+    layer_rel = [None] * len(net.blocks)
+    for ell in reversed(range(len(net.blocks))):
+        blk = net.blocks[ell]
+        layer_rel[ell] = R.copy()
+        scale = blk.bn.gamma / np.sqrt(blk.bn.running_var + blk.bn.eps)
+        a_in = cache["block_in"][ell][0]
+        if isinstance(blk.linear, PairLinear):
+            R = _oracle_propagate_pair(R, a_in, blk.linear, scale, epsilon)
+        else:
+            R = _oracle_propagate_dense(R, a_in, blk.linear.W, scale, epsilon)
+    chain = []
+    for ell in reversed(range(len(net.blocks))):
+        blk = net.blocks[ell]
+        if chain:
+            above = net.blocks[ell + 1].bindings
+            cand = (int(above.source[u]), int(above.target[u]))
+            u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
+        else:
+            u = int(np.argmax(layer_rel[ell]))
+        chain.append((ell, u, rule_text(blk.bindings, u, blk.input_names), float(layer_rel[ell][u])))
+    chain.reverse()
+    return RelevanceTrace(
+        instance_id="?",
+        predicted_class=net.class_names[pred],
+        predicted_prob=float(probs[pred]),
+        target_class=net.class_names[target_class],
+        target_logit=target_logit,
+        layer_relevances=layer_rel if net.blocks else [R],
+        chain=chain,
+        conservation_total=float(layer_rel[0].sum()) if net.blocks else float(R.sum()),
+        trained=bool(net.meta.get("trained", True)),
+    )
+
+
+def oracle_extract_rules(net: BirNetwork, rows, labels, min_support: int) -> list[RuleRecord]:
+    """explain.extract_rules as it was before the one-product count: unit
+    activity from the unfolded forward, a per-unit x per-class loop."""
+    labels = np.asarray(labels)
+    active = oracle_eval_forward(net, rows)[1]["post_bn"][0] > 0.0
+    k = net.n_classes
+    bindings, names = net.blocks[0].bindings, net.blocks[0].input_names
+    prevalence = np.array([(labels == c).mean() for c in range(k)])
+    records = []
+    support = active.sum(axis=0)
+    for u in range(active.shape[1]):
+        s = int(support[u])
+        if s < min_support:
+            continue
+        act_labels = labels[active[:, u]]
+        for c in range(k):
+            if prevalence[c] == 0.0:
+                continue
+            hits = int((act_labels == c).sum())
+            records.append(RuleRecord(
+                unit=u, source=int(bindings.source[u]), target=int(bindings.target[u]),
+                btype=TYPES[bindings.btype[u]], rule=rule_text(bindings, u, names),
+                class_index=c, class_name=net.class_names[c], precision=hits / s,
+                recall=hits / int((labels == c).sum()),
+                lift=float(hits / s / prevalence[c]), support=s,
+            ))
+    records.sort(key=lambda r: (r.class_index, -r.precision, -r.lift, r.unit))
+    return records

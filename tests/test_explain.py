@@ -15,7 +15,11 @@ from helpers import (
     TYPES,
     edge_rows,
     edge_table,
+    inference_nets,
     min_carried_denominator,
+    oracle_eval_forward,
+    oracle_extract_rules,
+    oracle_lrp_explain,
     planted_pair_data,
     random_pair_net,
 )
@@ -45,6 +49,27 @@ class TestUnitActivity:
         net = random_pair_net(rng, d=4, widths=(), k=2, head_hidden=3)
         with pytest.raises(ValueError):
             unit_activity(net, rng.normal(size=(5, 4)))
+
+    def test_matches_unfolded_oracle(self):
+        for seed in range(8):
+            for name, net in inference_nets(seed):
+                X = np.random.default_rng(seed).normal(size=(50, net.input_dim))
+                want = oracle_eval_forward(net, X)[1]["post_bn"][0] > 0.0
+                assert np.array_equal(unit_activity(net, X), want), (seed, name)
+
+    def test_unit_at_the_kink_is_inactive(self):
+        net = single_path_net()  # unit = a + 0.5 b, BatchNorm scale exactly 1
+        act = unit_activity(net, np.array([[1.0, -2.0], [1.0, -1.0]]))
+        assert act[:, 0].tolist() == [False, True]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        rng = np.random.default_rng(0)
+        net = random_pair_net(rng, d=6, widths=(5,), k=3)
+        X = rng.normal(size=(4, 6))
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            unit_activity(net, X)
 
 
 class TestExtractRules:
@@ -114,6 +139,20 @@ class TestExtractRules:
         net, X, y = self._net_and_data()
         with pytest.raises(ValueError):
             extract_rules(net, X[:0], y[:0])
+
+    def test_matches_loop_oracle(self):
+        net, X, y = self._net_and_data()
+        for min_support in (1, 10, 40):
+            records = extract_rules(net, X, y, min_support=min_support)
+            want = oracle_extract_rules(net, X, y, min_support)
+            assert records == want
+            assert rules_to_csv(records) == rules_to_csv(want)
+        for seed in range(6):
+            for name, net in inference_nets(seed):
+                rng = np.random.default_rng(seed)
+                X = rng.normal(size=(80, net.input_dim))
+                y = rng.integers(0, net.n_classes - 1, 80)  # the last class absent
+                assert extract_rules(net, X, y, 1) == oracle_extract_rules(net, X, y, 1), (seed, name)
 
     def test_csv_output(self):
         net, X, y = self._net_and_data()
@@ -190,6 +229,21 @@ class TestLrp:
         top = net.blocks[1].bindings
         assert u0 in (top.source[u1], top.target[u1])
         assert u1 == int(np.argmax(trace.layer_relevances[1]))
+
+    def test_matches_unfolded_oracle(self):
+        for seed in range(15):
+            for name, net in inference_nets(seed):
+                rng = np.random.default_rng(seed)
+                for _ in range(4):
+                    x = rng.normal(size=net.input_dim)
+                    target = int(rng.integers(net.n_classes))
+                    got = lrp_explain(net, x, target)
+                    want = oracle_lrp_explain(net, x, target)
+                    assert got.target_logit == pytest.approx(want.target_logit, rel=0, abs=1e-12)
+                    assert got.predicted_class == want.predicted_class
+                    assert [c[:3] for c in got.chain] == [c[:3] for c in want.chain], (seed, name)
+                    for rg, rw in zip(got.layer_relevances, want.layer_relevances):
+                        assert np.abs(rg - rw).max() <= 1e-12 * np.abs(rw).max(), (seed, name)
 
     def test_trace_text(self):
         net = single_path_net()

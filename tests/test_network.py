@@ -15,8 +15,17 @@ from birdnet.network import (
     save_network,
     to_matched_mlp,
 )
-from birdnet.trainer import cross_entropy, cross_entropy_grad
-from helpers import dense_weight, edge_rows, edge_table, finite_diff_grads, min_kink_gap, random_pair_net
+from birdnet.trainer import TrainConfig, cross_entropy, cross_entropy_grad, train
+from helpers import (
+    dense_weight,
+    edge_rows,
+    edge_table,
+    finite_diff_grads,
+    inference_nets,
+    min_kink_gap,
+    oracle_eval_forward,
+    random_pair_net,
+)
 
 
 class TestBuildBirLayer:
@@ -172,6 +181,61 @@ class TestForwardModes:
         X[2, 1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             net.forward(X, mode="eval")
+
+
+class TestFoldedEval:
+    """The folded eval forward against the unfolded one it replaced."""
+
+    def test_matches_unfolded_oracle(self):
+        for seed in range(12):
+            for name, net in inference_nets(seed):
+                X = np.random.default_rng(seed).normal(size=(16, net.input_dim))
+                logits, cache = net.forward(X, mode="eval")
+                want, want_cache = oracle_eval_forward(net, X)
+                assert np.abs(logits - want).max() <= 1e-12, (seed, name)
+                for key in ("block_in", "post_bn", "head_in"):
+                    for got, ref in zip(cache[key], want_cache[key]):
+                        assert np.abs(got - ref).max() <= 1e-12, (seed, name, key)
+
+    def test_eval_cache_holds_no_batchnorm_state(self):
+        _, net = next(inference_nets(0))
+        _, cache = net.forward(np.ones((3, net.input_dim)), mode="eval")
+        assert set(cache) == {"mode", "block_in", "post_bn", "head_in"}
+
+    def test_batch_equals_row_by_row(self):
+        for seed in range(6):
+            for name, net in inference_nets(100 + seed):
+                X = np.random.default_rng(seed).normal(size=(64, net.input_dim))
+                batch, _ = net.forward(X, mode="eval")
+                rows = np.vstack([net.forward(X[r : r + 1], mode="eval")[0] for r in range(64)])
+                assert np.abs(batch - rows).max() <= 1e-12, (seed, name)
+
+    def test_predict_follows_every_parameter_writer(self):
+        # The fold is recomputed per call; a memoised fold would go stale
+        # under each of these writers and miss the oracle.
+        rng = np.random.default_rng(21)
+        net = random_pair_net(rng, d=6, widths=(5, 4), k=3)
+        X = rng.normal(size=(40, 6))
+        y = rng.integers(0, 3, 40)
+        state = net.snapshot()
+
+        def predict_tracks(write):
+            before, _ = net.forward(X, mode="eval")
+            write()
+            after, _ = net.forward(X, mode="eval")
+            assert not np.array_equal(before, after)
+            assert np.abs(after - oracle_eval_forward(net, X)[0]).max() <= 1e-12
+
+        cfg = TrainConfig(epochs_max=3, batch_size=8, patience=3, seed=2)
+        predict_tracks(lambda: train(net, X[:30], y[:30], X[30:], y[30:], cfg))
+        predict_tracks(lambda: net.restore(state))
+        h = net.blocks[0].linear.out_dim
+        predict_tracks(lambda: net.blocks[0].bn.set_stats(np.full(h, 0.4), np.full(h, 3.0)))
+        for path, arr, _ in list(net.params()):
+            predict_tracks(lambda: np.add(arr, 1.0, out=arr))
+        bn = net.blocks[1].bn
+        predict_tracks(lambda: np.subtract(bn.running_mean, 0.5, out=bn.running_mean))
+        predict_tracks(lambda: np.multiply(bn.running_var, 2.0, out=bn.running_var))
 
 
 class TestGradients:
