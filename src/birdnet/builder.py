@@ -46,16 +46,15 @@ def build_birdnet(
     depth: int = 2,
     head_hidden: int = 32,
     seed: int = 42,
-    dropout: float = 0.3,
 ) -> tuple[BirNetwork, ConstructionReport]:
     """Construct an untrained implication-structured network on training rows.
 
     Loop per layer: binarize the current representation with per-feature step
     thresholds, mine implications, deduplicate and cap at h_max; stop when
     fewer than mu survive. Deeper representations are the post-activation
-    outputs of the partial stack on the full training fold, computed with
-    batch BN statistics and dropout off, so construction is deterministic.
-    BN running statistics are initialized to those full-fold batch statistics.
+    outputs of the partial stack on the full training fold: each block's BN
+    running statistics are set to its full-fold batch statistics and the
+    block runs through its eval-mode fold, so construction is deterministic.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.shape[0] < 2 or X_train.shape[1] < 2:
@@ -64,14 +63,13 @@ def build_birdnet(
     report = ConstructionReport()
     blocks = []
     H = X_train
-    names = list(feature_names)
     for ell in range(depth):
         if H.shape[1] < 2:
             break  # a single-unit layer leaves nothing to pair
         near = 1.0 if ell == 0 else NEAR_CONSTANT_FRAC
         model = fit_binarization(H, near_constant_frac=near)
         bmat = binarize(H, model)
-        graph = mine_birs(bmat, cfg, feature_names=names)
+        graph = mine_birs(bmat, cfg, feature_names=feature_names if ell == 0 else None)
         spec = deduplicate_and_cap(graph, cfg.h_max)
         report.layers.append(
             LayerReport(
@@ -88,18 +86,11 @@ def build_birdnet(
                     f"(floor mu={cfg.mu}); relax p_star/pi or lower mu"
                 )
             break
-        block = build_bir_layer(
-            spec, H.shape[1], rng, input_names=names, layer_index=ell, dropout=dropout
-        )
+        block = build_bir_layer(spec, H.shape[1], rng)
         blocks.append(block)
-        # Deterministic representation for the next mining pass: full-fold
-        # batch statistics, dropout off.
         z = block.linear.forward(H)
-        mean, var = z.mean(axis=0), z.var(axis=0)
-        block.bn.set_stats(mean, var)
-        y = block.bn.gamma * (z - mean) / np.sqrt(var + block.bn.eps) + block.bn.beta
-        H = np.maximum(y, 0.0)
-        names = list(block.unit_names)
+        block.bn.set_stats(z.mean(axis=0), z.var(axis=0))
+        H = np.maximum(block.linear.folded(H, *block.fold()), 0.0)
 
     k = len(class_names)
     last_width = blocks[-1].linear.out_dim if blocks else X_train.shape[1]

@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct an untrained network")
     _add_common(p); _add_data(p); _add_mining(p)
-    p.add_argument("--dropout", type=float, default=0.3)
 
     p = sub.add_parser("train", help="build and train on the full dataset "
                        "(15%% stratified early-stop holdout)")
@@ -146,26 +145,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """File values fill in any argument still at its parser default."""
-    if not getattr(args, "config", None):
-        return
-    file_vals = _read_config_file(args.config)
-    for key, raw in file_vals.items():
-        if not hasattr(args, key):
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values for the command's options, each converted by
+    the option's own argparse type; other keys are ignored."""
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    out = {}
+    for key, raw in _read_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
             continue
-        current = getattr(args, key)
-        if key in parser_defaults and current != parser_defaults[key]:
-            continue  # explicit flag wins
-        default = parser_defaults.get(key)
-        if isinstance(default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(default, int):
-            setattr(args, key, int(raw))
-        elif isinstance(default, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
+        try:
+            if action.nargs == 0:  # a store_true flag
+                out[key] = _FLAG_VALUES[raw.lower()]
+            else:
+                out[key] = action.type(raw) if action.type else raw
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{path}: {key} = {raw!r} is not a valid value") from None
+    return out
 
 
 def _manifest(args: argparse.Namespace, outdir: str) -> None:
@@ -242,7 +241,7 @@ def cmd_build(args) -> int:
     X, names, cols, std = _preselect_and_standardize(ds, args)
     net, report = build_birdnet(
         X, names, ds.class_names, _mining_cfg(args), depth=args.depth,
-        head_hidden=args.head_hidden, seed=args.seed, dropout=args.dropout,
+        head_hidden=args.head_hidden, seed=args.seed,
     )
     net.meta["trained"] = False
     attach_preprocessing(net, cols, std)
@@ -261,7 +260,7 @@ def cmd_train(args) -> int:
     X, names, cols, std = _preselect_and_standardize(ds, args)
     net, report = build_birdnet(
         X, names, ds.class_names, _mining_cfg(args), depth=args.depth,
-        head_hidden=args.head_hidden, seed=args.seed, dropout=args.dropout,
+        head_hidden=args.head_hidden, seed=args.seed,
     )
     val = stratified_holdout(ds.labels, 0.15, args.seed + 1)
     net, history = train(net, X[~val], ds.labels[~val], X[val], ds.labels[val],
@@ -372,22 +371,27 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser_and_defaults() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and every argument's default, built once per process: a
+def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its per-command subparsers, built once per process: a
     parser is a web of reference cycles, so one per call would leave garbage
     that only a full collection frees."""
     parser = build_parser()
-    defaults = {a.dest: a.default for a in parser._actions}
-    for sp in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        defaults.update({a.dest: a.default for a in sp._actions})
-    return parser, defaults
+    return parser, parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, defaults = _parser_and_defaults()
+    parser, commands = _parser_and_commands()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, defaults)
+        if args.config:
+            # Re-parse the command's flags (argv[0] is the command) over the
+            # file's values: an option already set in the namespace takes no
+            # parser default, so only a flag on the command line replaces one.
+            command = commands[args.command]
+            file_args = argparse.Namespace(command=args.command,
+                                           **_config_defaults(command, args.config))
+            args = command.parse_args(argv[1:], file_args)
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -216,7 +216,6 @@ def _fit_fold(
         depth=cfg.depth,
         head_hidden=cfg.head_hidden,
         seed=cfg.seed,
-        dropout=cfg.training.dropout,
     )
     if matched:
         net = to_matched_mlp(net, seed=cfg.seed)

@@ -7,8 +7,9 @@ class prevalence, with every hit count from one `active.T @ onehot(labels)`.
 
 Per-instance explanations propagate the target logit backward with an
 epsilon-stabilized relevance rule over the folded layers the eval forward
-runs (`BirBlock.fold`); bias terms absorb no relevance, so the propagated
-total is conserved up to the epsilon leakage. Dense layers propagate
+runs, with each block's BatchNorm scale read from that forward's cache; bias
+terms absorb no relevance, so the propagated total is conserved up to the
+epsilon leakage. Dense layers propagate
 matrix-free, R_in = a * (W^T (s * R / stab(s * W a))), and pair layers
 scatter with one `np.bincount`.
 """
@@ -46,11 +47,23 @@ _RULE_TEMPLATES = (
 )
 
 
-def rule_text(bindings: EdgeTable, k: int, input_names: list[str]) -> str:
-    """Row k of a binding table as a rule over the named inputs."""
+def rule_text(bindings: EdgeTable, k: int, input_names) -> str:
+    """Row k of a binding table as a rule over the named inputs (any mapping
+    from input index to name)."""
     return _RULE_TEMPLATES[bindings.btype[k]].format(
         a=input_names[bindings.source[k]], b=input_names[bindings.target[k]]
     )
+
+
+def _input_name(net: BirNetwork, ell: int, j: int) -> str:
+    """Name of input j of block ell: feature j under block 0, else unit j of
+    block ell - 1 as L{ell-1}/u{j}:{type}({a},{b}) over that block's inputs.
+    Derived from the bindings on demand; no name list is ever built."""
+    if ell == 0:
+        return net.feature_names[j]
+    b = net.blocks[ell - 1].bindings
+    a, c = (_input_name(net, ell - 1, int(i)) for i in (b.source[j], b.target[j]))
+    return f"L{ell - 1}/u{j}:{TYPES[b.btype[j]]}({a},{c})"
 
 
 @dataclass
@@ -120,7 +133,7 @@ def extract_rules(
     if rows.shape[0] == 0:
         raise ValueError("held-out set is empty")
     active = unit_activity(net, rows)
-    bindings, names = net.blocks[0].bindings, net.blocks[0].input_names
+    bindings, names = net.blocks[0].bindings, net.feature_names
     onehot = np.asarray(labels)[:, None] == np.arange(net.n_classes)
     hits = active.T.astype(np.int64) @ onehot  # (units, classes)
     support, n_c = active.sum(axis=0), onehot.sum(axis=0)
@@ -194,7 +207,7 @@ def lrp_explain(
     for ell in reversed(range(len(net.blocks))):
         blk, a_in = net.blocks[ell], cache["block_in"][ell][0]
         layer_rel[ell] = R
-        scale, _ = blk.fold()
+        scale = cache["scale"][ell]
         if isinstance(blk.linear, PairLinear):
             R = _propagate_pair(R, a_in, blk.linear, scale, epsilon)
         else:
@@ -210,7 +223,9 @@ def lrp_explain(
             u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
         else:
             u = int(np.argmax(layer_rel[ell]))
-        rule = rule_text(blk.bindings, u, blk.input_names)
+        b = blk.bindings
+        names = {int(j): _input_name(net, ell, int(j)) for j in (b.source[u], b.target[u])}
+        rule = rule_text(b, u, names)
         chain.append((ell, u, rule, float(layer_rel[ell][u])))
     chain.reverse()
     return RelevanceTrace(

@@ -36,7 +36,10 @@ __all__ = [
 
 INIT_SCALE = 0.5  # magnitude scale for type-aware init: |N(0,1)| * INIT_SCALE
 
-MODEL_FORMAT = "birdnet-model-v2"
+MODEL_FORMAT = "birdnet-model-v3"
+
+BN_EPS = 1e-5  # BatchNorm variance floor
+BN_MOMENTUM = 0.1  # BatchNorm running-statistic update rate
 
 # Sign of (source weight, target weight) per implication type code T0..T5.
 _TYPE_SIGNS = np.array(
@@ -49,6 +52,8 @@ class PairLinear:
 
     Only the two active weights per unit are stored, so masked positions are
     exactly zero by construction, at every step and across serialization.
+    In a block, src and tgt are its bindings' own source and target columns,
+    never copies.
     """
 
     kind = "pair"
@@ -152,24 +157,22 @@ class DenseLinear:
 
 
 class BatchNorm:
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, dim: int):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.eps = eps
-        self.momentum = momentum
 
     def forward(self, z: np.ndarray, mode: str):
         if mode == "train":
             mean = z.mean(axis=0)
             var = z.var(axis=0)  # population
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:  # "eval": running statistics, treated as constants
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (z - mean) * inv_std
         y = self.gamma * xhat + self.beta
         return y, (xhat, inv_std, mode)
@@ -199,21 +202,19 @@ class BatchNorm:
 
 @dataclass
 class BirBlock:
-    """One hidden stage: (masked or dense) linear, BatchNorm, ReLU, dropout."""
+    """One hidden stage: (masked or dense) linear, BatchNorm, ReLU. A pair
+    block's wiring is its bindings' source and target columns."""
 
     linear: PairLinear | DenseLinear
     bn: BatchNorm
-    dropout: float
     bindings: EdgeTable  # unit k <-> implication k (over the block input space)
-    input_names: list[str]
-    unit_names: list[str]  # derived by _unit_names, never stored
 
     def fold(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode BatchNorm folded into the linear map, from the current
         parameters: (s, b') with BN(W x + bias) = (W x) * s + b', where
         s = gamma / sqrt(running_var + eps), b' = (bias - running_mean) * s + beta."""
         bn, lin = self.bn, self.linear
-        s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        s = bn.gamma / np.sqrt(bn.running_var + BN_EPS)
         bias = lin.bias if isinstance(lin, PairLinear) else lin.b
         return s, (bias - bn.running_mean) * s + bn.beta
 
@@ -256,34 +257,40 @@ class BirNetwork:
             raise ValueError("input rows hold NaN or infinite values")
         return X
 
-    def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None):
+    def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None,
+                dropout: float = 0.0):
         """Returns (logits, cache), a cache that backward accepts in either
-        mode. Modes: 'train' (batch BN stats, dropout), 'eval' (running stats
-        folded into each block, deterministic; no BatchNorm state cached)."""
+        mode. Modes: 'train' (batch BN stats, `dropout` after each block's
+        ReLU), 'eval' (running stats folded into each block, deterministic;
+        the cache keeps each block's BatchNorm scale, no other BN state)."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         X = self.check_input(X)
         if mode == "train" and X.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
+        if mode == "train" and dropout > 0.0 and rng is None:
+            raise ValueError("train-mode forward with dropout needs an rng")
         cache = {"mode": mode, "block_in": [], "post_bn": [], "head_in": []}
         if mode == "train":
-            cache.update(bn=[], drop=[])
+            cache.update(bn=[], drop=[], dropout=dropout)
+        else:
+            cache["scale"] = []
         a = X
         for blk in self.blocks:
             cache["block_in"].append(a)
             if mode == "eval":
-                a = blk.linear.folded(a, *blk.fold())
+                scale, shift = blk.fold()
+                cache["scale"].append(scale)
+                a = blk.linear.folded(a, scale, shift)
                 cache["post_bn"].append(np.maximum(a, 0.0, out=a))
                 continue
             y, bn_cache = blk.bn.forward(blk.linear.forward(a), mode)
             cache["bn"].append(bn_cache)
             a = np.maximum(y, 0.0)
             cache["post_bn"].append(a)  # post-ReLU, pre-dropout
-            if blk.dropout > 0.0:
-                if rng is None:
-                    raise ValueError("train-mode forward with dropout needs an rng")
-                keep = rng.random(a.shape) >= blk.dropout
-                a = a * keep / (1.0 - blk.dropout)
+            if dropout > 0.0:
+                keep = rng.random(a.shape) >= dropout
+                a = a * keep / (1.0 - dropout)
                 cache["drop"].append(keep)
             else:
                 cache["drop"].append(None)
@@ -311,10 +318,10 @@ class BirNetwork:
             x = cache["block_in"][ell]
             if cache["mode"] == "train":
                 keep, bn_cache = cache["drop"][ell], cache["bn"][ell]
-            else:  # the eval cache holds no BatchNorm state: recompute it from x
+            else:  # the eval cache keeps only BatchNorm's scale: recompute its cache from x
                 keep, (_, bn_cache) = None, blk.bn.forward(blk.linear.forward(x), "eval")
             if keep is not None:
-                da = da * keep / (1.0 - blk.dropout)
+                da = da * keep / (1.0 - cache["dropout"])
             da = da * (cache["post_bn"][ell] > 0.0)  # ReLU gate
             da, g_bn = blk.bn.backward(da, bn_cache)
             for name, arr in g_bn.items():
@@ -350,26 +357,7 @@ class BirNetwork:
             blk.bn.running_var = state[f"block{ell}.bn.running_var"].copy()
 
 
-def _unit_names(bindings: EdgeTable, input_names: list[str], layer_index: int) -> list[str]:
-    """Unit names L{layer}/u{k}:{type}({a},{b}) over the layer's input names."""
-    src, tgt, btype = bindings.source, bindings.target, bindings.btype
-    d = len(input_names)
-    if np.any((src < 0) | (src >= d) | (tgt < 0) | (tgt >= d) | (btype >= len(TYPES))):
-        raise ValueError(f"layer {layer_index}: a binding has an unknown type or index >= {d}")
-    return [
-        f"L{layer_index}/u{k}:{TYPES[t]}({input_names[a]},{input_names[b]})"
-        for k, (a, b, t) in enumerate(zip(src.tolist(), tgt.tolist(), btype.tolist()))
-    ]
-
-
-def build_bir_layer(
-    spec: EdgeTable,
-    d: int,
-    seed_or_rng,
-    input_names: list[str] | None = None,
-    layer_index: int = 0,
-    dropout: float = 0.3,
-) -> BirBlock:
+def build_bir_layer(spec: EdgeTable, d: int, seed_or_rng) -> BirBlock:
     """One masked block from a mined layer spec, with type-aware sign init.
 
     T0/T4 start both weights positive, T1 both negative, T2/T5 positive
@@ -383,18 +371,10 @@ def build_bir_layer(
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.Generator(
         np.random.PCG64(seed_or_rng)
     )
-    if input_names is None:
-        input_names = [f"f{j}" for j in range(d)]
     w = _TYPE_SIGNS[spec.btype] * np.abs(rng.standard_normal((h, 2))) * INIT_SCALE
     w_src, w_tgt = w.T.copy()
-    return BirBlock(
-        linear=PairLinear(spec.source, spec.target, w_src, w_tgt, np.zeros(h), d),
-        bn=BatchNorm(h),
-        dropout=dropout,
-        bindings=spec,
-        input_names=list(input_names),
-        unit_names=_unit_names(spec, input_names, layer_index),
-    )
+    linear = PairLinear(spec.source, spec.target, w_src, w_tgt, np.zeros(h), d)
+    return BirBlock(linear=linear, bn=BatchNorm(h), bindings=spec)
 
 
 def active_param_count(net: BirNetwork) -> dict[str, int]:
@@ -420,22 +400,13 @@ def active_param_count(net: BirNetwork) -> dict[str, int]:
 
 
 def to_matched_mlp(net: BirNetwork, seed: int) -> BirNetwork:
-    """Dense counterpart: same widths, BN, dropout, and head shape; the
+    """Dense counterpart: same widths, BN and head shape; the
     implication mask is removed and all weights re-initialized densely."""
     rng = np.random.Generator(np.random.PCG64(seed))
     blocks = []
     for blk in net.blocks:
         lin = DenseLinear.init(blk.linear.in_dim, blk.linear.out_dim, rng)
-        blocks.append(
-            BirBlock(
-                linear=lin,
-                bn=BatchNorm(blk.linear.out_dim, eps=blk.bn.eps, momentum=blk.bn.momentum),
-                dropout=blk.dropout,
-                bindings=blk.bindings,
-                input_names=list(blk.input_names),
-                unit_names=list(blk.unit_names),
-            )
-        )
+        blocks.append(BirBlock(linear=lin, bn=BatchNorm(lin.out_dim), bindings=blk.bindings))
     head = DenseHead(
         layers=[DenseLinear.init(lay.in_dim, lay.out_dim, rng) for lay in net.head.layers]
     )
@@ -464,7 +435,7 @@ def _dec(obj: dict) -> np.ndarray:
     ).reshape(obj["shape"]).copy()
 
 
-_LINEAR_KEYS = {"pair": ("src", "tgt", "w_src", "w_tgt", "bias"), "dense": ("W", "b")}
+_LINEAR_KEYS = {"pair": ("w_src", "w_tgt", "bias"), "dense": ("W", "b")}
 _BN_KEYS = ("gamma", "beta", "running_mean", "running_var")
 
 
@@ -480,16 +451,11 @@ def save_network(net: BirNetwork, path: str) -> None:
     }
     for blk in net.blocks:
         lin, bn = blk.linear, blk.bn
-        linear = {k: _enc(getattr(lin, k)) for k in _LINEAR_KEYS[lin.kind]}
-        if isinstance(lin, PairLinear):
-            linear["in_dim"] = lin.in_dim
         doc["blocks"].append({
             "kind": lin.kind,
-            "dropout": blk.dropout,
             "bindings": {name: _enc(col) for name, col in vars(blk.bindings).items()},
-            "bn": {k: _enc(getattr(bn, k)) for k in _BN_KEYS}
-            | {"eps": bn.eps, "momentum": bn.momentum},
-            "linear": linear,
+            "bn": {k: _enc(getattr(bn, k)) for k in _BN_KEYS},
+            "linear": {k: _enc(getattr(lin, k)) for k in _LINEAR_KEYS[lin.kind]},
         })
     for lay in net.head.layers:
         doc["head"].append({"W": _enc(lay.W), "b": _enc(lay.b)})
@@ -498,37 +464,40 @@ def save_network(net: BirNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> BirNetwork:
-    """Read a model file, checked as outside input: indices in range, widths
-    that chain, one binding per unit and finite numbers, or a named error."""
+    """Read a model file, checked as outside input: bindings within each
+    block's input width, widths that chain, one binding per unit and finite
+    numbers, or a named error. A pair block is wired by its bindings; each
+    block's input width is the width of the layer below."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") == "birdnet-model-v1":
-        raise ValueError(f"{path}: model format birdnet-model-v1 is not read; rebuild the model")
+    if doc.get("format") in ("birdnet-model-v1", "birdnet-model-v2"):
+        raise ValueError(f"{path}: model format {doc['format']} is not read; rebuild the model")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a recognized model file")
     blocks = []
-    names = doc["feature_names"]
+    width = doc["input_dim"]
     for ell, b in enumerate(doc["blocks"]):
-        lin_doc = b["linear"]
-        arrays = [_dec(lin_doc[k]) for k in _LINEAR_KEYS[b["kind"]]]
-        pair = b["kind"] == "pair"
-        lin = PairLinear(*arrays, lin_doc["in_dim"]) if pair else DenseLinear(*arrays)
-        bn = BatchNorm(lin.out_dim, eps=b["bn"]["eps"], momentum=b["bn"]["momentum"])
+        arrays = [_dec(b["linear"][k]) for k in _LINEAR_KEYS[b["kind"]]]
+        bindings = EdgeTable.from_columns({k: _dec(v) for k, v in b["bindings"].items()})
+        units = len(arrays[0]) if arrays[0].ndim else 0  # w_src or W: one per unit
+        if len(bindings) != units:
+            raise ValueError(f"{path}: block {ell} has {len(bindings)} bindings for {units} units")
+        idx = np.concatenate([bindings.source, bindings.target])
+        if np.any((idx < 0) | (idx >= width)) or np.any(bindings.btype >= len(TYPES)):
+            raise ValueError(f"{path}: block {ell}: a binding has a type code >= {len(TYPES)} "
+                             f"or an input outside 0..{width - 1}")
+        if b["kind"] == "pair":
+            lin = PairLinear(bindings.source, bindings.target, *arrays, width)
+        else:
+            lin = DenseLinear(*arrays)
+        bn = BatchNorm(lin.out_dim)
         for key in _BN_KEYS:
             arr = _dec(b["bn"][key])
             if arr.shape != (lin.out_dim,):
                 raise ValueError(f"{path}: block {ell} BatchNorm {key} is not one per unit")
             setattr(bn, key, arr)
-        bindings = EdgeTable.from_columns({k: _dec(v) for k, v in b["bindings"].items()})
-        if len(bindings) != lin.out_dim:
-            raise ValueError(f"{path}: block {ell} has {len(bindings)} bindings for {lin.out_dim} units")
-        if isinstance(lin, PairLinear) and not (
-            np.array_equal(bindings.source, lin.src) and np.array_equal(bindings.target, lin.tgt)
-        ):
-            raise ValueError(f"{path}: block {ell} bindings name other inputs than its wiring")
-        unit_names = _unit_names(bindings, names, ell)
-        blocks.append(BirBlock(lin, bn, b["dropout"], bindings, names, unit_names))
-        names = unit_names
+        blocks.append(BirBlock(lin, bn, bindings))
+        width = lin.out_dim
     head = DenseHead(layers=[DenseLinear(_dec(l["W"]), _dec(l["b"])) for l in doc["head"]])
     net = BirNetwork(
         doc["input_dim"], doc["feature_names"], blocks, head, doc["class_names"], doc["meta"]

@@ -96,8 +96,6 @@ def train(
     parameters and the per-epoch history."""
     if X_train.shape[0] == 0 or X_val.shape[0] == 0:
         raise ValueError("train and validation sets must be non-empty")
-    for blk in net.blocks:
-        blk.dropout = cfg.dropout
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     params = list(net.params())
     m_state = {p: np.zeros_like(a) for p, a, _ in params}
@@ -120,7 +118,7 @@ def train(
             if idx.shape[0] < 2:
                 continue  # BatchNorm cannot normalize a singleton batch
             xb, yb = X_train[idx], y_train[idx]
-            logits, cache = net.forward(xb, mode="train", rng=rng)
+            logits, cache = net.forward(xb, mode="train", rng=rng, dropout=cfg.dropout)
             loss = cross_entropy(logits, yb)
             grads = net.backward(cache, cross_entropy_grad(logits, yb))
             gnorm = _global_norm(grads)

@@ -20,6 +20,7 @@ from birdnet.dataio import LabeledDataset
 from birdnet.explain import RelevanceTrace, RuleRecord, rule_text
 from birdnet.mining import EdgeTable, MiningConfig
 from birdnet.network import (
+    BN_EPS,
     BirNetwork,
     DenseHead,
     DenseLinear,
@@ -228,21 +229,17 @@ def random_pair_net(
     """A random implication-masked network with (optionally) randomized
     biases and BatchNorm parameters, so no unit sits exactly on a ReLU kink."""
     blocks = []
-    names = [f"f{i}" for i in range(d)]
-    feature_names = list(names)
     in_dim = d
-    for li, h in enumerate(widths):
+    for h in widths:
         spec = []
         for _ in range(h):
             i, j = rng.choice(in_dim, size=2, replace=False)
             spec.append((int(i), int(j), TYPES[int(rng.integers(len(TYPES)))]))
-        blk = build_bir_layer(edge_table(spec), in_dim, rng, input_names=names, layer_index=li,
-                              dropout=0.0)
+        blk = build_bir_layer(edge_table(spec), in_dim, rng)
         if randomize:
             randomize_block_state(blk, rng)
         blocks.append(blk)
         in_dim = h
-        names = blk.unit_names
     layers = []
     if head_hidden:
         layers.append(DenseLinear.init(in_dim, head_hidden, rng))
@@ -251,7 +248,7 @@ def random_pair_net(
     if randomize:
         for lay in layers:
             lay.b += rng.standard_normal(lay.out_dim) * 0.3
-    return BirNetwork(d, feature_names, blocks, DenseHead(layers=layers),
+    return BirNetwork(d, [f"f{i}" for i in range(d)], blocks, DenseHead(layers=layers),
                       [f"c{c}" for c in range(k)])
 
 
@@ -314,7 +311,7 @@ def min_carried_denominator(net: BirNetwork, x: np.ndarray) -> float:
         if active.any():
             worst = min(worst, float(np.abs(denom[active]).min()))
     for ell, blk in enumerate(net.blocks):
-        scale = blk.bn.gamma / np.sqrt(blk.bn.running_var + blk.bn.eps)
+        scale = blk.bn.gamma / np.sqrt(blk.bn.running_var + BN_EPS)
         a_in = cache["block_in"][ell][0]
         lin = blk.linear
         denom = a_in[lin.src] * lin.w_src * scale + a_in[lin.tgt] * lin.w_tgt * scale
@@ -477,6 +474,20 @@ def oracle_load_csv(path, label_column, id_column=None, drop_columns=()) -> Labe
 # ---------------------------------------------------------------------------
 
 
+def oracle_input_names(net: BirNetwork) -> list[list[str]]:
+    """Every block's input names as whole lists, the way construction and
+    loading once built them: feature names under block 0, then each block's
+    unit names L{layer}/u{k}:{type}({a},{b}) over its own input names."""
+    names = [list(net.feature_names)]
+    for ell, blk in enumerate(net.blocks[:-1]):
+        b, below = blk.bindings, names[-1]
+        names.append([
+            f"L{ell}/u{k}:{TYPES[t]}({below[s]},{below[g]})"
+            for k, (s, g, t) in enumerate(zip(b.source.tolist(), b.target.tolist(), b.btype.tolist()))
+        ])
+    return names
+
+
 def oracle_eval_forward(net: BirNetwork, X):
     """Eval-mode logits the unfolded way: each block's linear map, then
     BatchNorm on its running statistics as a pass of its own, then ReLU.
@@ -488,7 +499,7 @@ def oracle_eval_forward(net: BirNetwork, X):
         cache["block_in"].append(a)
         z = blk.linear.forward(a)
         bn = blk.bn
-        xhat = (z - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + bn.eps))
+        xhat = (z - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + BN_EPS))
         a = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
         cache["post_bn"].append(a)
     for i, lay in enumerate(net.head.layers):
@@ -538,13 +549,14 @@ def oracle_lrp_explain(net: BirNetwork, instance, target_class: int, epsilon: fl
     for ell in reversed(range(len(net.blocks))):
         blk = net.blocks[ell]
         layer_rel[ell] = R.copy()
-        scale = blk.bn.gamma / np.sqrt(blk.bn.running_var + blk.bn.eps)
+        scale = blk.bn.gamma / np.sqrt(blk.bn.running_var + BN_EPS)
         a_in = cache["block_in"][ell][0]
         if isinstance(blk.linear, PairLinear):
             R = _oracle_propagate_pair(R, a_in, blk.linear, scale, epsilon)
         else:
             R = _oracle_propagate_dense(R, a_in, blk.linear.W, scale, epsilon)
     chain = []
+    input_names = oracle_input_names(net)
     for ell in reversed(range(len(net.blocks))):
         blk = net.blocks[ell]
         if chain:
@@ -553,7 +565,7 @@ def oracle_lrp_explain(net: BirNetwork, instance, target_class: int, epsilon: fl
             u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
         else:
             u = int(np.argmax(layer_rel[ell]))
-        chain.append((ell, u, rule_text(blk.bindings, u, blk.input_names), float(layer_rel[ell][u])))
+        chain.append((ell, u, rule_text(blk.bindings, u, input_names[ell]), float(layer_rel[ell][u])))
     chain.reverse()
     return RelevanceTrace(
         instance_id="?",
@@ -574,7 +586,7 @@ def oracle_extract_rules(net: BirNetwork, rows, labels, min_support: int) -> lis
     labels = np.asarray(labels)
     active = oracle_eval_forward(net, rows)[1]["post_bn"][0] > 0.0
     k = net.n_classes
-    bindings, names = net.blocks[0].bindings, net.blocks[0].input_names
+    bindings, names = net.blocks[0].bindings, oracle_input_names(net)[0]
     prevalence = np.array([(labels == c).mean() for c in range(k)])
     records = []
     support = active.sum(axis=0)

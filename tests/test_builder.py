@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from birdnet.builder import build_birdnet
+from birdnet.explain import _input_name
 from birdnet.mining import MiningConfig
 from birdnet.network import PairLinear, active_param_count, save_network
 from helpers import dense_weight, edge_rows, planted_pair_data
@@ -16,6 +17,15 @@ def duplicated_feature_data(rng, n=300, groups=30, noise=0.05):
         cols.append(base[:, g] * 2.0 + rng.normal(0, noise, n))
         cols.append(base[:, g] * 2.0 + rng.normal(0, noise, n))
     return np.stack(cols, axis=1)
+
+
+def nested_implication_data(rng, n=300, groups=8, noise=0.05):
+    """Duplicated base features where each even base implies the next odd
+    one, so mining finds implications again among first-layer units."""
+    base = rng.random((n, groups)) < 0.5
+    base[:, 1::2] = base[:, 0::2] | (rng.random((n, groups // 2)) < 0.3)
+    X = np.repeat(base * 2.0, 2, axis=1) + rng.normal(0, noise, (n, 2 * groups))
+    return (X - X.mean(axis=0)) / X.std(axis=0)
 
 
 class TestBuildBirdnet:
@@ -148,10 +158,12 @@ class TestBuildBirdnet:
 
     def test_deeper_layer_unit_names_reference_lower_units(self):
         rng = np.random.default_rng(10)
-        X = duplicated_feature_data(rng, groups=15)
-        X = (X - X.mean(axis=0)) / X.std(axis=0)
-        net, _ = build_birdnet(X, [f"g{j}" for j in range(30)], ["a", "b"],
-                               MiningConfig(mu=5), depth=2, seed=0)
-        if net.depth >= 2:
-            assert all(name.startswith("L1/") for name in net.blocks[1].unit_names)
-            assert all("L0/" in name for name in net.blocks[1].unit_names)
+        X = nested_implication_data(rng)
+        net, _ = build_birdnet(X, [f"g{j}" for j in range(16)], ["a", "b"],
+                               MiningConfig(mu=5), depth=3, seed=0)
+        assert net.depth == 3
+        # Block ell + 1's inputs are block ell's units: names derived on demand.
+        for ell in (1, 2):
+            for k in range(net.blocks[ell].linear.out_dim):
+                name = _input_name(net, ell + 1, k)
+                assert name.startswith(f"L{ell}/u{k}:") and name.count("L0/") == 2 ** ell

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -207,6 +208,33 @@ class TestConfigAndErrors:
         assert manifest["depth"] == 1  # from file
         assert manifest["p_star"] == 1e-8  # non-default flag beats file
 
+    def test_explicit_flag_at_its_default_beats_file(self, data_csv, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("mu = 1\ndepth = 1\nseed = 7\n")
+        out = tmp_path / "out"
+        assert run(["build", "--data", data_csv, *BASE, "--out", str(out),
+                    "--config", str(cfg), "--seed", "42"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 42 and manifest["mu"] == 1
+
+    def test_file_values_take_the_option_type(self, data_csv, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("preselect = 4\nmatched = yes\n")
+        out = tmp_path / "out"
+        assert run(["mine", "--data", data_csv, *BASE, "--out", str(out),
+                    "--config", str(cfg)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["preselect"] == 4  # an int, as --preselect 4 gives
+        assert "matched" not in manifest  # not an option of `mine`: ignored
+
+    @pytest.mark.parametrize("line", ["preselect = four", "pi = 0.1.2", "matched = perhaps"])
+    def test_bad_file_value_exits_2_naming_the_key(self, data_csv, tmp_path, capsys, line):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(line + "\n")
+        assert run(["eval", "--data", data_csv, *BASE, "--out", str(tmp_path / "o"),
+                    "--config", str(cfg)]) == 2
+        assert line.split(" =")[0] + " = " in capsys.readouterr().err
+
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         assert run(["mine", "--data", str(tmp_path / "no.csv"),
                     "--label", "y", "--out", str(tmp_path / "o")]) == 2
@@ -228,7 +256,9 @@ class TestConfigAndErrors:
                     "--mu", "1", "--depth", "1"]) == 0
         model = out / "model.json"
         doc = json.loads(model.read_text())
-        doc["blocks"][0]["linear"]["in_dim"] += 3
+        W = doc["head"][0]["W"]  # the head now reads twice the block's width
+        W["data"] = base64.b64encode(base64.b64decode(W["data"]) * 2).decode("ascii")
+        W["shape"][1] *= 2
         model.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["explain", "--model", str(model), "--data", data_csv, *BASE,

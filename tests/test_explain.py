@@ -116,7 +116,7 @@ class TestExtractRules:
         net, X, y = self._net_and_data()
         records = extract_rules(net, X, y, min_support=10)
         assert records
-        bindings, names = net.blocks[0].bindings, net.blocks[0].input_names
+        bindings, names = net.blocks[0].bindings, net.feature_names
         rows = edge_rows(bindings)
         for r in records:
             assert (r.source, r.target, r.btype) == rows[r.unit][:3]
@@ -169,9 +169,7 @@ def single_path_net():
     lin = PairLinear([0], [1], [1.0], [0.5], [0.0], 2)
     bn = BatchNorm(1)
     bn.set_stats(np.zeros(1), np.ones(1) - 1e-5)  # scale exactly 1
-    blk = BirBlock(linear=lin, bn=bn, dropout=0.0,
-                   bindings=edge_table([(0, 1, "T0")]), input_names=["a", "b"],
-                   unit_names=["L0/u0:T0(a,b)"])
+    blk = BirBlock(linear=lin, bn=bn, bindings=edge_table([(0, 1, "T0")]))
     head = DenseHead([DenseLinear(np.array([[2.0], [0.0]]), np.zeros(2))])
     return BirNetwork(2, ["a", "b"], [blk], head, ["c0", "c1"])
 
@@ -244,6 +242,18 @@ class TestLrp:
                     assert [c[:3] for c in got.chain] == [c[:3] for c in want.chain], (seed, name)
                     for rg, rw in zip(got.layer_relevances, want.layer_relevances):
                         assert np.abs(rg - rw).max() <= 1e-12 * np.abs(rw).max(), (seed, name)
+
+    def test_chain_text_matches_oracle_names(self):
+        # A deeper block's rule names units of the block below, derived from
+        # the bindings; the oracle builds every block's name list in full.
+        for seed in range(5):
+            for name, net in inference_nets(seed):
+                x = np.random.default_rng(seed).normal(size=net.input_dim)
+                got, want = lrp_explain(net, x, 0), oracle_lrp_explain(net, x, 0)
+                assert [c[2] for c in got.chain] == [c[2] for c in want.chain], (seed, name)
+                assert got.to_text().splitlines()[1] == want.to_text().splitlines()[1]
+                if net.depth == 3:
+                    assert "(L0/u" in got.chain[2][2] and "L1/u" in got.chain[2][2]
 
     def test_trace_text(self):
         net = single_path_net()

@@ -1,8 +1,10 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
+from birdnet.explain import _input_name
 from birdnet.network import (
     BatchNorm,
     BirNetwork,
@@ -24,6 +26,7 @@ from helpers import (
     inference_nets,
     min_kink_gap,
     oracle_eval_forward,
+    oracle_input_names,
     random_pair_net,
 )
 
@@ -31,7 +34,7 @@ from helpers import (
 class TestBuildBirLayer:
     def test_type_aware_init_signs(self):
         spec = edge_table((0, 1, t) for t in ("T0", "T1", "T2", "T3", "T4", "T5"))
-        blk = build_bir_layer(spec, 2, seed_or_rng=0, dropout=0.0)
+        blk = build_bir_layer(spec, 2, seed_or_rng=0)
         ws, wt = blk.linear.w_src, blk.linear.w_tgt
         assert ws[0] > 0 and wt[0] > 0  # T0
         assert ws[1] < 0 and wt[1] < 0  # T1
@@ -42,10 +45,21 @@ class TestBuildBirLayer:
         assert np.array_equal(blk.linear.bias, np.zeros(6))
 
     def test_unit_names(self):
-        blk = build_bir_layer(
-            edge_table([(0, 1, "T0")]), 2, 0, input_names=["geneA", "geneB"], layer_index=1
-        )
-        assert blk.unit_names == ["L1/u0:T0(geneA,geneB)"]
+        # Names are derived from feature names plus the bindings, on demand.
+        layers = [[(0, 1, "T0"), (1, 2, "T1")], [(0, 1, "T4"), (1, 0, "T2")], [(0, 1, "T5")]]
+        blocks, d = [], 3
+        for spec in layers:
+            blocks.append(build_bir_layer(edge_table(spec), d, 0))
+            d = len(spec)
+        head = DenseHead([DenseLinear.init(1, 2, np.random.default_rng(0))])
+        net = BirNetwork(3, ["geneA", "geneB", "geneC"], blocks, head, ["c0", "c1"])
+        assert _input_name(net, 0, 2) == "geneC"
+        assert _input_name(net, 1, 0) == "L0/u0:T0(geneA,geneB)"
+        assert _input_name(net, 2, 1) == "L1/u1:T2(L0/u1:T1(geneB,geneC),L0/u0:T0(geneA,geneB))"
+        for _, net in inference_nets(3):
+            want = oracle_input_names(net)
+            for ell, names in enumerate(want):
+                assert [_input_name(net, ell, j) for j in range(len(names))] == names
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -143,23 +157,22 @@ class TestForwardModes:
     def test_eval_is_deterministic_train_has_dropout(self):
         rng = np.random.default_rng(0)
         net = random_pair_net(rng, d=5, widths=(6,), k=3)
-        for blk in net.blocks:
-            blk.dropout = 0.5
         X = rng.normal(size=(8, 5))
         a, _ = net.forward(X, mode="eval")
         b, _ = net.forward(X, mode="eval")
         assert np.array_equal(a, b)
-        t1, _ = net.forward(X, mode="train", rng=np.random.default_rng(1))
-        t2, _ = net.forward(X, mode="train", rng=np.random.default_rng(2))
+        t1, _ = net.forward(X, mode="train", rng=np.random.default_rng(1), dropout=0.5)
+        t2, _ = net.forward(X, mode="train", rng=np.random.default_rng(2), dropout=0.5)
         assert not np.array_equal(t1, t2)
+        n1, _ = net.forward(X, mode="train", rng=np.random.default_rng(1))
+        n2, _ = net.forward(X, mode="train", rng=np.random.default_rng(2))
+        assert np.array_equal(n1, n2)  # no dropout unless asked for
 
     def test_train_mode_requires_rng_with_dropout(self):
         rng = np.random.default_rng(0)
         net = random_pair_net(rng, d=5, widths=(6,), k=3)
-        for blk in net.blocks:
-            blk.dropout = 0.3
         with pytest.raises(ValueError, match="rng"):
-            net.forward(rng.normal(size=(4, 5)), mode="train")
+            net.forward(rng.normal(size=(4, 5)), mode="train", dropout=0.3)
 
     def test_train_mode_rejects_singleton_batch(self):
         rng = np.random.default_rng(0)
@@ -200,7 +213,9 @@ class TestFoldedEval:
     def test_eval_cache_holds_no_batchnorm_state(self):
         _, net = next(inference_nets(0))
         _, cache = net.forward(np.ones((3, net.input_dim)), mode="eval")
-        assert set(cache) == {"mode", "block_in", "post_bn", "head_in"}
+        assert set(cache) == {"mode", "block_in", "post_bn", "head_in", "scale"}
+        for blk, scale in zip(net.blocks, cache["scale"], strict=True):
+            assert np.array_equal(scale, blk.fold()[0])
 
     def test_batch_equals_row_by_row(self):
         for seed in range(6):
@@ -387,10 +402,17 @@ class TestSerialization:
             assert np.array_equal(b0.bn.running_mean, b1.bn.running_mean)
             assert np.array_equal(b0.bn.running_var, b1.bn.running_var)
             assert edge_rows(b0.bindings) == edge_rows(b1.bindings)
-            assert b0.unit_names == b1.unit_names
+            # the bindings are the wiring: one array, not a copy
+            assert b1.linear.src is b1.bindings.source and b1.linear.tgt is b1.bindings.target
         assert loaded.meta == net.meta
-        # names are derived from the bindings, never stored
-        assert "unit_names" not in p1.read_text() and "input_names" not in p1.read_text()
+        # names, wiring copies, widths and constants are derived, never stored
+        doc = json.loads(p1.read_text())
+        for blk in doc["blocks"]:
+            assert set(blk) == {"kind", "bindings", "bn", "linear"}
+            assert set(blk["linear"]) == {"w_src", "w_tgt", "bias"}
+            assert set(blk["bn"]) == {"gamma", "beta", "running_mean", "running_var"}
+        for key in ("unit_names", "input_names", "src", "tgt", "in_dim", "dropout", "eps", "momentum"):
+            assert f'"{key}"' not in p1.read_text()
         # byte-determinism: saving the loaded model reproduces the file
         p2 = tmp_path / "m2.json"
         save_network(loaded, str(p2))
@@ -428,6 +450,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="birdnet-model-v1.*rebuild"):
             self._reload(tmp_path, net, lambda doc: doc.update(format="birdnet-model-v1"))
 
+    def test_rejects_v2_file(self, tmp_path):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        with pytest.raises(ValueError, match="birdnet-model-v2.*rebuild"):
+            self._reload(tmp_path, net, lambda doc: doc.update(format="birdnet-model-v2"))
+
     def test_rejects_out_of_range_src(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
         net.blocks[1].linear.src[0] = 6  # layer 1 has 6 inputs
@@ -436,8 +463,29 @@ class TestSerialization:
 
     def test_rejects_width_mismatch(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
+        W = net.head.layers[0].W
+        net.head.layers[0].W = np.hstack([W, W])  # the head reads 10 inputs of 5
         with pytest.raises(ValueError, match="do not chain"):
-            self._reload(tmp_path, net, lambda doc: doc["blocks"][0]["linear"].update(in_dim=9))
+            self._reload(tmp_path, net)
+
+    @staticmethod
+    def _set_binding(doc, ell, column, value):
+        col = doc["blocks"][ell]["bindings"][column]
+        arr = np.frombuffer(base64.b64decode(col["data"]), dtype=col["dtype"]).copy()
+        arr[0] = value
+        col["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+    @pytest.mark.parametrize("matched", [False, True], ids=["pair", "dense"])
+    @pytest.mark.parametrize("column,value", [("source", 6), ("target", 6), ("source", -1),
+                                              ("btype", 6)])
+    def test_rejects_bad_binding(self, tmp_path, matched, column, value):
+        # Block 1 reads the 6 units of block 0; a matched MLP's dense blocks
+        # keep their bindings for rule text and are checked the same way.
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
+        if matched:
+            net = to_matched_mlp(net, seed=0)
+        with pytest.raises(ValueError, match="block 1: a binding has a type code >= 6 or an input outside 0..5"):
+            self._reload(tmp_path, net, lambda doc: self._set_binding(doc, 1, column, value))
 
     def test_rejects_nan_weight(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
@@ -450,19 +498,6 @@ class TestSerialization:
         net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
         with pytest.raises(ValueError, match="5 bindings for 6 units"):
             self._reload(tmp_path, net)
-
-    def test_rejects_bindings_unlike_wiring(self, tmp_path):
-        # Rule text and the LRP chain read the bindings, the forward pass
-        # reads the wiring: a file where they differ names the wrong inputs.
-        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
-        for col in ("source", "target"):
-            bad = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
-            blk = bad.blocks[1]
-            blk.bindings = blk.bindings.take(np.arange(len(blk.bindings)))  # not the wiring's arrays
-            getattr(blk.bindings, col)[0] += 1
-            with pytest.raises(ValueError, match="block 1 bindings name other inputs"):
-                self._reload(tmp_path, bad)
-        self._reload(tmp_path, net)
 
     def test_snapshot_restore(self):
         rng = np.random.default_rng(5)

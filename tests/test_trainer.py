@@ -63,20 +63,20 @@ class TestTrainConfig:
             TrainConfig(dropout=1.0)
 
 
-def _training_setup(seed=0, n=160, dropout=0.1):
+def _training_setup(seed=0, n=160):
     rng = np.random.default_rng(seed)
     X, y = planted_pair_data(rng, n=n, n_noise=4)
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     net, _ = build_birdnet(
         X[:120], [f"g{j}" for j in range(X.shape[1])], ["neg", "pos"],
-        MiningConfig(mu=1), depth=1, head_hidden=8, seed=seed, dropout=dropout,
+        MiningConfig(mu=1), depth=1, head_hidden=8, seed=seed,
     )
     return net, X[:120], y[:120], X[120:], y[120:]
 
 
 class TestTrain:
     def test_separable_synthetic_converges(self):
-        net, Xt, yt, Xv, yv = _training_setup(dropout=0.0)
+        net, Xt, yt, Xv, yv = _training_setup()
         cfg = TrainConfig(learning_rate=1e-2, epochs_max=100, batch_size=32,
                           dropout=0.0, patience=100)
         net, hist = train(net, Xt, yt, Xv, yv, cfg)
@@ -146,11 +146,18 @@ class TestTrain:
         net, hist = train(net, Xt, yt, Xv, yv, cfg)
         assert all(math.isfinite(v) for v in hist.train_loss + hist.val_loss)
 
-    def test_config_dropout_overrides_block_dropout(self):
-        net, Xt, yt, Xv, yv = _training_setup(dropout=0.9)
-        cfg = TrainConfig(epochs_max=1, batch_size=32, dropout=0.25)
-        net, _ = train(net, Xt, yt, Xv, yv, cfg)
-        assert all(blk.dropout == 0.25 for blk in net.blocks)
+    def test_config_dropout_reaches_train_forward(self):
+        net, Xt, yt, Xv, yv = _training_setup()
+        seen = []
+        forward = net.forward
+
+        def recording_forward(X, mode="eval", rng=None, dropout=0.0):
+            seen.append((mode, dropout))
+            return forward(X, mode, rng, dropout)
+
+        net.forward = recording_forward
+        train(net, Xt, yt, Xv, yv, TrainConfig(epochs_max=1, batch_size=32, dropout=0.25))
+        assert set(seen) == {("train", 0.25), ("eval", 0.0)}
 
     def test_singleton_trailing_batch_skipped(self):
         # n=33, batch 32 leaves a trailing batch of 1, which BatchNorm cannot
