@@ -379,19 +379,36 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
     return parser, parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed over the values of its --config file. A file value counts
+    as given, so it can supply a required option; a flag on the command line
+    replaces it, even a flag set to its default."""
     parser, commands = _parser_and_commands()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    command = commands.get(argv[0]) if argv else None
+    config = None
+    if command is not None:
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv[1:])[0].config
+    if config is None:
+        return parser.parse_args(argv)
+    values = _config_defaults(command, config)
+    supplied = [a for a in command._actions if a.required and a.dest in values]
+    for action in supplied:
+        action.required = False
     try:
-        if args.config:
-            # Re-parse the command's flags (argv[0] is the command) over the
-            # file's values: an option already set in the namespace takes no
-            # parser default, so only a flag on the command line replaces one.
-            command = commands[args.command]
-            file_args = argparse.Namespace(command=args.command,
-                                           **_config_defaults(command, args.config))
-            args = command.parse_args(argv[1:], file_args)
+        # An option already set in the namespace takes no parser default,
+        # so only a flag on the command line replaces a file value.
+        return command.parse_args(argv[1:], argparse.Namespace(command=argv[0], **values))
+    finally:
+        for action in supplied:
+            action.required = True
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

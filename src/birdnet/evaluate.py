@@ -19,7 +19,7 @@ from birdnet.builder import ConstructionReport, build_birdnet
 from birdnet.explain import RuleRecord, extract_rules
 from birdnet.mining import MiningConfig
 from birdnet.network import BirNetwork, active_param_count, to_matched_mlp
-from birdnet.trainer import TrainConfig, softmax, train
+from birdnet.trainer import TrainConfig, TrainHistory, softmax, train
 
 __all__ = [
     "PipelineConfig",
@@ -93,6 +93,7 @@ class FoldResult:
     accounting: dict[str, int]
     net: BirNetwork
     report: ConstructionReport
+    history: TrainHistory  # per-epoch losses, best epoch, early stop
 
 
 @dataclass
@@ -248,7 +249,7 @@ def cross_validate(
         for is_matched, sink in ((False, results), (True, matched_results)):
             if is_matched and not include_matched:
                 continue
-            net, report, _, cols, std = _fit_fold(
+            net, report, history, cols, std = _fit_fold(
                 dataset, train_rows, plan.val_mask, cfg, matched=is_matched
             )
             X_test = apply_standardizer(std, dataset.values[np.ix_(test_rows, cols)])
@@ -263,6 +264,7 @@ def cross_validate(
                     accounting=active_param_count(net),
                     net=net,
                     report=report,
+                    history=history,
                 )
             )
     return CVResult(folds=results, matched_folds=matched_results if include_matched else None)

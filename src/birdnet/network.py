@@ -8,6 +8,12 @@ Eval mode, the one inference path of predict, batch, relevance traces and
 rules, runs each block as a gather-FMA-ReLU with BatchNorm folded in
 (`BirBlock.fold`). The fold is recomputed per call, never cached: AdamW,
 `restore`, `set_stats` and in-place edits write parameters where they lie.
+
+Train mode keeps every activation row-major: a pair layer gathers its two
+input columns once per step with `take` and its backward reuses them, and
+its input gradient is one `np.bincount` scatter. Every trainable parameter
+is a view of one flat float64 buffer owned by the network (`flat_params`),
+so an optimizer step is a few whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ class PairLinear:
     """
 
     kind = "pair"
+    PARAMS = (("w_src", True), ("w_tgt", True), ("bias", False))  # (name, decayed)
 
     def __init__(self, src, tgt, w_src, w_tgt, bias, in_dim):
         self.src = np.asarray(src, dtype=np.int64)
@@ -79,9 +86,22 @@ class PairLinear:
         return self.src.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # Column-major gathers: construction sums BatchNorm's initial
+        # statistics over this z, and its layout sets their summation order.
         if x.shape[1] != self.in_dim:
             raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
         return x[:, self.src] * self.w_src + x[:, self.tgt] * self.w_tgt + self.bias
+
+    def forward_saved(self, x: np.ndarray):
+        """(z, saved): the same z from row-major gathers of each unit's two
+        inputs, and the gathers, which `backward` reuses."""
+        if x.shape[1] != self.in_dim:
+            raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
+        xs, xt = x.take(self.src, axis=1), x.take(self.tgt, axis=1)
+        z = xs * self.w_src
+        z += xt * self.w_tgt
+        z += self.bias
+        return z, (xs, xt)
 
     def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """(W x) * scale + shift, the scale folded into the two weights."""
@@ -90,16 +110,22 @@ class PairLinear:
         z += shift
         return z
 
-    def backward(self, dz: np.ndarray, x: np.ndarray):
-        grads = {
-            "w_src": (dz * x[:, self.src]).sum(axis=0),
-            "w_tgt": (dz * x[:, self.tgt]).sum(axis=0),
-            "bias": dz.sum(axis=0),
-        }
-        dxT = np.zeros((self.in_dim, x.shape[0]))
-        np.add.at(dxT, self.src, (dz * self.w_src).T)
-        np.add.at(dxT, self.tgt, (dz * self.w_tgt).T)
-        return dxT.T, grads
+    def backward(self, dz: np.ndarray, saved, input_grad: bool = True):
+        """(dx or None, grads) from `forward_saved`'s gathers. dx is one
+        scatter of all (row, unit) terms, each input's sources before its
+        targets, in unit order: the order of two `np.add.at` passes."""
+        xs, xt = saved
+        grads = {"w_src": (dz * xs).sum(axis=0), "w_tgt": (dz * xt).sum(axis=0),
+                 "bias": dz.sum(axis=0)}
+        if not input_grad:
+            return None, grads
+        m, h = dz.shape
+        terms = np.empty((m, 2 * h))
+        np.multiply(dz, self.w_src, out=terms[:, :h])
+        np.multiply(dz, self.w_tgt, out=terms[:, h:])
+        bins = np.arange(0, m * self.in_dim, self.in_dim)[:, None] + np.concatenate([self.src, self.tgt])
+        dx = np.bincount(bins.ravel(), terms.ravel(), minlength=m * self.in_dim)
+        return dx.reshape(m, self.in_dim), grads
 
     def mask(self) -> np.ndarray:
         M = np.zeros((self.out_dim, self.in_dim), dtype=bool)
@@ -107,16 +133,12 @@ class PairLinear:
         M[np.arange(self.out_dim), self.tgt] = True
         return M
 
-    def params(self):
-        yield "w_src", self.w_src, True
-        yield "w_tgt", self.w_tgt, True
-        yield "bias", self.bias, False
-
 
 class DenseLinear:
     """Plain dense linear map (matched baseline layers and the classifier head)."""
 
     kind = "dense"
+    PARAMS = (("W", True), ("b", False))
 
     def __init__(self, W, b):
         self.W = np.asarray(W, dtype=np.float64)
@@ -147,16 +169,17 @@ class DenseLinear:
         """(W x) * scale + shift, scaled on the output: no out x in folded weight."""
         return (x @ self.W.T) * scale + shift
 
-    def backward(self, dz: np.ndarray, x: np.ndarray):
-        grads = {"W": dz.T @ x, "b": dz.sum(axis=0)}
-        return dz @ self.W, grads
+    def forward_saved(self, x: np.ndarray):
+        return self.forward(x), x
 
-    def params(self):
-        yield "W", self.W, True
-        yield "b", self.b, False
+    def backward(self, dz: np.ndarray, x: np.ndarray, input_grad: bool = True):
+        grads = {"W": dz.T @ x, "b": dz.sum(axis=0)}
+        return (dz @ self.W if input_grad else None), grads
 
 
 class BatchNorm:
+    PARAMS = (("gamma", False), ("beta", False))
+
     def __init__(self, dim: int):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
@@ -166,15 +189,17 @@ class BatchNorm:
     def forward(self, z: np.ndarray, mode: str):
         if mode == "train":
             mean = z.mean(axis=0)
-            var = z.var(axis=0)  # population
+            xhat = z - mean
+            var = (xhat * xhat).sum(axis=0) / z.shape[0]  # z.var(axis=0), centred once
             self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:  # "eval": running statistics, treated as constants
-            mean = self.running_mean
+            xhat = z - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (z - mean) * inv_std
-        y = self.gamma * xhat + self.beta
+        xhat *= inv_std
+        y = self.gamma * xhat
+        y += self.beta
         return y, (xhat, inv_std, mode)
 
     def backward(self, dy: np.ndarray, cache):
@@ -182,11 +207,12 @@ class BatchNorm:
         dgamma = (dy * xhat).sum(axis=0)
         dbeta = dy.sum(axis=0)
         dxhat = dy * self.gamma
-        if mode == "train":
+        if mode == "train":  # (inv_std/m) (m dxhat - sum dxhat - xhat sum(dxhat xhat))
             m = dy.shape[0]
-            dz = (inv_std / m) * (
-                m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-            )
+            dz = m * dxhat
+            dz -= dxhat.sum(axis=0)
+            dz -= xhat * (dxhat * xhat).sum(axis=0)
+            dz *= inv_std / m
         else:
             dz = dxhat * inv_std
         return dz, {"gamma": dgamma, "beta": dbeta}
@@ -194,10 +220,6 @@ class BatchNorm:
     def set_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
         self.running_mean = np.asarray(mean, dtype=np.float64).copy()
         self.running_var = np.asarray(var, dtype=np.float64).copy()
-
-    def params(self):
-        yield "gamma", self.gamma, False
-        yield "beta", self.beta, False
 
 
 @dataclass
@@ -239,6 +261,7 @@ class BirNetwork:
             if lin.in_dim != width:
                 raise ValueError(f"layer widths do not chain: {width} feed {lin.in_dim} inputs")
             width = lin.out_dim
+        self._pack()
 
     @property
     def depth(self) -> int:
@@ -261,8 +284,10 @@ class BirNetwork:
                 dropout: float = 0.0):
         """Returns (logits, cache), a cache that backward accepts in either
         mode. Modes: 'train' (batch BN stats, `dropout` after each block's
-        ReLU), 'eval' (running stats folded into each block, deterministic;
-        the cache keeps each block's BatchNorm scale, no other BN state)."""
+        ReLU; the cache keeps what each linear map's backward reuses),
+        'eval' (running stats folded into each block, deterministic; the
+        cache keeps each block's input and BatchNorm scale, no other BN
+        state)."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         X = self.check_input(X)
@@ -270,27 +295,30 @@ class BirNetwork:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
         if mode == "train" and dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
-        cache = {"mode": mode, "block_in": [], "post_bn": [], "head_in": []}
+        cache = {"mode": mode, "post_bn": [], "head_in": []}
         if mode == "train":
-            cache.update(bn=[], drop=[], dropout=dropout)
+            cache.update(saved=[], bn=[], drop=[], dropout=dropout)
         else:
-            cache["scale"] = []
+            cache.update(block_in=[], scale=[])
         a = X
         for blk in self.blocks:
-            cache["block_in"].append(a)
             if mode == "eval":
+                cache["block_in"].append(a)
                 scale, shift = blk.fold()
                 cache["scale"].append(scale)
                 a = blk.linear.folded(a, scale, shift)
                 cache["post_bn"].append(np.maximum(a, 0.0, out=a))
                 continue
-            y, bn_cache = blk.bn.forward(blk.linear.forward(a), mode)
+            z, saved = blk.linear.forward_saved(a)
+            cache["saved"].append(saved)
+            y, bn_cache = blk.bn.forward(z, mode)
             cache["bn"].append(bn_cache)
-            a = np.maximum(y, 0.0)
+            a = np.maximum(y, 0.0, out=y)
             cache["post_bn"].append(a)  # post-ReLU, pre-dropout
             if dropout > 0.0:
                 keep = rng.random(a.shape) >= dropout
-                a = a * keep / (1.0 - dropout)
+                a = a * keep
+                a /= 1.0 - dropout
                 cache["drop"].append(keep)
             else:
                 cache["drop"].append(None)
@@ -298,49 +326,80 @@ class BirNetwork:
             cache["head_in"].append(a)
             a = lay.forward(a)
             if i < len(self.head.layers) - 1:
-                a = np.maximum(a, 0.0)
+                a = np.maximum(a, 0.0, out=a)
         return a, cache
 
     def backward(self, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact gradients of the cached forward; keys match param paths."""
+        """Exact gradients of the cached forward; keys match param paths.
+        No gradient is formed for the network input."""
         grads: dict[str, np.ndarray] = {}
         da = np.asarray(dlogits, dtype=np.float64)
         for i in reversed(range(len(self.head.layers))):
-            lay = self.head.layers[i]
             x = cache["head_in"][i]
-            da, g = lay.backward(da, x)
+            da, g = self.head.layers[i].backward(da, x, input_grad=i > 0 or bool(self.blocks))
             for name, arr in g.items():
                 grads[f"head{i}.{name}"] = arr
             if i > 0:
-                da = da * (cache["head_in"][i] > 0.0)
+                da *= x > 0.0
         for ell in reversed(range(len(self.blocks))):
             blk = self.blocks[ell]
-            x = cache["block_in"][ell]
             if cache["mode"] == "train":
-                keep, bn_cache = cache["drop"][ell], cache["bn"][ell]
+                saved, bn_cache = cache["saved"][ell], cache["bn"][ell]
+                keep = cache["drop"][ell]
             else:  # the eval cache keeps only BatchNorm's scale: recompute its cache from x
-                keep, (_, bn_cache) = None, blk.bn.forward(blk.linear.forward(x), "eval")
+                z, saved = blk.linear.forward_saved(cache["block_in"][ell])
+                keep, (_, bn_cache) = None, blk.bn.forward(z, "eval")
             if keep is not None:
-                da = da * keep / (1.0 - cache["dropout"])
-            da = da * (cache["post_bn"][ell] > 0.0)  # ReLU gate
+                da *= keep
+                da /= 1.0 - cache["dropout"]
+            da *= cache["post_bn"][ell] > 0.0  # ReLU gate
             da, g_bn = blk.bn.backward(da, bn_cache)
             for name, arr in g_bn.items():
                 grads[f"block{ell}.bn.{name}"] = arr
-            da, g_lin = blk.linear.backward(da, x)
+            da, g_lin = blk.linear.backward(da, saved, input_grad=ell > 0)
             for name, arr in g_lin.items():
                 grads[f"block{ell}.{name}"] = arr
         return grads
 
+    def _slots(self):
+        """(path, owner, attribute, weight_decay_applies) per trainable parameter."""
+        for ell, blk in enumerate(self.blocks):
+            for name, decay in blk.linear.PARAMS:
+                yield f"block{ell}.{name}", blk.linear, name, decay
+            for name, decay in blk.bn.PARAMS:
+                yield f"block{ell}.bn.{name}", blk.bn, name, decay
+        for i, lay in enumerate(self.head.layers):
+            for name, decay in lay.PARAMS:
+                yield f"head{i}.{name}", lay, name, decay
+
     def params(self):
         """Yields (path, array, weight_decay_applies)."""
-        for ell, blk in enumerate(self.blocks):
-            for name, arr, decay in blk.linear.params():
-                yield f"block{ell}.{name}", arr, decay
-            for name, arr, decay in blk.bn.params():
-                yield f"block{ell}.bn.{name}", arr, decay
-        for i, lay in enumerate(self.head.layers):
-            for name, arr, decay in lay.params():
-                yield f"head{i}.{name}", arr, decay
+        for path, owner, name, decay in self._slots():
+            yield path, getattr(owner, name), decay
+
+    def _pack(self) -> None:
+        """Copies every trainable parameter into one new flat buffer, decayed
+        parameters first, and rebinds each layer attribute to its view."""
+        slots = sorted(self._slots(), key=lambda slot: not slot[3])  # decayed first, order kept
+        arrays = [getattr(owner, name) for _, owner, name, _ in slots]
+        self._flat = np.empty(sum(arr.size for arr in arrays))
+        self._flat_paths = [path for path, *_ in slots]
+        self._n_decay = sum(arr.size for arr, slot in zip(arrays, slots) if slot[3])
+        start = 0
+        for (_, owner, name, _), arr in zip(slots, arrays):
+            view = self._flat[start : start + arr.size].reshape(arr.shape)
+            view[...] = arr
+            setattr(owner, name, view)
+            start += arr.size
+
+    def flat_params(self) -> tuple[np.ndarray, int, list[str]]:
+        """(buffer, n_decay, paths): the float64 buffer that every trainable
+        parameter is a view of, laid out in `paths` order, the first n_decay
+        entries being the weight-decayed ones. A parameter array replaced
+        since construction is copied in and rebound first."""
+        if any(arr.base is not self._flat for _, arr, _ in self.params()):
+            self._pack()
+        return self._flat, self._n_decay, self._flat_paths
 
     def snapshot(self) -> dict[str, np.ndarray]:
         state = {p: arr.copy() for p, arr, _ in self.params()}

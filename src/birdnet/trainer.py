@@ -4,6 +4,14 @@ All randomness (shuffling, dropout) comes from a single PCG64 generator
 seeded with the config seed, so a run is reproducible bit for bit on one
 thread. Masked weight positions are never stored, so they stay exactly
 zero through every optimizer step, weight decay included.
+
+A step is the network's train-mode forward and backward (row-major
+activations, each pair layer's gathers reused by its backward, no gradient
+for the network input), then AdamW on the network's flat parameter buffer:
+the moments are two buffers of the same layout, and one step is a few
+whole-buffer operations, weight decay on the decayed prefix only. The
+gradient norm for clipping is summed array by array, in backward
+order.
 """
 
 from __future__ import annotations
@@ -94,19 +102,22 @@ def train(
     learning rate over epochs_max, global gradient-norm clipping, and early
     stopping on validation loss. Returns the net restored to its best-val
     parameters and the per-epoch history."""
-    if X_train.shape[0] == 0 or X_val.shape[0] == 0:
-        raise ValueError("train and validation sets must be non-empty")
+    if X_val.shape[0] == 0:
+        raise ValueError("the validation set must be non-empty")
+    n = X_train.shape[0]
+    if n < 2:
+        raise ValueError(f"the training set has {n} rows; BatchNorm needs at least 2 rows per batch")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    params = list(net.params())
-    m_state = {p: np.zeros_like(a) for p, a, _ in params}
-    v_state = {p: np.zeros_like(a) for p, a, _ in params}
+    flat, n_decay, paths = net.flat_params()
+    m_state = np.zeros_like(flat)
+    v_state = np.zeros_like(flat)
+    decayed = flat[:n_decay]
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
     history = TrainHistory()
     best_loss = math.inf
     best_state = None
     since_best = 0
-    n = X_train.shape[0]
 
     for epoch in range(cfg.epochs_max):
         lr = cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs_max))
@@ -122,24 +133,22 @@ def train(
             loss = cross_entropy(logits, yb)
             grads = net.backward(cache, cross_entropy_grad(logits, yb))
             gnorm = _global_norm(grads)
+            g = np.concatenate([grads[path].ravel() for path in paths])
             if gnorm > cfg.clip_norm:
-                scale = cfg.clip_norm / gnorm
-                for g in grads.values():
-                    g *= scale
+                g *= cfg.clip_norm / gnorm
             t += 1
             bc1 = 1.0 - b1**t
             bc2 = 1.0 - b2**t
-            for path, arr, decay in params:
-                g = grads[path]
-                m_state[path] = b1 * m_state[path] + (1 - b1) * g
-                v_state[path] = b2 * v_state[path] + (1 - b2) * g * g
-                step = lr * (m_state[path] / bc1) / (np.sqrt(v_state[path] / bc2) + eps)
-                if decay:
-                    arr -= lr * cfg.weight_decay * arr
-                arr -= step
+            m_state *= b1
+            m_state += (1 - b1) * g
+            v_state *= b2
+            v_state += (1 - b2) * g * g
+            step = lr * (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
+            decayed -= lr * cfg.weight_decay * decayed
+            flat -= step
             epoch_loss += loss
             n_batches += 1
-        history.train_loss.append(epoch_loss / max(n_batches, 1))
+        history.train_loss.append(epoch_loss / n_batches)
 
         val_logits, _ = net.forward(X_val, mode="eval")
         vl = cross_entropy(val_logits, y_val)

@@ -21,6 +21,7 @@ from birdnet.explain import RelevanceTrace, RuleRecord, rule_text
 from birdnet.mining import EdgeTable, MiningConfig
 from birdnet.network import (
     BN_EPS,
+    BN_MOMENTUM,
     BirNetwork,
     DenseHead,
     DenseLinear,
@@ -342,6 +343,102 @@ def finite_diff_grads(net: BirNetwork, X, y, step: float = 1e-4):
             gf[idx] = (lp - lm) / (2.0 * step)
         out[path] = g
     return out
+
+
+def oracle_train_step(net: BirNetwork, xb, yb, rng, cfg, lr: float, adam: dict):
+    """One training step on `net`, in place, computed the original way (see
+    `oracle_gradients` and `oracle_adamw_step`). Returns the unclipped
+    gradients by parameter path."""
+    grads = oracle_gradients(net, xb, yb, rng, cfg.dropout)
+    oracle_adamw_step(net, grads, cfg, lr, adam)
+    return grads
+
+
+def oracle_gradients(net: BirNetwork, xb, yb, rng, dropout: float) -> dict[str, np.ndarray]:
+    """A train-mode forward and backward computed the original way:
+    column-major gathers, BatchNorm as separate mean, variance and normalize
+    passes, and input gradients scattered with `np.add.at`, block 0's too.
+    Updates the running statistics as a train forward does; dropout masks
+    come from `rng` block by block, as in the library."""
+    a = np.asarray(xb, dtype=np.float64)
+    saved = []
+    for blk in net.blocks:
+        lin, bn = blk.linear, blk.bn
+        if isinstance(lin, PairLinear):
+            z = a[:, lin.src] * lin.w_src + a[:, lin.tgt] * lin.w_tgt + lin.bias
+        else:
+            z = a @ lin.W.T + lin.b
+        mean, var = z.mean(axis=0), z.var(axis=0)
+        bn.running_mean = (1 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
+        bn.running_var = (1 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (z - mean) * inv_std
+        post = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
+        keep = None
+        if dropout > 0.0:
+            keep = rng.random(post.shape) >= dropout
+        saved.append((a, xhat, inv_std, post, keep))
+        a = post if keep is None else post * keep / (1.0 - dropout)
+    head_in = []
+    for i, lay in enumerate(net.head.layers):
+        head_in.append(a)
+        a = a @ lay.W.T + lay.b
+        if i < len(net.head.layers) - 1:
+            a = np.maximum(a, 0.0)
+    m = a.shape[0]
+    da = softmax(a)
+    da[np.arange(m), yb] -= 1.0
+    da = da / m
+    grads = {}
+    for i in reversed(range(len(net.head.layers))):
+        lay, x = net.head.layers[i], head_in[i]
+        grads[f"head{i}.W"], grads[f"head{i}.b"] = da.T @ x, da.sum(axis=0)
+        da = da @ lay.W
+        if i > 0:
+            da = da * (x > 0.0)
+    for ell in reversed(range(len(net.blocks))):
+        lin, bn = net.blocks[ell].linear, net.blocks[ell].bn
+        x, xhat, inv_std, post, keep = saved[ell]
+        if keep is not None:
+            da = da * keep / (1.0 - dropout)
+        da = da * (post > 0.0)
+        grads[f"block{ell}.bn.gamma"] = (da * xhat).sum(axis=0)
+        grads[f"block{ell}.bn.beta"] = da.sum(axis=0)
+        dxhat = da * bn.gamma
+        dz = (inv_std / m) * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        if isinstance(lin, PairLinear):
+            grads[f"block{ell}.w_src"] = (dz * x[:, lin.src]).sum(axis=0)
+            grads[f"block{ell}.w_tgt"] = (dz * x[:, lin.tgt]).sum(axis=0)
+            grads[f"block{ell}.bias"] = dz.sum(axis=0)
+            dxT = np.zeros((lin.in_dim, m))
+            np.add.at(dxT, lin.src, (dz * lin.w_src).T)
+            np.add.at(dxT, lin.tgt, (dz * lin.w_tgt).T)
+            da = dxT.T
+        else:
+            grads[f"block{ell}.W"], grads[f"block{ell}.b"] = dz.T @ x, dz.sum(axis=0)
+            da = dz @ lin.W
+    return grads
+
+
+def oracle_adamw_step(net: BirNetwork, grads: dict, cfg, lr: float, adam: dict) -> None:
+    """Global-norm clipping, then AdamW one parameter array at a time, in
+    place. `cfg` is a TrainConfig; `adam` is {"t": 0, "m": {}, "v": {}}
+    before the first step and is updated."""
+    gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    clip = cfg.clip_norm / gnorm if gnorm > cfg.clip_norm else None
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    adam["t"] += 1
+    bc1, bc2 = 1.0 - b1 ** adam["t"], 1.0 - b2 ** adam["t"]
+    for path, arr, decay in net.params():
+        g = grads[path] if clip is None else grads[path] * clip
+        m_prev = adam["m"].get(path, np.zeros_like(arr))
+        v_prev = adam["v"].get(path, np.zeros_like(arr))
+        adam["m"][path] = b1 * m_prev + (1 - b1) * g
+        adam["v"][path] = b2 * v_prev + (1 - b2) * g * g
+        step = lr * (adam["m"][path] / bc1) / (np.sqrt(adam["v"][path] / bc2) + eps)
+        if decay:
+            arr -= lr * cfg.weight_decay * arr
+        arr -= step
 
 
 def dense_weight(lin: PairLinear) -> np.ndarray:

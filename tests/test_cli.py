@@ -227,6 +227,32 @@ class TestConfigAndErrors:
         assert manifest["preselect"] == 4  # an int, as --preselect 4 gives
         assert "matched" not in manifest  # not an option of `mine`: ignored
 
+    def test_config_file_supplies_required_options(self, data_csv, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"data = {data_csv}\nlabel = diagnosis\nid-column = sample\n")
+        out = tmp_path / "out"
+        assert run(["mine", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["data"], manifest["label"]) == (data_csv, "diagnosis")
+
+    def test_required_flag_beats_file(self, data_csv, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"data = {tmp_path / 'missing.csv'}\nlabel = nope\n")
+        out = tmp_path / "out"
+        assert run(["mine", "--config", str(cfg), "--data", data_csv, *BASE,
+                    "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["data"] == data_csv
+
+    def test_required_option_missing_from_flags_and_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("label = diagnosis\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["mine", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --data" in capsys.readouterr().err
+        with pytest.raises(SystemExit):  # the file's value made --label optional for one parse only
+            run(["mine", "--data", "x.csv"])
+
     @pytest.mark.parametrize("line", ["preselect = four", "pi = 0.1.2", "matched = perhaps"])
     def test_bad_file_value_exits_2_naming_the_key(self, data_csv, tmp_path, capsys, line):
         cfg = tmp_path / "run.conf"

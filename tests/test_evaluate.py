@@ -179,6 +179,20 @@ class TestCrossValidate:
         assert "matched_mlp" in csv
         assert "ratio,matched_over_birdnet" in csv
 
+    def test_each_fold_keeps_its_training_history(self):
+        cfg = fast_config()
+        cfg.training.patience = 3
+        res = cross_validate(synthetic_dataset(), cfg, include_matched=True)
+        for f in res.folds + res.matched_folds:
+            h = f.history
+            epochs = len(h.train_loss)
+            assert len(h.val_loss) == len(h.val_acc) == epochs
+            assert h.val_loss[h.best_epoch] == min(h.val_loss)
+            if h.stopped_early:
+                assert epochs - 1 - h.best_epoch == cfg.training.patience
+            else:
+                assert epochs == cfg.training.epochs_max
+
     def test_summary_population_std(self):
         res = cross_validate(synthetic_dataset(), fast_config())
         aurocs = np.array([f.auroc for f in res.folds])

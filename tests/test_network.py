@@ -103,9 +103,10 @@ class TestPairLinear:
         lin = PairLinear([0], [1], [0.7], [-0.3], [0.1], 2)
         x = rng.normal(size=(5, 2))
         y = rng.normal(size=(5, 1))
-        z = lin.forward(x)
+        z, saved = lin.forward_saved(x)
+        assert np.array_equal(z, lin.forward(x))
         dz = 2.0 * (z - y)
-        dx, grads = lin.backward(dz, x)
+        dx, grads = lin.backward(dz, saved)
         assert np.allclose(grads["w_src"], (dz[:, 0] * x[:, 0]).sum())
         assert np.allclose(grads["w_tgt"], (dz[:, 0] * x[:, 1]).sum())
         assert np.allclose(grads["bias"], dz.sum())
@@ -116,7 +117,7 @@ class TestPairLinear:
         lin = PairLinear([0, 0], [1, 2], [1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 3)
         x = np.ones((1, 3))
         dz = np.ones((1, 2))
-        dx, _ = lin.backward(dz, x)
+        dx, _ = lin.backward(dz, lin.forward_saved(x)[1])
         assert dx[0, 0] == 3.0  # 1*1 + 1*2
 
     def test_input_width_check(self):

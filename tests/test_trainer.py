@@ -5,6 +5,7 @@ import pytest
 
 from birdnet.builder import build_birdnet
 from birdnet.mining import MiningConfig
+from birdnet.network import PairLinear, load_network, save_network, to_matched_mlp
 from birdnet.trainer import (
     TrainConfig,
     TrainHistory,
@@ -13,7 +14,14 @@ from birdnet.trainer import (
     softmax,
     train,
 )
-from helpers import dense_weight, planted_pair_data, random_pair_net
+from helpers import (
+    dense_weight,
+    oracle_adamw_step,
+    oracle_gradients,
+    oracle_train_step,
+    planted_pair_data,
+    random_pair_net,
+)
 
 
 class TestCrossEntropy:
@@ -137,6 +145,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, Xt, yt, Xv[:0], yv[:0], TrainConfig())
 
+    def test_single_training_row_rejected(self):
+        # One row makes every batch a singleton: no step could be taken.
+        net, Xt, yt, Xv, yv = _training_setup()
+        before = net.snapshot()
+        with pytest.raises(ValueError, match="BatchNorm needs at least 2 rows per batch"):
+            train(net, Xt[:1], yt[:1], Xv, yv, TrainConfig(epochs_max=2))
+        assert all(np.array_equal(before[k], v) for k, v in net.snapshot().items())
+
     def test_gradient_clipping_bounds_update(self):
         # With a tiny clip norm, one epoch cannot move any parameter by more
         # than roughly lr per step (AdamW normalizes, so check global effect
@@ -166,6 +182,133 @@ class TestTrain:
         cfg = TrainConfig(epochs_max=2, batch_size=32)
         net, hist = train(net, Xt[:33], yt[:33], Xv, yv, cfg)
         assert len(hist.train_loss) == 2
+
+
+def _step_net(kind: str):
+    net = random_pair_net(np.random.default_rng(1), d=12, widths=(9, 7), k=3,
+                          head_hidden=6 if kind == "head_hidden" else None)
+    return to_matched_mlp(net, seed=1) if kind == "matched" else net
+
+
+def _step_batch(rows: int):
+    rng = np.random.default_rng(rows)
+    return rng.normal(size=(rows, 12)), rng.integers(0, 3, rows)
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> float:
+    scale = np.abs(want).max() if scale is None else scale
+    return float(np.abs(got - want).max() / scale) if scale else float(np.abs(got).max())
+
+
+STEP_CASES = pytest.mark.parametrize("kind", ["pair", "head_hidden", "matched"])
+STEP_BATCHES = pytest.mark.parametrize("batch", [2, 17, 64])
+STEP_DROPOUTS = pytest.mark.parametrize("dropout", [0.0, 0.3])
+
+
+class TestStepOracle:
+    """The train step against `oracle_train_step`'s parts in tests/helpers.py."""
+
+    @STEP_CASES
+    @STEP_BATCHES
+    @STEP_DROPOUTS
+    def test_gradients_and_running_stats(self, kind, batch, dropout):
+        # Relative to the largest gradient entry: a pair layer's bias gradient
+        # is zero up to rounding under batch statistics, so it has no scale
+        # of its own.
+        net, ref = _step_net(kind), _step_net(kind)
+        X, y = _step_batch(batch)
+        logits, cache = net.forward(X, mode="train", rng=np.random.default_rng(5), dropout=dropout)
+        got = net.backward(cache, cross_entropy_grad(logits, y))
+        want = oracle_gradients(ref, X, y, np.random.default_rng(5), dropout)
+        assert list(got) == list(want)  # the order the global norm sums in
+        scale = max(np.abs(g).max() for g in want.values())
+        for path in want:
+            assert got[path].shape == want[path].shape
+            assert _rel_err(got[path], want[path], scale) <= 1e-12, path
+        for blk, ref_blk in zip(net.blocks, ref.blocks):
+            assert _rel_err(blk.bn.running_mean, ref_blk.bn.running_mean) <= 1e-12
+            assert _rel_err(blk.bn.running_var, ref_blk.bn.running_var) <= 1e-12
+
+    @STEP_CASES
+    @STEP_BATCHES
+    @STEP_DROPOUTS
+    def test_update(self, kind, batch, dropout):
+        # train() over exactly `batch` rows takes one step; the oracle applies
+        # AdamW per array to the same gradients, from the same shuffle and
+        # dropout draws.
+        cfg = TrainConfig(epochs_max=1, batch_size=batch, dropout=dropout, seed=7,
+                          learning_rate=1e-2, weight_decay=1e-2, clip_norm=0.05)
+        X, y = _step_batch(batch)
+        net, ref = _step_net(kind), _step_net(kind)
+        train(net, X, y, X[:3], y[:3], cfg)
+        rng = np.random.default_rng(cfg.seed)
+        rows = rng.permutation(batch)
+        logits, cache = ref.forward(X[rows], mode="train", rng=rng, dropout=dropout)
+        grads = ref.backward(cache, cross_entropy_grad(logits, y[rows]))
+        oracle_adamw_step(ref, grads, cfg, cfg.learning_rate, {"t": 0, "m": {}, "v": {}})
+        got, want = net.snapshot(), ref.snapshot()
+        for path in want:
+            assert _rel_err(got[path], want[path]) <= 1e-12, path
+
+    @STEP_CASES
+    def test_training_tracks_the_oracle_loop(self, kind):
+        # One epoch of three steps; AdamW's moments carry across them.
+        cfg = TrainConfig(epochs_max=1, batch_size=17, dropout=0.3, seed=3)
+        X, y = _step_batch(51)
+        net, ref = _step_net(kind), _step_net(kind)
+        train(net, X, y, X[:5], y[:5], cfg)
+        rng = np.random.default_rng(cfg.seed)
+        rows = rng.permutation(51)
+        adam = {"t": 0, "m": {}, "v": {}}
+        for start in range(0, 51, 17):
+            idx = rows[start : start + 17]
+            oracle_train_step(ref, X[idx], y[idx], rng, cfg, cfg.learning_rate, adam)
+        got, want = net.snapshot(), ref.snapshot()
+        assert max(np.abs(got[p] - want[p]).max() for p in want) <= 1e-8
+        for blk in net.blocks:
+            if isinstance(blk.linear, PairLinear):
+                assert np.all(blk.linear.mask().sum(axis=1) == 2)
+
+
+class TestParameterBuffer:
+    def test_references_stay_live_through_train(self):
+        net, Xt, yt, Xv, yv = _training_setup()
+        held = [arr for _, arr, _ in net.params()]
+        flat, _, paths = net.flat_params()
+        train(net, Xt, yt, Xv, yv, TrainConfig(epochs_max=3, batch_size=32))
+        assert net.flat_params()[0] is flat
+        assert paths == [p for p, _, decay in net.params() if decay] + [
+            p for p, _, decay in net.params() if not decay]
+        for before, (_, arr, _) in zip(held, net.params()):
+            assert before is arr and arr.base is flat
+
+    def test_replaced_array_is_packed_before_training(self):
+        net, Xt, yt, Xv, yv = _training_setup()
+        head = net.head.layers[-1]
+        head.W = head.W.copy()
+        flat, _, _ = net.flat_params()
+        assert head.W.base is flat
+        before = head.W.copy()
+        train(net, Xt, yt, Xv, yv, TrainConfig(epochs_max=1, batch_size=32))
+        assert not np.array_equal(head.W, before)
+
+    def test_snapshot_restore_and_reload_bit_exact_after_train(self, tmp_path):
+        net, Xt, yt, Xv, yv = _training_setup()
+        net, _ = train(net, Xt, yt, Xv, yv, TrainConfig(epochs_max=4, batch_size=32))
+        state = net.snapshot()
+        logits, _ = net.forward(Xv, mode="eval")
+        for _, arr, _ in net.params():
+            arr *= 1.5
+        net.restore(state)
+        after = net.snapshot()
+        assert all(np.array_equal(after[k], state[k]) for k in state)
+        assert all(arr.base is net.flat_params()[0] for _, arr, _ in net.params())
+        save_network(net, str(tmp_path / "m.json"))
+        loaded = load_network(str(tmp_path / "m.json"))
+        reloaded = loaded.snapshot()
+        assert reloaded.keys() == state.keys()
+        assert all(np.array_equal(reloaded[k], state[k]) for k in state)
+        assert np.array_equal(loaded.forward(Xv, mode="eval")[0], logits)
 
 
 class TestHistory:
