@@ -11,9 +11,11 @@ rules, runs each block as a gather-FMA-ReLU with BatchNorm folded in
 
 Train mode keeps every activation row-major: a pair layer gathers its two
 input columns once per step with `take` and its backward reuses them, and
-its input gradient is one `np.bincount` scatter. Every trainable parameter
-is a view of one flat float64 buffer owned by the network (`flat_params`),
-so an optimizer step is a few whole-buffer operations.
+its input gradient is one `np.bincount` scatter. Once `flat_params` is
+called (the trainer does), every trainable parameter is a view of one flat
+float64 buffer owned by the network, so an optimizer step is a few
+whole-buffer operations. A network that is only loaded and served never
+builds that buffer.
 """
 
 from __future__ import annotations
@@ -86,15 +88,11 @@ class PairLinear:
         return self.src.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # Column-major gathers: construction sums BatchNorm's initial
-        # statistics over this z, and its layout sets their summation order.
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        return x[:, self.src] * self.w_src + x[:, self.tgt] * self.w_tgt + self.bias
+        return self.forward_saved(x)[0]
 
     def forward_saved(self, x: np.ndarray):
-        """(z, saved): the same z from row-major gathers of each unit's two
-        inputs, and the gathers, which `backward` reuses."""
+        """(z, saved): z from row-major gathers of each unit's two inputs,
+        and the gathers, which `backward` reuses."""
         if x.shape[1] != self.in_dim:
             raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
         xs, xt = x.take(self.src, axis=1), x.take(self.tgt, axis=1)
@@ -261,7 +259,7 @@ class BirNetwork:
             if lin.in_dim != width:
                 raise ValueError(f"layer widths do not chain: {width} feed {lin.in_dim} inputs")
             width = lin.out_dim
-        self._pack()
+        self._flat = None  # packed by the first `flat_params` call
 
     @property
     def depth(self) -> int:
@@ -395,9 +393,10 @@ class BirNetwork:
     def flat_params(self) -> tuple[np.ndarray, int, list[str]]:
         """(buffer, n_decay, paths): the float64 buffer that every trainable
         parameter is a view of, laid out in `paths` order, the first n_decay
-        entries being the weight-decayed ones. A parameter array replaced
-        since construction is copied in and rebound first."""
-        if any(arr.base is not self._flat for _, arr, _ in self.params()):
+        entries being the weight-decayed ones. Packed on first use, and again
+        when a parameter array has been replaced since: each parameter is
+        copied in and its layer attribute rebound to its view."""
+        if self._flat is None or any(arr.base is not self._flat for _, arr, _ in self.params()):
             self._pack()
         return self._flat, self._n_decay, self._flat_paths
 

@@ -104,7 +104,6 @@ class TestPairLinear:
         x = rng.normal(size=(5, 2))
         y = rng.normal(size=(5, 1))
         z, saved = lin.forward_saved(x)
-        assert np.array_equal(z, lin.forward(x))
         dz = 2.0 * (z - y)
         dx, grads = lin.backward(dz, saved)
         assert np.allclose(grads["w_src"], (dz[:, 0] * x[:, 0]).sum())
