@@ -90,7 +90,8 @@ def build_birdnet(
         blocks.append(block)
         z = block.linear.forward(H)
         block.bn.set_stats(z.mean(axis=0), z.var(axis=0))
-        H = np.maximum(block.linear.folded(H, *block.fold()), 0.0)
+        H = block.linear.folded(H, *block.fold())
+        np.maximum(H, 0.0, out=H)
 
     k = len(class_names)
     last_width = blocks[-1].linear.out_dim if blocks else X_train.shape[1]

@@ -8,6 +8,8 @@ Eval mode, the one inference path of predict, batch, relevance traces and
 rules, runs each block as a gather-FMA-ReLU with BatchNorm folded in
 (`BirBlock.fold`). The fold is recomputed per call, never cached: AdamW,
 `restore`, `set_stats` and in-place edits write parameters where they lie.
+A pair block's one fresh large array per call is its output: rows go in
+chunks of about 256 KiB of output, each gathered straight into its slice.
 
 Train mode keeps every activation row-major: a pair layer gathers its two
 input columns once per step with `take` and its backward reuses them, and
@@ -48,6 +50,8 @@ MODEL_FORMAT = "birdnet-model-v3"
 
 BN_EPS = 1e-5  # BatchNorm variance floor
 BN_MOMENTUM = 0.1  # BatchNorm running-statistic update rate
+
+_CHUNK_BYTES = 1 << 18  # output bytes per row chunk of a pair block's eval gather
 
 # Sign of (source weight, target weight) per implication type code T0..T5.
 _TYPE_SIGNS = np.array(
@@ -102,9 +106,22 @@ class PairLinear:
         return z, (xs, xt)
 
     def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """(W x) * scale + shift, the scale folded into the two weights."""
-        z = x.take(self.src, axis=1) * (self.w_src * scale)
-        z += x.take(self.tgt, axis=1) * (self.w_tgt * scale)
+        """(W x) * scale + shift, the scale folded into the two weights.
+
+        The output is the one fresh large array: rows go in chunks of about
+        `_CHUNK_BYTES` of output, each gathered and multiplied straight into
+        its slice, so the one temporary per chunk stays in cache instead of
+        being faulted in and freed at full batch size."""
+        ws, wt = self.w_src * scale, self.w_tgt * scale
+        m, h = x.shape[0], self.out_dim
+        z = np.empty((m, h))
+        step = max(1, _CHUNK_BYTES // (8 * max(h, 1)))
+        for r in range(0, m, step):
+            xr, zr = x[r : r + step], z[r : r + step]
+            np.multiply(xr.take(self.src, axis=1), ws, out=zr)
+            t = xr.take(self.tgt, axis=1)
+            t *= wt
+            zr += t
         z += shift
         return z
 
@@ -165,7 +182,10 @@ class DenseLinear:
 
     def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """(W x) * scale + shift, scaled on the output: no out x in folded weight."""
-        return (x @ self.W.T) * scale + shift
+        z = x @ self.W.T
+        z *= scale
+        z += shift
+        return z
 
     def forward_saved(self, x: np.ndarray):
         return self.forward(x), x

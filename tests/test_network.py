@@ -6,6 +6,7 @@ import pytest
 
 from birdnet.explain import _input_name
 from birdnet.network import (
+    _CHUNK_BYTES,
     BatchNorm,
     BirNetwork,
     DenseHead,
@@ -224,6 +225,36 @@ class TestFoldedEval:
                 batch, _ = net.forward(X, mode="eval")
                 rows = np.vstack([net.forward(X[r : r + 1], mode="eval")[0] for r in range(64)])
                 assert np.abs(batch - rows).max() <= 1e-12, (seed, name)
+
+    @pytest.fixture(scope="class")
+    def wide_net(self):
+        return random_pair_net(np.random.default_rng(41), d=10, widths=(4100,), k=3)
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 64])
+    def test_row_chunks_match_one_shot(self, wide_net, m):
+        # 4100 units give 7 rows per output chunk, so these batches split
+        # at, around and far past a chunk boundary.
+        assert _CHUNK_BYTES // (8 * 4100) == 7
+        blk = wide_net.blocks[0]
+        lin = blk.linear
+        X = np.random.default_rng(m).normal(size=(m, wide_net.input_dim))
+        s, shift = blk.fold()
+        one_shot = X[:, lin.src] * (lin.w_src * s) + X[:, lin.tgt] * (lin.w_tgt * s) + shift
+        assert np.array_equal(lin.folded(X, s, shift), one_shot)
+        logits, _ = wide_net.forward(X, mode="eval")
+        assert np.abs(logits - oracle_eval_forward(wide_net, X)[0]).max(initial=0.0) <= 1e-12
+        rows = [wide_net.forward(X[r : r + 1], mode="eval")[0] for r in range(m)]
+        rows = np.vstack(rows + [np.empty((0, wide_net.n_classes))])
+        assert np.abs(logits - rows).max(initial=0.0) <= 1e-12
+
+    def test_index_written_after_construction_raises(self):
+        # The gather is bounds-checked: an index edited in after the
+        # constructor's check fails loudly instead of reading a clamped column.
+        net = random_pair_net(np.random.default_rng(5), d=6, widths=(5, 4), k=3)
+        lin = net.blocks[1].linear
+        lin.src[2] = lin.in_dim
+        with pytest.raises(IndexError):
+            net.forward(np.ones((3, 6)), mode="eval")
 
     def test_predict_follows_every_parameter_writer(self):
         # The fold is recomputed per call; a memoised fold would go stale
