@@ -41,19 +41,49 @@ class BinaryMatrix:
     d: int
 
 
-def pack_column(bools: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector into little-endian uint64 words, zero-padded."""
-    bools = np.asarray(bools, dtype=bool)
-    n = bools.shape[0]
-    W = (n + 63) // 64
-    padded = np.zeros(W * 64, dtype=np.uint8)
-    padded[:n] = bools
-    return np.packbits(padded, bitorder="little").view("<u8").copy()
+_BLOCK = 64  # columns fitted together, as one row-major (64, n) block
 
 
-def unpack_column(words: np.ndarray, n: int) -> np.ndarray:
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:n].astype(bool)
+def _fit_rows(V: np.ndarray, near_constant_frac: float) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, degenerate) per row of V, one feature's values per row; sorts V
+    in place. See `fit_threshold` and `fit_binarization` for the rules."""
+    b, n = V.shape
+    if n < 2:
+        raise ValueError("fit_threshold needs at least 2 values")
+    V.sort(axis=1)
+    cs = np.cumsum(V, axis=1)
+    s = np.arange(1.0, n)
+    # SSE(s) = sumsq - low^2/s - high^2/(n-s) on the centred values, whose
+    # sums stay small: uncentred sums cancel away the SSE when the data sit
+    # far from 0. Evaluated in place in that order, so every element takes
+    # the one-column expression's operations and rounds the same.
+    centred = V - cs[:, -1:] / n
+    cc = np.cumsum(centred, axis=1)
+    sumsq = np.array([c @ c for c in centred])  # per-row dot: the 1-D sum order
+    low, high = cc[:, :-1], cc[:, -1:] - cc[:, :-1]
+    sse = low * low
+    sse /= s
+    np.subtract(sumsq[:, None], sse, out=sse)
+    high *= high
+    high /= n - s
+    sse -= high
+    # Exact ties in SSE round either way in the prefix sums; treat splits
+    # within a tolerance of the centred sum of squares as tied, and take the
+    # first (smallest) split within it.
+    tol = 1e-12 * sumsq
+    split = np.argmax(sse <= (sse.min(axis=1) + tol)[:, None], axis=1)  # s* - 1
+    low_sum = cs[np.arange(b), split]
+    tau = (low_sum / (split + 1) + (cs[:, -1] - low_sum) / (n - split - 1)) / 2.0
+    degenerate = V[:, 0] == V[:, -1]
+    tau[degenerate] = V[degenerate, 0]
+    if near_constant_frac < 1.0:  # longest run of equal values, from each run's start
+        idx = np.arange(n)
+        starts = np.ones((b, n), dtype=bool)
+        np.not_equal(V[:, 1:], V[:, :-1], out=starts[:, 1:])
+        run_start = np.maximum.accumulate(np.where(starts, idx, 0), axis=1)
+        longest = (idx - run_start).max(axis=1) + 1
+        degenerate |= longest / n >= near_constant_frac
+    return tau, degenerate
 
 
 def fit_threshold(values: np.ndarray) -> tuple[float, bool]:
@@ -63,52 +93,24 @@ def fit_threshold(values: np.ndarray) -> tuple[float, bool]:
     at the SSE-minimizing split (ties take the smallest split). A constant
     vector is degenerate with tau equal to that value.
     """
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    n = v.shape[0]
-    if n < 2:
-        raise ValueError("fit_threshold needs at least 2 values")
-    if v[0] == v[-1]:
-        return float(v[0]), True
-    cs = np.cumsum(v)
-    s = np.arange(1, n)
-    low_sum = cs[:-1]
-    high_sum = cs[-1] - low_sum
-    # SSE(s) = sumsq - low^2/s - high^2/(n-s) on the centred values, whose
-    # sums stay small: uncentred sums cancel away the SSE when the data sit
-    # far from 0.
-    centred = v - cs[-1] / n
-    cc = np.cumsum(centred)
-    sumsq = float(centred @ centred)
-    sse = sumsq - cc[:-1] ** 2 / s - (cc[-1] - cc[:-1]) ** 2 / (n - s)
-    # Exact ties in SSE round either way in the prefix sums; treat splits
-    # within a tolerance of the centred sum of squares as tied.
-    tol = 1e-12 * sumsq
-    s_star = int(np.argmax(sse <= sse.min() + tol)) + 1  # first split within tol
-    mean_low = low_sum[s_star - 1] / s_star
-    mean_high = high_sum[s_star - 1] / (n - s_star)
-    return float((mean_low + mean_high) / 2.0), False
+    tau, degenerate = _fit_rows(np.array(values, dtype=np.float64).reshape(1, -1), 1.0)
+    return float(tau[0]), bool(degenerate[0])
 
 
 def fit_binarization(matrix: np.ndarray, near_constant_frac: float = 1.0) -> BinarizationModel:
-    """Fit per-column thresholds.
+    """Fit per-column thresholds, `_BLOCK` columns at a time.
 
     A column is degenerate when constant, or when at least `near_constant_frac`
     of its values are identical (guards zero-inflated deeper-layer activations;
     pass 1.0 to disable the near-constant rule).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    n, d = matrix.shape
+    d = matrix.shape[1]
     thresholds = np.empty(d)
-    degenerate = np.zeros(d, dtype=bool)
-    for j in range(d):
-        col = matrix[:, j]
-        tau, deg = fit_threshold(col)
-        if not deg and near_constant_frac < 1.0:
-            _, counts = np.unique(col, return_counts=True)
-            if counts.max() / n >= near_constant_frac:
-                deg = True
-        thresholds[j] = tau
-        degenerate[j] = deg
+    degenerate = np.empty(d, dtype=bool)
+    for j in range(0, d, _BLOCK):
+        rows = np.array(matrix[:, j : j + _BLOCK].T, order="C")
+        thresholds[j : j + _BLOCK], degenerate[j : j + _BLOCK] = _fit_rows(rows, near_constant_frac)
     return BinarizationModel(thresholds=thresholds, degenerate=degenerate)
 
 
@@ -124,10 +126,8 @@ def binarize(matrix: np.ndarray, model: BinarizationModel) -> BinaryMatrix:
             f"binarization model has {model.thresholds.shape[0]} features, matrix has {d}"
         )
     W = (n + 63) // 64
-    bits = np.empty((d, W), dtype=np.uint64)
-    for j in range(d):
-        if model.degenerate[j]:
-            bits[j] = 0
-        else:
-            bits[j] = pack_column(matrix[:, j] > model.thresholds[j])
+    tau = np.where(model.degenerate, np.inf, model.thresholds)  # nothing finite exceeds inf
+    bools = np.zeros((d, 64 * W), dtype=bool)  # padding bits stay 0
+    np.greater(matrix.T, tau[:, None], out=bools[:, :n])
+    bits = np.packbits(bools, axis=1, bitorder="little").view("<u8")
     return BinaryMatrix(bits=bits, n=n, d=d)

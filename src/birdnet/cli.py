@@ -21,7 +21,6 @@ import birdnet
 from birdnet.binarize import binarize, fit_binarization
 from birdnet.builder import build_birdnet
 from birdnet.dataio import (
-    apply_standardizer,
     fit_standardizer,
     load_csv,
     preselect_features,
@@ -213,8 +212,10 @@ def _pipeline_cfg(args, folds: int | None = None) -> PipelineConfig:
 
 def _preselect_and_standardize(ds, args):
     cols = preselect_features(ds, args.preselect)
-    std = fit_standardizer(ds.values[:, cols])
-    X = apply_standardizer(std, ds.values[:, cols])
+    X = ds.values[:, cols]  # one copy, standardized in place
+    std = fit_standardizer(X)
+    X -= std.means
+    X /= std.stddevs
     names = [ds.feature_names[c] for c in cols]
     return X, names, cols, std
 

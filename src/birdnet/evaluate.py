@@ -160,13 +160,6 @@ def _fold_scores(logits: np.ndarray, labels: np.ndarray) -> tuple[float, list[in
     return auroc, skipped, accuracy(logits, labels)
 
 
-def _prepare_fold(dataset: LabeledDataset, train_rows: np.ndarray, cfg: PipelineConfig):
-    """Feature selection and standardization, fitted on training rows only."""
-    cols = preselect_features(dataset.subset(train_rows), cfg.preselect_m)
-    std = fit_standardizer(dataset.values[np.ix_(train_rows, cols)])
-    return cols, std
-
-
 def attach_preprocessing(net: BirNetwork, cols, std) -> None:
     """Record the selected input columns and the fitted standardizer in the
     model's meta, so a served row can be prepared as in training."""
@@ -205,9 +198,14 @@ def _fit_fold(
     cfg: PipelineConfig,
     matched: bool,
 ):
-    cols, std = _prepare_fold(dataset, train_rows, cfg)
+    """Feature selection and standardization fitted on the training rows
+    only, then construction and training."""
+    cols = preselect_features(dataset.subset(train_rows), cfg.preselect_m)
+    X_train_full = dataset.values[np.ix_(train_rows, cols)]  # one copy, standardized in place
+    std = fit_standardizer(X_train_full)
+    X_train_full -= std.means
+    X_train_full /= std.stddevs
     names = [dataset.feature_names[c] for c in cols]
-    X_train_full = apply_standardizer(std, dataset.values[np.ix_(train_rows, cols)])
     y_train_full = dataset.labels[train_rows]
     net, report = build_birdnet(
         X_train_full,

@@ -7,11 +7,12 @@ class prevalence, with every hit count from one `active.T @ onehot(labels)`.
 
 Per-instance explanations propagate the target logit backward with an
 epsilon-stabilized relevance rule over the folded layers the eval forward
-runs, with each block's BatchNorm scale read from that forward's cache; bias
-terms absorb no relevance, so the propagated total is conserved up to the
-epsilon leakage. Dense layers propagate
-matrix-free, R_in = a * (W^T (s * R / stab(s * W a))), and pair layers
-scatter with one `np.bincount`.
+runs, with each block's BatchNorm scale read from that forward's cache. A
+block's BatchNorm shift, not a bias (blocks have none), and each head layer's
+bias absorb no relevance, so the propagated total is conserved up to the
+epsilon leakage. Dense layers propagate matrix-free,
+R_in = a * (W^T (s * R / stab(s * W a))), and pair layers scatter with one
+`np.bincount`.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ one mined implication, so the dense h x d weight view has at most 2h nonzeros
 
 Eval mode, the one inference path of predict, batch, relevance traces and
 rules, runs each block as a gather-FMA-ReLU with BatchNorm folded in
-(`BirBlock.fold`). The fold is recomputed per call, never cached: AdamW,
-`restore`, `set_stats` and in-place edits write parameters where they lie.
+(`BirBlock.fold`). A block has no bias: its BatchNorm shift is the offset,
+and in a relevance trace that shift, not a bias, absorbs no relevance. The
+fold is recomputed per call, never cached: AdamW, `restore`, `set_stats`
+and in-place edits write parameters where they lie.
 A pair block's one fresh large array per call is its output: rows go in
 chunks of about 256 KiB of output, each gathered straight into its slice.
 
@@ -46,7 +48,7 @@ __all__ = [
 
 INIT_SCALE = 0.5  # magnitude scale for type-aware init: |N(0,1)| * INIT_SCALE
 
-MODEL_FORMAT = "birdnet-model-v3"
+MODEL_FORMAT = "birdnet-model-v4"
 
 BN_EPS = 1e-5  # BatchNorm variance floor
 BN_MOMENTUM = 0.1  # BatchNorm running-statistic update rate
@@ -69,18 +71,17 @@ class PairLinear:
     """
 
     kind = "pair"
-    PARAMS = (("w_src", True), ("w_tgt", True), ("bias", False))  # (name, decayed)
+    PARAMS = (("w_src", True), ("w_tgt", True))  # (name, decayed)
 
-    def __init__(self, src, tgt, w_src, w_tgt, bias, in_dim):
+    def __init__(self, src, tgt, w_src, w_tgt, in_dim):
         self.src = np.asarray(src, dtype=np.int64)
         self.tgt = np.asarray(tgt, dtype=np.int64)
         self.w_src = np.asarray(w_src, dtype=np.float64)
         self.w_tgt = np.asarray(w_tgt, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
         self.in_dim = int(in_dim)
-        arrays = (self.src, self.tgt, self.w_src, self.w_tgt, self.bias)
+        arrays = (self.src, self.tgt, self.w_src, self.w_tgt)
         if self.src.ndim != 1 or len({a.shape for a in arrays}) != 1:
-            raise ValueError("pair layer needs 1-D src, tgt, weights and bias of one length")
+            raise ValueError("pair layer needs 1-D src, tgt and weights of one length")
         idx = np.concatenate([self.src, self.tgt])
         if np.any((idx < 0) | (idx >= self.in_dim)):
             raise ValueError(f"pair layer indexes outside input dim {self.in_dim}")
@@ -102,7 +103,6 @@ class PairLinear:
         xs, xt = x.take(self.src, axis=1), x.take(self.tgt, axis=1)
         z = xs * self.w_src
         z += xt * self.w_tgt
-        z += self.bias
         return z, (xs, xt)
 
     def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -130,8 +130,7 @@ class PairLinear:
         scatter of all (row, unit) terms, each input's sources before its
         targets, in unit order: the order of two `np.add.at` passes."""
         xs, xt = saved
-        grads = {"w_src": (dz * xs).sum(axis=0), "w_tgt": (dz * xt).sum(axis=0),
-                 "bias": dz.sum(axis=0)}
+        grads = {"w_src": (dz * xs).sum(axis=0), "w_tgt": (dz * xt).sum(axis=0)}
         if not input_grad:
             return None, grads
         m, h = dz.shape
@@ -150,22 +149,23 @@ class PairLinear:
 
 
 class DenseLinear:
-    """Plain dense linear map (matched baseline layers and the classifier head)."""
+    """Plain dense linear map: a classifier-head layer, with bias b, or a
+    matched-MLP block, with none (its BatchNorm shift is the offset)."""
 
     kind = "dense"
-    PARAMS = (("W", True), ("b", False))
 
-    def __init__(self, W, b):
+    def __init__(self, W, b=None):
         self.W = np.asarray(W, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.shape != self.W.shape[:1]:
-            raise ValueError("dense layer needs a 2-D weight and one bias per output")
+        self.b = None if b is None else np.asarray(b, dtype=np.float64)
+        if self.W.ndim != 2 or (self.b is not None and self.b.shape != self.W.shape[:1]):
+            raise ValueError("dense layer needs a 2-D weight and at most one bias per output")
+        self.PARAMS = (("W", True),) if self.b is None else (("W", True), ("b", False))
 
     @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "DenseLinear":
+    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         # Kaiming-style fan-in scaled normal.
         W = rng.standard_normal((out_dim, in_dim)) * np.sqrt(2.0 / in_dim)
-        return cls(W, np.zeros(out_dim))
+        return cls(W, np.zeros(out_dim) if bias else None)
 
     @property
     def in_dim(self) -> int:
@@ -178,7 +178,7 @@ class DenseLinear:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.in_dim:
             raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        return x @ self.W.T + self.b
+        return x @ self.W.T if self.b is None else x @ self.W.T + self.b
 
     def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """(W x) * scale + shift, scaled on the output: no out x in folded weight."""
@@ -191,7 +191,9 @@ class DenseLinear:
         return self.forward(x), x
 
     def backward(self, dz: np.ndarray, x: np.ndarray, input_grad: bool = True):
-        grads = {"W": dz.T @ x, "b": dz.sum(axis=0)}
+        grads = {"W": dz.T @ x}
+        if self.b is not None:
+            grads["b"] = dz.sum(axis=0)
         return (dz @ self.W if input_grad else None), grads
 
 
@@ -251,12 +253,11 @@ class BirBlock:
 
     def fold(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode BatchNorm folded into the linear map, from the current
-        parameters: (s, b') with BN(W x + bias) = (W x) * s + b', where
-        s = gamma / sqrt(running_var + eps), b' = (bias - running_mean) * s + beta."""
-        bn, lin = self.bn, self.linear
+        parameters: (s, shift) with BN(W x) = (W x) * s + shift, where
+        s = gamma / sqrt(running_var + eps), shift = beta - running_mean * s."""
+        bn = self.bn
         s = bn.gamma / np.sqrt(bn.running_var + BN_EPS)
-        bias = lin.bias if isinstance(lin, PairLinear) else lin.b
-        return s, (bias - bn.running_mean) * s + bn.beta
+        return s, bn.beta - bn.running_mean * s
 
 
 @dataclass
@@ -441,7 +442,7 @@ def build_bir_layer(spec: EdgeTable, d: int, seed_or_rng) -> BirBlock:
     T0/T4 start both weights positive, T1 both negative, T2/T5 positive
     source and negative target, T3 the reverse; magnitudes are |N(0,1)|
     scaled by INIT_SCALE (fan-in is always 2), drawn source then target per
-    unit. Bias 0, BN affine identity.
+    unit. BN affine identity.
     """
     h = len(spec)
     if not h:
@@ -451,13 +452,14 @@ def build_bir_layer(spec: EdgeTable, d: int, seed_or_rng) -> BirBlock:
     )
     w = _TYPE_SIGNS[spec.btype] * np.abs(rng.standard_normal((h, 2))) * INIT_SCALE
     w_src, w_tgt = w.T.copy()
-    linear = PairLinear(spec.source, spec.target, w_src, w_tgt, np.zeros(h), d)
+    linear = PairLinear(spec.source, spec.target, w_src, w_tgt, d)
     return BirBlock(linear=linear, bn=BatchNorm(h), bindings=spec)
 
 
 def active_param_count(net: BirNetwork) -> dict[str, int]:
-    """Parameter accounting: 2 masked weights + 1 bias per masked unit;
-    totals add BatchNorm affine (2 per unit) and all head parameters."""
+    """Parameter accounting: the 2 masked weights per pair unit, or a dense
+    block's whole weight; totals add BatchNorm affine (2 per unit) and all
+    head parameters."""
     width = 0
     bir_active = 0
     bn_params = 0
@@ -465,10 +467,7 @@ def active_param_count(net: BirNetwork) -> dict[str, int]:
         h = blk.linear.out_dim
         width += h
         bn_params += 2 * h
-        if isinstance(blk.linear, PairLinear):
-            bir_active += 3 * h
-        else:
-            bir_active += blk.linear.W.size + blk.linear.b.size
+        bir_active += 2 * h if isinstance(blk.linear, PairLinear) else blk.linear.W.size
     head_params = sum(lay.W.size + lay.b.size for lay in net.head.layers)
     return {
         "width": width,
@@ -483,7 +482,7 @@ def to_matched_mlp(net: BirNetwork, seed: int) -> BirNetwork:
     rng = np.random.Generator(np.random.PCG64(seed))
     blocks = []
     for blk in net.blocks:
-        lin = DenseLinear.init(blk.linear.in_dim, blk.linear.out_dim, rng)
+        lin = DenseLinear.init(blk.linear.in_dim, blk.linear.out_dim, rng, bias=False)
         blocks.append(BirBlock(linear=lin, bn=BatchNorm(lin.out_dim), bindings=blk.bindings))
     head = DenseHead(
         layers=[DenseLinear.init(lay.in_dim, lay.out_dim, rng) for lay in net.head.layers]
@@ -513,7 +512,7 @@ def _dec(obj: dict) -> np.ndarray:
     ).reshape(obj["shape"]).copy()
 
 
-_LINEAR_KEYS = {"pair": ("w_src", "w_tgt", "bias"), "dense": ("W", "b")}
+_LINEAR_KEYS = {"pair": ("w_src", "w_tgt"), "dense": ("W",)}
 _BN_KEYS = ("gamma", "beta", "running_mean", "running_var")
 
 
@@ -548,7 +547,7 @@ def load_network(path: str) -> BirNetwork:
     block's input width is the width of the layer below."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") in ("birdnet-model-v1", "birdnet-model-v2"):
+    if doc.get("format") in ("birdnet-model-v1", "birdnet-model-v2", "birdnet-model-v3"):
         raise ValueError(f"{path}: model format {doc['format']} is not read; rebuild the model")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a recognized model file")

@@ -15,7 +15,7 @@ from dataclasses import fields
 import mpmath
 import numpy as np
 
-from birdnet.binarize import BinaryMatrix, pack_column
+from birdnet.binarize import BinarizationModel, BinaryMatrix
 from birdnet.dataio import LabeledDataset
 from birdnet.explain import RelevanceTrace, RuleRecord, rule_text
 from birdnet.mining import EdgeTable, MiningConfig
@@ -55,6 +55,74 @@ def edge_rows(table: EdgeTable) -> list[Edge]:
     cols = [getattr(table, name).tolist() for name in Edge._fields]
     cols[2] = [TYPES[c] for c in cols[2]]
     return [Edge(*row) for row in zip(*cols)]
+
+
+# ---------------------------------------------------------------------------
+# Per-column binarization oracle
+# ---------------------------------------------------------------------------
+
+
+def pack_column(bools: np.ndarray) -> np.ndarray:
+    """Pack a boolean vector into little-endian uint64 words, zero-padded."""
+    bools = np.asarray(bools, dtype=bool)
+    n = bools.shape[0]
+    W = (n + 63) // 64
+    padded = np.zeros(W * 64, dtype=np.uint8)
+    padded[:n] = bools
+    return np.packbits(padded, bitorder="little").view("<u8").copy()
+
+
+def unpack_column(words: np.ndarray, n: int) -> np.ndarray:
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    return bits[:n].astype(bool)
+
+
+def oracle_fit_threshold(values) -> tuple[float, bool]:
+    """birdnet.binarize.fit_threshold one column at a time, as it was before
+    the blocked kernel."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    n = v.shape[0]
+    if n < 2:
+        raise ValueError("fit_threshold needs at least 2 values")
+    if v[0] == v[-1]:
+        return float(v[0]), True
+    cs = np.cumsum(v)
+    s = np.arange(1, n)
+    low_sum = cs[:-1]
+    high_sum = cs[-1] - low_sum
+    centred = v - cs[-1] / n
+    cc = np.cumsum(centred)
+    sumsq = float(centred @ centred)
+    sse = sumsq - cc[:-1] ** 2 / s - (cc[-1] - cc[:-1]) ** 2 / (n - s)
+    tol = 1e-12 * sumsq
+    s_star = int(np.argmax(sse <= sse.min() + tol)) + 1
+    mean_low = low_sum[s_star - 1] / s_star
+    mean_high = high_sum[s_star - 1] / (n - s_star)
+    return float((mean_low + mean_high) / 2.0), False
+
+
+def oracle_fit_binarization(matrix, near_constant_frac: float = 1.0) -> BinarizationModel:
+    """Per-column thresholds, with the near-constant rule read from
+    `np.unique` counts."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n, d = matrix.shape
+    thresholds = np.empty(d)
+    degenerate = np.zeros(d, dtype=bool)
+    for j in range(d):
+        col = matrix[:, j]
+        thresholds[j], degenerate[j] = oracle_fit_threshold(col)
+        if not degenerate[j] and near_constant_frac < 1.0:
+            _, counts = np.unique(col, return_counts=True)
+            degenerate[j] = counts.max() / n >= near_constant_frac
+    return BinarizationModel(thresholds=thresholds, degenerate=degenerate)
+
+
+def oracle_binarize(matrix, model: BinarizationModel) -> np.ndarray:
+    """The (d, W) words of `binarize`, one packed column at a time."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    cols = [np.zeros(matrix.shape[0], dtype=bool) if deg else matrix[:, j] > tau
+            for j, (tau, deg) in enumerate(zip(model.thresholds, model.degenerate))]
+    return np.stack([pack_column(c) for c in cols])
 
 
 def bmat_from_bools(B: np.ndarray) -> BinaryMatrix:
@@ -228,7 +296,8 @@ def random_pair_net(
     randomize: bool = True,
 ) -> BirNetwork:
     """A random implication-masked network with (optionally) randomized
-    biases and BatchNorm parameters, so no unit sits exactly on a ReLU kink."""
+    BatchNorm parameters and head biases, so no unit sits exactly on a ReLU
+    kink."""
     blocks = []
     in_dim = d
     for h in widths:
@@ -254,13 +323,9 @@ def random_pair_net(
 
 
 def randomize_block_state(blk, rng: np.random.Generator) -> None:
-    """Random bias and BatchNorm affine and running statistics on a block, so
-    the eval-mode fold is far from the identity."""
+    """Random BatchNorm affine and running statistics on a block, so the
+    eval-mode fold is far from the identity."""
     h = blk.linear.out_dim
-    if isinstance(blk.linear, PairLinear):
-        blk.linear.bias += rng.standard_normal(h) * 0.3
-    else:
-        blk.linear.b += rng.standard_normal(h) * 0.3
     blk.bn.gamma = rng.uniform(0.5, 1.5, h)
     blk.bn.beta = rng.standard_normal(h) * 0.3
     blk.bn.set_stats(rng.standard_normal(h) * 0.2, rng.uniform(0.5, 2.0, h))
@@ -298,9 +363,10 @@ def min_kink_gap(net: BirNetwork, X: np.ndarray) -> float:
 def min_carried_denominator(net: BirNetwork, x: np.ndarray) -> float:
     """Smallest |input-contribution sum| over units that are active on x.
 
-    A unit that is active purely through its bias/BatchNorm offset (all input
-    contributions ~0) absorbs its relevance into the bias under the epsilon
-    rule; conservation checks must filter such degenerate samples out."""
+    A unit that is active purely through its BatchNorm shift or head bias
+    (all input contributions ~0) absorbs its relevance into that offset under
+    the epsilon rule; conservation checks must filter such degenerate samples
+    out."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     _, cache = net.forward(x, mode="eval")
     worst = math.inf
@@ -365,9 +431,9 @@ def oracle_gradients(net: BirNetwork, xb, yb, rng, dropout: float) -> dict[str, 
     for blk in net.blocks:
         lin, bn = blk.linear, blk.bn
         if isinstance(lin, PairLinear):
-            z = a[:, lin.src] * lin.w_src + a[:, lin.tgt] * lin.w_tgt + lin.bias
+            z = a[:, lin.src] * lin.w_src + a[:, lin.tgt] * lin.w_tgt
         else:
-            z = a @ lin.W.T + lin.b
+            z = a @ lin.W.T
         mean, var = z.mean(axis=0), z.var(axis=0)
         bn.running_mean = (1 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
         bn.running_var = (1 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
@@ -409,13 +475,12 @@ def oracle_gradients(net: BirNetwork, xb, yb, rng, dropout: float) -> dict[str, 
         if isinstance(lin, PairLinear):
             grads[f"block{ell}.w_src"] = (dz * x[:, lin.src]).sum(axis=0)
             grads[f"block{ell}.w_tgt"] = (dz * x[:, lin.tgt]).sum(axis=0)
-            grads[f"block{ell}.bias"] = dz.sum(axis=0)
             dxT = np.zeros((lin.in_dim, m))
             np.add.at(dxT, lin.src, (dz * lin.w_src).T)
             np.add.at(dxT, lin.tgt, (dz * lin.w_tgt).T)
             da = dxT.T
         else:
-            grads[f"block{ell}.W"], grads[f"block{ell}.b"] = dz.T @ x, dz.sum(axis=0)
+            grads[f"block{ell}.W"] = dz.T @ x
             da = dz @ lin.W
     return grads
 

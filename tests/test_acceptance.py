@@ -300,7 +300,7 @@ def test_criterion_07_gradient_check():
 
 def test_criterion_08_compression_accounting():
     """A 2-layer (5000+5000) build over d=2000 reports width 10000 and
-    bir_active 30000; single-layer weight compression equals d/2 exactly."""
+    bir_active 20000; single-layer weight compression equals d/2 exactly."""
     rng = np.random.default_rng(8)
     blk0 = _structural_layer(rng, 5000, 2000)
     blk1 = _structural_layer(rng, 5000, 5000)
@@ -311,7 +311,7 @@ def test_criterion_08_compression_accounting():
     d, h = 200, 40
     single = _structural_layer(np.random.default_rng(80), h, d)
     compression = (h * d) / (2 * single.linear.out_dim)
-    ok = acc["width"] == 10000 and acc["bir_active"] == 30000 and compression == d / 2
+    ok = acc["width"] == 10000 and acc["bir_active"] == 20000 and compression == d / 2
     report(8, ok, f"(width {acc['width']}, bir_active {acc['bir_active']}, "
                   f"single-layer compression {compression:g} = d/2)")
 
@@ -362,7 +362,7 @@ def test_criterion_10_lrp_conservation():
         if abs(logits[0, target]) < 0.1:
             continue
         if min_carried_denominator(net, x) < 1e-3:
-            continue  # bias-carried unit: relevance is absorbed by the bias
+            continue  # offset-carried unit: its BatchNorm shift or head bias absorbs it
         trace = lrp_explain(net, x, target, epsilon=1e-6)
         rel = abs(trace.conservation_total - trace.target_logit) / abs(
             trace.target_logit

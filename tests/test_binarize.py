@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birdnet.binarize import (
-    binarize,
-    fit_binarization,
-    fit_threshold,
+from birdnet.binarize import binarize, fit_binarization, fit_threshold
+from helpers import (
+    oracle_binarize,
+    oracle_fit_binarization,
+    oracle_fit_threshold,
     pack_column,
     unpack_column,
 )
@@ -184,3 +185,70 @@ class TestBinarize:
         text = model.to_text(["const", "step"])
         assert "const\tDEGENERATE" in text
         assert "step\t1.0" in text
+
+
+def _mixed_matrix(rng, n, d):
+    """n x d columns cycling through what the blocked kernel must fit like
+    the per-column oracle: normal values, small integers (SSE ties), values
+    far from 0, constant columns, and one value on every row but the first."""
+    X = rng.normal(size=(n, d))
+    X[:, 1::5] = rng.integers(-3, 4, size=(n, len(range(1, d, 5))))
+    X[:, 2::5] = X[:, 2::5] * 1e-3 + 1e8
+    X[:, 3::5] = X[0, 3::5]
+    X[1:, 4::5] = 7.0
+    return X
+
+
+class TestBlockedKernel:
+    """fit_binarization and binarize, 64 columns at a time, against the
+    per-column oracle in tests/helpers.py: bit-identical thresholds and words."""
+
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n", [2, 63, 64, 65])
+    def test_matches_per_column_oracle(self, n, d):
+        X = _mixed_matrix(np.random.default_rng(100 * n + d), n, d)
+        before = X.copy()
+        for frac in (1.0, 0.6):
+            model = fit_binarization(X, near_constant_frac=frac)
+            want = oracle_fit_binarization(X, near_constant_frac=frac)
+            assert np.array_equal(model.thresholds, want.thresholds)
+            assert np.array_equal(model.degenerate, want.degenerate)
+            bm = binarize(X, model)
+            assert bm.bits.dtype == np.uint64 and bm.bits.shape == (d, (n + 63) // 64)
+            assert np.array_equal(bm.bits, oracle_binarize(X, model))
+            if n % 64:  # padding bits past row n are zero
+                assert not np.any(bm.bits[:, -1] >> np.uint64(n % 64))
+        assert np.array_equal(X, before)  # the fit sorts copies, never its input
+        for j in range(d):
+            assert fit_threshold(X[:, j]) == oracle_fit_threshold(X[:, j])
+
+    def test_constant_columns(self):
+        X = np.tile(np.array([[3.25, -1e8, 0.0]]), (70, 1))
+        model = fit_binarization(X)
+        assert model.degenerate.all() and model.thresholds.tolist() == [3.25, -1e8, 0.0]
+        assert not binarize(X, model).bits.any()
+
+    def test_near_constant_boundary(self):
+        # 200 rows: 198 equal values are exactly the 0.99 boundary, 197 fall
+        # short; the run sits at the low end, at the top and in the middle.
+        X = np.tile(np.arange(200.0)[:, None], (1, 6))
+        X[:198, 0], X[2:, 1], X[1:199, 2] = -1.0, 500.0, 50.0
+        X[:197, 3], X[3:, 4], X[1:198, 5] = -1.0, 500.0, 50.0
+        model = fit_binarization(X, near_constant_frac=0.99)
+        assert model.degenerate.tolist() == [True, True, True, False, False, False]
+        want = oracle_fit_binarization(X, near_constant_frac=0.99)
+        assert np.array_equal(model.degenerate, want.degenerate)
+        assert np.array_equal(model.thresholds, want.thresholds)
+
+    def test_sse_ties_and_values_far_from_zero(self):
+        # Both columns' two best splits tie exactly. In the second the prefix
+        # sums round the later split below the earlier; the tolerance still
+        # takes the smaller split.
+        X = np.column_stack([[0.0, -1.0, 3.0, -4.0], [-7.1, -4.7, -1.5, -3.9]])
+        for Y in (X, X + 1e8):
+            assert np.array_equal(fit_binarization(Y).thresholds,
+                                  oracle_fit_binarization(Y).thresholds)
+        assert fit_binarization(X).thresholds.tolist() == pytest.approx(
+            [-5.0 / 3.0, (-7.1 - 10.1 / 3.0) / 2.0], abs=1e-12)
+        far = np.array([0.0, 3.0, 5.0, -5.0, -4.0, 4.0]) + 1e8
+        assert fit_binarization(far[:, None]).thresholds[0] == 1e8 - 0.75

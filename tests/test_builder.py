@@ -145,9 +145,9 @@ class TestBuildBirdnet:
         h = net.blocks[0].linear.out_dim
         acc = active_param_count(net)
         assert acc["width"] == h
-        assert acc["bir_active"] == 3 * h
+        assert acc["bir_active"] == 2 * h
         head = (h * 8 + 8) + (8 * 2 + 2)
-        assert acc["total_active"] == 3 * h + 2 * h + head
+        assert acc["total_active"] == 2 * h + 2 * h + head
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

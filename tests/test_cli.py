@@ -291,6 +291,17 @@ class TestConfigAndErrors:
                     "--instance", "0", "--out", str(tmp_path / "e")]) == 2
         assert "do not chain" in capsys.readouterr().err
 
+    def test_explain_v3_model_exits_2(self, data_csv, built_model, tmp_path, capsys):
+        with open(built_model, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["format"] = "birdnet-model-v3"
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["explain", "--model", str(old), "--data", data_csv, *BASE,
+                    "--instance", "0", "--out", str(tmp_path / "e")]) == 2
+        assert "rebuild the model" in capsys.readouterr().err
+
     def test_explain_instance_past_last_row_exits_2(self, data_csv, built_model, tmp_path, capsys):
         capsys.readouterr()
         assert run(["explain", "--model", built_model, "--data", data_csv, *BASE,

@@ -163,7 +163,7 @@ class TestCrossValidate:
         assert 0.0 <= s["acc_mean"] <= 1.0
         for f in res.folds:
             assert f.accounting["width"] >= 1
-            assert f.accounting["bir_active"] == 3 * f.accounting["width"]
+            assert f.accounting["bir_active"] == 2 * f.accounting["width"]
 
     def test_deterministic_csv(self):
         a = cross_validate(synthetic_dataset(), fast_config()).to_csv()

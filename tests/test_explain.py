@@ -166,7 +166,7 @@ class TestExtractRules:
 def single_path_net():
     """One unit, one head weight: relevance has a single path, so layer-0
     relevance equals the logit contribution exactly (up to epsilon)."""
-    lin = PairLinear([0], [1], [1.0], [0.5], [0.0], 2)
+    lin = PairLinear([0], [1], [1.0], [0.5], 2)
     bn = BatchNorm(1)
     bn.set_stats(np.zeros(1), np.ones(1) - 1e-5)  # scale exactly 1
     blk = BirBlock(linear=lin, bn=bn, bindings=edge_table([(0, 1, "T0")]))
@@ -202,8 +202,8 @@ class TestLrp:
             target = int(np.argmax(np.abs(logits[0])))
             if abs(logits[0, target]) < 0.1:
                 continue
-            # Units active purely through bias/BN offsets absorb relevance
-            # into the bias; conservation only holds for input-carried units.
+            # Units active purely through their BatchNorm shift absorb
+            # relevance into it; conservation only holds for input-carried units.
             if min_carried_denominator(net, x) < 1e-3:
                 continue
             trace = lrp_explain(net, x, target)

@@ -16,7 +16,6 @@ from birdnet.mining import (
     read_graph_tsv,
 )
 from birdnet.mining import test_pair as pair_tests
-from birdnet.binarize import pack_column
 from helpers import (
     assert_edges_match,
     bmat_from_bools,
@@ -25,6 +24,7 @@ from helpers import (
     mp_log_lower_tail,
     mp_log_lower_tail_curve,
     naive_mine,
+    pack_column,
 )
 
 

@@ -43,7 +43,6 @@ class TestBuildBirLayer:
         assert ws[3] < 0 and wt[3] > 0  # T3
         assert ws[4] > 0 and wt[4] > 0  # T4
         assert ws[5] > 0 and wt[5] < 0  # T5
-        assert np.array_equal(blk.linear.bias, np.zeros(6))
 
     def test_unit_names(self):
         # Names are derived from feature names plus the bindings, on demand.
@@ -77,14 +76,14 @@ class TestBuildBirLayer:
 
 class TestPairLinear:
     def test_forward_hand_example(self):
-        # Single unit, weights (1, 1) on features (0, 1), bias 0,
+        # Single unit, weights (1, 1) on features (0, 1),
         # input (2, 3) -> pre-activation 5.
-        lin = PairLinear([0], [1], [1.0], [1.0], [0.0], in_dim=2)
+        lin = PairLinear([0], [1], [1.0], [1.0], in_dim=2)
         z = lin.forward(np.array([[2.0, 3.0]]))
         assert z.tolist() == [[5.0]]
 
     def test_mask_and_dense_weight(self):
-        lin = PairLinear([0, 2], [1, 0], [1.5, -2.0], [0.5, 3.0], [0.0, 0.0], 4)
+        lin = PairLinear([0, 2], [1, 0], [1.5, -2.0], [0.5, 3.0], 4)
         W = dense_weight(lin)
         assert W.shape == (2, 4)
         assert W[0].tolist() == [1.5, 0.5, 0.0, 0.0]
@@ -94,14 +93,14 @@ class TestPairLinear:
         assert np.all(W[~M] == 0.0)
 
     def test_active_weight_fraction_is_two_over_d(self):
-        lin = PairLinear([0], [1], [1.0], [1.0], [0.0], in_dim=500)
+        lin = PairLinear([0], [1], [1.0], [1.0], in_dim=500)
         assert lin.mask().mean() == 2.0 / 500
 
     def test_backward_matches_squared_loss_closed_form(self):
-        # Single unit z = w_s x_s + w_t x_t + b; L = (z - y)^2 means
-        # dL/dw = 2 (z - y) x, dL/db = 2 (z - y).
+        # Single unit z = w_s x_s + w_t x_t; L = (z - y)^2 means
+        # dL/dw = 2 (z - y) x.
         rng = np.random.default_rng(0)
-        lin = PairLinear([0], [1], [0.7], [-0.3], [0.1], 2)
+        lin = PairLinear([0], [1], [0.7], [-0.3], 2)
         x = rng.normal(size=(5, 2))
         y = rng.normal(size=(5, 1))
         z, saved = lin.forward_saved(x)
@@ -109,19 +108,19 @@ class TestPairLinear:
         dx, grads = lin.backward(dz, saved)
         assert np.allclose(grads["w_src"], (dz[:, 0] * x[:, 0]).sum())
         assert np.allclose(grads["w_tgt"], (dz[:, 0] * x[:, 1]).sum())
-        assert np.allclose(grads["bias"], dz.sum())
+        assert set(grads) == {"w_src", "w_tgt"}
         assert np.allclose(dx, dz * np.array([0.7, -0.3]))
 
     def test_backward_accumulates_shared_inputs(self):
         # Two units both reading feature 0: dx[0] sums both paths.
-        lin = PairLinear([0, 0], [1, 2], [1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 3)
+        lin = PairLinear([0, 0], [1, 2], [1.0, 2.0], [1.0, 1.0], 3)
         x = np.ones((1, 3))
         dz = np.ones((1, 2))
         dx, _ = lin.backward(dz, lin.forward_saved(x)[1])
         assert dx[0, 0] == 3.0  # 1*1 + 1*2
 
     def test_input_width_check(self):
-        lin = PairLinear([0], [1], [1.0], [1.0], [0.0], 2)
+        lin = PairLinear([0], [1], [1.0], [1.0], 2)
         with pytest.raises(ValueError):
             lin.forward(np.ones((1, 3)))
 
@@ -391,7 +390,7 @@ class TestAccounting:
                          [f"c{i}" for i in range(8)])
         acc = active_param_count(net)
         assert acc["width"] == 10000
-        assert acc["bir_active"] == 30000
+        assert acc["bir_active"] == 20000
         # layer sparsity: active fraction is exactly 2/d
         assert blk0.linear.mask().mean() == 0.001
 
@@ -409,7 +408,7 @@ class TestAccounting:
         matched = to_matched_mlp(net, seed=0)
         acc = active_param_count(matched)
         assert acc["width"] == 8
-        assert acc["bir_active"] == 8 * 10 + 8
+        assert acc["bir_active"] == 8 * 10
         assert matched.meta.get("matched_mlp") is True
         # architecture preserved
         assert matched.blocks[0].linear.out_dim == 8
@@ -440,7 +439,7 @@ class TestSerialization:
         doc = json.loads(p1.read_text())
         for blk in doc["blocks"]:
             assert set(blk) == {"kind", "bindings", "bn", "linear"}
-            assert set(blk["linear"]) == {"w_src", "w_tgt", "bias"}
+            assert set(blk["linear"]) == {"w_src", "w_tgt"}
             assert set(blk["bn"]) == {"gamma", "beta", "running_mean", "running_var"}
         for key in ("unit_names", "input_names", "src", "tgt", "in_dim", "dropout", "eps", "momentum"):
             assert f'"{key}"' not in p1.read_text()
@@ -485,6 +484,27 @@ class TestSerialization:
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
         with pytest.raises(ValueError, match="birdnet-model-v2.*rebuild"):
             self._reload(tmp_path, net, lambda doc: doc.update(format="birdnet-model-v2"))
+
+    def test_rejects_v3_file(self, tmp_path):
+        # v3 stored a pre-BatchNorm bias per pair unit and per dense block output.
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        with pytest.raises(ValueError, match="birdnet-model-v3.*rebuild"):
+            self._reload(tmp_path, net, lambda doc: doc.update(format="birdnet-model-v3"))
+
+    def test_dense_block_stores_only_its_weight(self, tmp_path):
+        net = to_matched_mlp(random_pair_net(np.random.default_rng(7), d=7, widths=(6, 5), k=3,
+                                             head_hidden=4), seed=0)
+        p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        save_network(net, str(p1))
+        doc = json.loads(p1.read_text())
+        assert doc["format"] == "birdnet-model-v4"
+        assert all(set(blk["linear"]) == {"W"} for blk in doc["blocks"])
+        assert all(set(lay) == {"W", "b"} for lay in doc["head"])
+        loaded = load_network(str(p1))
+        assert [p for p, _, _ in loaded.params()] == [p for p, _, _ in net.params()]
+        assert active_param_count(loaded)["bir_active"] == 6 * 7 + 5 * 6
+        save_network(loaded, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_out_of_range_src(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)

@@ -5,7 +5,13 @@ import pytest
 
 from birdnet.builder import build_birdnet
 from birdnet.mining import MiningConfig
-from birdnet.network import PairLinear, load_network, save_network, to_matched_mlp
+from birdnet.network import (
+    PairLinear,
+    active_param_count,
+    load_network,
+    save_network,
+    to_matched_mlp,
+)
 from birdnet.trainer import (
     TrainConfig,
     TrainHistory,
@@ -194,8 +200,8 @@ def _step_batch(rows: int):
     return rng.normal(size=(rows, 12)), rng.integers(0, 3, rows)
 
 
-def _rel_err(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> float:
-    scale = np.abs(want).max() if scale is None else scale
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    scale = np.abs(want).max()
     return float(np.abs(got - want).max() / scale) if scale else float(np.abs(got).max())
 
 
@@ -204,15 +210,9 @@ STEP_BATCHES = pytest.mark.parametrize("batch", [2, 17, 64])
 STEP_DROPOUTS = pytest.mark.parametrize("dropout", [0.0, 0.3])
 
 
-def _is_pair_bias(path: str) -> bool:
-    return path.endswith(".bias")  # dense layers call their bias "b"
-
-
 class TestStepOracle:
     """The train step against `oracle_train_step` and its parts in
-    tests/helpers.py, every array within 1e-12 relative, except a pair
-    layer's bias: it feeds straight into batch-statistics BatchNorm, so its
-    gradient is zero up to rounding and has no scale of its own."""
+    tests/helpers.py, every array within 1e-12 relative."""
 
     @STEP_CASES
     @STEP_BATCHES
@@ -224,11 +224,9 @@ class TestStepOracle:
         got = net.backward(cache, cross_entropy_grad(logits, y))
         want = oracle_gradients(ref, X, y, np.random.default_rng(5), dropout)
         assert list(got) == list(want)  # the order the global norm sums in
-        largest = max(np.abs(g).max() for g in want.values())
         for path in want:
             assert got[path].shape == want[path].shape
-            scale = largest if _is_pair_bias(path) else None
-            assert _rel_err(got[path], want[path], scale) <= 1e-12, path
+            assert _rel_err(got[path], want[path]) <= 1e-12, path
         for blk, ref_blk in zip(net.blocks, ref.blocks):
             assert _rel_err(blk.bn.running_mean, ref_blk.bn.running_mean) <= 1e-12
             assert _rel_err(blk.bn.running_var, ref_blk.bn.running_var) <= 1e-12
@@ -242,26 +240,15 @@ class TestStepOracle:
         cfg = TrainConfig(epochs_max=1, batch_size=batch, dropout=dropout, seed=7,
                           learning_rate=1e-2, weight_decay=1e-2, clip_norm=0.05)
         X, y = _step_batch(batch)
-        net, ref, lib = _step_net(kind), _step_net(kind), _step_net(kind)
+        net, ref = _step_net(kind), _step_net(kind)
         train(net, X, y, X[:3], y[:3], cfg)
         rng = np.random.default_rng(cfg.seed)
         rows = rng.permutation(batch)
-        want_g = oracle_train_step(ref, X[rows], y[rows], rng, cfg, cfg.learning_rate,
-                                   {"t": 0, "m": {}, "v": {}})
-        rng = np.random.default_rng(cfg.seed)
-        rows = rng.permutation(batch)
-        logits, cache = lib.forward(X[rows], mode="train", rng=rng, dropout=dropout)
-        got_g = lib.backward(cache, cross_entropy_grad(logits, y[rows]))
+        oracle_train_step(ref, X[rows], y[rows], rng, cfg, cfg.learning_rate,
+                          {"t": 0, "m": {}, "v": {}})
         got, want = net.snapshot(), ref.snapshot()
         for path in want:
-            if _is_pair_bias(path):
-                # AdamW's step lr*g/(|g|+eps) changes by at most lr/eps per
-                # unit of g, so the two biases differ by no more than that
-                # times their (rounding-noise) gradients' difference.
-                bound = cfg.learning_rate / 1e-8 * np.abs(got_g[path] - want_g[path]) + 1e-15
-                assert np.all(np.abs(got[path] - want[path]) <= bound), path
-            else:
-                assert _rel_err(got[path], want[path]) <= 1e-12, path
+            assert _rel_err(got[path], want[path]) <= 1e-12, path
 
     @STEP_CASES
     def test_training_tracks_the_oracle_loop(self, kind):
@@ -330,6 +317,9 @@ class TestParameterBuffer:
         loaded = load_network(str(tmp_path / "m.json"))
         reloaded = loaded.snapshot()
         assert reloaded.keys() == state.keys()
+        for trained in (net, loaded):  # two active weights per unit, nothing else
+            acc = active_param_count(trained)
+            assert acc["bir_active"] == 2 * acc["width"]
         assert all(np.array_equal(reloaded[k], state[k]) for k in state)
         assert np.array_equal(loaded.forward(Xv, mode="eval")[0], logits)
 
