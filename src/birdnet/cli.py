@@ -4,7 +4,9 @@ export-graph | matched-mlp.
 Every command writes its artifacts into --out along with a manifest.json
 recording the effective configuration, so any run can be reproduced from
 its output directory alone. Values may come from a key=value config file
-(--config); command-line flags override the file.
+(--config); command-line flags override the file. An option that sets a
+field of MiningConfig, TrainConfig or PipelineConfig defaults to that field's
+default, and every command fits through evaluate.fit_on_rows.
 """
 
 from __future__ import annotations
@@ -14,23 +16,18 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 import birdnet
 from birdnet.binarize import binarize, fit_binarization
-from birdnet.builder import build_birdnet
-from birdnet.dataio import (
-    fit_standardizer,
-    load_csv,
-    preselect_features,
-    stratified_holdout,
-)
+from birdnet.dataio import load_csv
 from birdnet.evaluate import (
     PipelineConfig,
     apply_preprocessing,
-    attach_preprocessing,
     cross_validate,
+    fit_on_rows,
     holdout_rules_run,
 )
 from birdnet.explain import lrp_explain, rules_to_csv
@@ -41,8 +38,8 @@ from birdnet.mining import (
     mine_birs,
     read_graph_tsv,
 )
-from birdnet.network import load_network, save_network, to_matched_mlp
-from birdnet.trainer import TrainConfig, train
+from birdnet.network import load_network, save_network
+from birdnet.trainer import TrainConfig
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -62,7 +59,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
 
 
 def _add_data(p: argparse.ArgumentParser) -> None:
@@ -70,28 +67,22 @@ def _add_data(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label", required=True, help="label column name")
     p.add_argument("--id-column", default=None)
     p.add_argument("--drop-columns", default="", help="comma-separated columns to ignore")
-    p.add_argument("--preselect", type=int, default=None,
+    p.add_argument("--preselect", type=int, default=PipelineConfig.preselect_m,
                    help="ANOVA F preselection count (default: 2000 when d > 2000)")
 
 
+def _add_fields(p: argparse.ArgumentParser, cls) -> None:
+    """One option per field of a config dataclass, with its default and type;
+    --seed is common to every command."""
+    for f in fields(cls):
+        if f.name != "seed":
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+
+
 def _add_mining(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-star", type=float, default=1e-6)
-    p.add_argument("--pi", type=float, default=0.05)
-    p.add_argument("--h-max", type=int, default=5000)
-    p.add_argument("--mu", type=int, default=10)
-    p.add_argument("--min-support", type=int, default=5)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--head-hidden", type=int, default=32)
-
-
-def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--epochs-max", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--clip-norm", type=float, default=1.0)
-    p.add_argument("--dropout", type=float, default=0.3)
+    _add_fields(p, MiningConfig)
+    p.add_argument("--depth", type=int, default=PipelineConfig.depth)
+    p.add_argument("--head-hidden", type=int, default=PipelineConfig.head_hidden)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,21 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="build and train on the full dataset "
                        "(15%% stratified early-stop holdout)")
-    _add_common(p); _add_data(p); _add_mining(p); _add_training(p)
+    _add_common(p); _add_data(p); _add_mining(p); _add_fields(p, TrainConfig)
 
     p = sub.add_parser("eval", help="stratified cross-validated evaluation")
-    _add_common(p); _add_data(p); _add_mining(p); _add_training(p)
-    p.add_argument("--cv", type=int, default=5, help="number of folds")
+    _add_common(p); _add_data(p); _add_mining(p); _add_fields(p, TrainConfig)
+    p.add_argument("--cv", type=int, default=PipelineConfig.folds, help="number of folds")
     p.add_argument("--matched", action="store_true", help="also run the dense MatchedMLP")
 
     p = sub.add_parser("matched-mlp", help="cross-validate the dense matched baseline")
-    _add_common(p); _add_data(p); _add_mining(p); _add_training(p)
-    p.add_argument("--cv", type=int, default=5)
+    _add_common(p); _add_data(p); _add_mining(p); _add_fields(p, TrainConfig)
+    p.add_argument("--cv", type=int, default=PipelineConfig.folds)
 
     p = sub.add_parser("rules", help="train on an 80/20 split and extract held-out rules")
-    _add_common(p); _add_data(p); _add_mining(p); _add_training(p)
+    _add_common(p); _add_data(p); _add_mining(p); _add_fields(p, TrainConfig)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--rule-min-support", type=int, default=10)
+    p.add_argument("--rule-min-support", type=int, default=PipelineConfig.rule_min_support)
 
     p = sub.add_parser("explain", help="per-instance relevance trace")
     _add_common(p)
@@ -181,113 +172,69 @@ def _load_dataset(args):
     return ds
 
 
-def _mining_cfg(args) -> MiningConfig:
-    return MiningConfig(
-        p_star=args.p_star, pi=args.pi, h_max=args.h_max, mu=args.mu,
-        min_support=args.min_support,
-    )
+# Options whose dest differs from the PipelineConfig field they set.
+_FIELD_OF = {"cv": "folds", "preselect": "preselect_m"}
 
 
-def _train_cfg(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.learning_rate, weight_decay=args.weight_decay,
-        epochs_max=args.epochs_max, batch_size=args.batch_size,
-        patience=args.patience, clip_norm=args.clip_norm,
-        dropout=args.dropout, seed=args.seed,
-    )
+def _config(cls, args, **given):
+    """A cls whose fields take the values of the options that set them."""
+    names = {f.name for f in fields(cls)}
+    values = {_FIELD_OF.get(k, k): v for k, v in vars(args).items()}
+    return cls(**{k: v for k, v in values.items() if k in names}, **given)
 
 
-def _pipeline_cfg(args, folds: int | None = None) -> PipelineConfig:
-    return PipelineConfig(
-        mining=_mining_cfg(args),
-        training=_train_cfg(args),
-        folds=folds if folds is not None else getattr(args, "cv", 5),
-        preselect_m=args.preselect,
-        depth=args.depth,
-        head_hidden=args.head_hidden,
-        seed=args.seed,
-        rule_min_support=getattr(args, "rule_min_support", 10),
-    )
+def _pipeline_cfg(args) -> PipelineConfig:
+    return _config(PipelineConfig, args, mining=_config(MiningConfig, args),
+                   training=_config(TrainConfig, args))
 
 
-def _preselect_and_standardize(ds, args):
-    cols = preselect_features(ds, args.preselect)
-    X = ds.values[:, cols]  # one copy, standardized in place
-    std = fit_standardizer(X)
-    X -= std.means
-    X /= std.stddevs
-    names = [ds.feature_names[c] for c in cols]
-    return X, names, cols, std
+def _write(args, name: str, text: str) -> None:
+    with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_mine(args) -> int:
     ds = _load_dataset(args)
-    X, names, _, _ = _preselect_and_standardize(ds, args)
-    model = fit_binarization(X)
-    bmat = binarize(X, model)
-    graph = mine_birs(bmat, _mining_cfg(args), feature_names=names)
+    cfg = _pipeline_cfg(args)
+    fit = fit_on_rows(ds, cfg, until="standardize")
+    model = fit_binarization(fit.X)
+    graph = mine_birs(binarize(fit.X, model), cfg.mining, feature_names=fit.names)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "edges.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(graph_to_tsv(graph))
-    with open(os.path.join(args.out, "thresholds.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(model.to_text(names))
+    _write(args, "edges.tsv", graph_to_tsv(graph))
+    _write(args, "thresholds.tsv", model.to_text(fit.names))
     export_graph(graph, os.path.join(args.out, "graph.dot"))
     _manifest(args, args.out)
-    print(f"mined {len(graph.edges)} edges over {len(names)} features -> {args.out}")
+    print(f"mined {len(graph.edges)} edges over {len(fit.names)} features -> {args.out}")
     return 0
 
 
-def cmd_build(args) -> int:
-    ds = _load_dataset(args)
-    X, names, cols, std = _preselect_and_standardize(ds, args)
-    net, report = build_birdnet(
-        X, names, ds.class_names, _mining_cfg(args), depth=args.depth,
-        head_hidden=args.head_hidden, seed=args.seed,
-    )
-    net.meta["trained"] = False
-    attach_preprocessing(net, cols, std)
+def cmd_fit(args) -> int:
+    """`build`, and `train`: the fit of `rules` on every row, trained with
+    the same stratified early-stop holdout."""
+    trained = args.command == "train"
+    fit = fit_on_rows(_load_dataset(args), _pipeline_cfg(args),
+                      until="train" if trained else "build")
+    net = fit.nets[0]
     os.makedirs(args.out, exist_ok=True)
     save_network(net, os.path.join(args.out, "model.json"))
-    with open(os.path.join(args.out, "construction.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
+    _write(args, "construction.txt", fit.report.to_text())
+    if trained:
+        history = fit.histories[0]
+        _write(args, "history.csv", history.to_csv())
+        done = f"trained for {len(history.train_loss)} epochs (best epoch {history.best_epoch})"
+    else:
+        done = f"built depth-{net.depth} network, widths {[b.linear.out_dim for b in net.blocks]}"
     _manifest(args, args.out)
-    print(f"built depth-{net.depth} network, widths "
-          f"{[b.linear.out_dim for b in net.blocks]} -> {args.out}")
+    print(f"{done} -> {args.out}")
     return 0
 
 
-def cmd_train(args) -> int:
-    ds = _load_dataset(args)
-    X, names, cols, std = _preselect_and_standardize(ds, args)
-    net, report = build_birdnet(
-        X, names, ds.class_names, _mining_cfg(args), depth=args.depth,
-        head_hidden=args.head_hidden, seed=args.seed,
-    )
-    val = stratified_holdout(ds.labels, 0.15, args.seed + 1)
-    net, history = train(net, X[~val], ds.labels[~val], X[val], ds.labels[val],
-                         _train_cfg(args))
-    net.meta["trained"] = True
-    attach_preprocessing(net, cols, std)
+def cmd_cv(args) -> int:
+    """`eval`, and `matched-mlp`: cross-validation with the matched MLP."""
+    include_matched = args.command == "matched-mlp" or args.matched
+    result = cross_validate(_load_dataset(args), _pipeline_cfg(args), include_matched)
     os.makedirs(args.out, exist_ok=True)
-    save_network(net, os.path.join(args.out, "model.json"))
-    with open(os.path.join(args.out, "history.csv"), "w", encoding="utf-8") as fh:
-        fh.write(history.to_csv())
-    with open(os.path.join(args.out, "construction.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
-    _manifest(args, args.out)
-    print(f"trained for {len(history.train_loss)} epochs "
-          f"(best epoch {history.best_epoch}) -> {args.out}")
-    return 0
-
-
-def _run_cv(args, matched_only: bool) -> int:
-    ds = _load_dataset(args)
-    cfg = _pipeline_cfg(args)
-    include_matched = matched_only or getattr(args, "matched", False)
-    result = cross_validate(ds, cfg, include_matched=include_matched)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv())
+    _write(args, "metrics.csv", result.to_csv())
     for fr in result.folds:
         save_network(fr.net, os.path.join(args.out, f"model_fold{fr.fold}.json"))
     _manifest(args, args.out)
@@ -301,24 +248,13 @@ def _run_cv(args, matched_only: bool) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    return _run_cv(args, matched_only=False)
-
-
-def cmd_matched_mlp(args) -> int:
-    return _run_cv(args, matched_only=True)
-
-
 def cmd_rules(args) -> int:
     ds = _load_dataset(args)
-    cfg = _pipeline_cfg(args, folds=5)
-    net, rules, report = holdout_rules_run(ds, cfg, test_fraction=args.test_fraction)
+    net, rules, report = holdout_rules_run(ds, _pipeline_cfg(args), test_fraction=args.test_fraction)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "rules.csv"), "w", encoding="utf-8") as fh:
-        fh.write(rules_to_csv(rules))
+    _write(args, "rules.csv", rules_to_csv(rules))
     save_network(net, os.path.join(args.out, "model.json"))
-    with open(os.path.join(args.out, "construction.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
+    _write(args, "construction.txt", report.to_text())
     _manifest(args, args.out)
     print(f"extracted {len(rules)} (unit, class) rules -> {args.out}")
     return 0
@@ -341,9 +277,7 @@ def cmd_explain(args) -> int:
         target = net.class_names.index(args.target_class)
     trace = lrp_explain(net, x, target, instance_id=ds.sample_ids[args.instance])
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"trace_{args.instance}.txt")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(trace.to_text())
+    _write(args, f"trace_{args.instance}.txt", trace.to_text())
     _manifest(args, args.out)
     print(trace.to_text())
     return 0
@@ -361,10 +295,10 @@ def cmd_export_graph(args) -> int:
 
 _COMMANDS = {
     "mine": cmd_mine,
-    "build": cmd_build,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "matched-mlp": cmd_matched_mlp,
+    "build": cmd_fit,
+    "train": cmd_fit,
+    "eval": cmd_cv,
+    "matched-mlp": cmd_cv,
     "rules": cmd_rules,
     "explain": cmd_explain,
     "export-graph": cmd_export_graph,

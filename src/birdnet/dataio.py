@@ -78,10 +78,6 @@ class FoldPlan:
     seed: int
     folds: int
 
-    def to_text(self) -> str:
-        """Line-oriented audit format: one fold index per line."""
-        return "\n".join(str(int(f)) for f in self.fold_of_sample) + "\n"
-
 
 # One parser reads every data cell: numpy's C loadtxt over the file's lines.
 _CSV = dict(dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2)
@@ -284,8 +280,8 @@ def anova_f_select(data: LabeledDataset, m: int) -> np.ndarray:
     """
     X, y = data.values, data.labels
     n, d = X.shape
-    if m > d:
-        raise ValueError(f"requested m={m} features but only d={d} available")
+    if not 1 <= m <= d:
+        raise ValueError(f"requested m={m} features, need 1 <= m <= d={d}")
     classes = np.unique(y)
     k = classes.size
     if k < 2:
@@ -336,7 +332,3 @@ def apply_standardizer(s: Standardizer, rows: np.ndarray) -> np.ndarray:
         )
     return (rows - s.means) / s.stddevs
 
-
-def selection_to_text(indices: np.ndarray) -> str:
-    """Line-oriented audit format for a feature selection: one index per line."""
-    return "\n".join(str(int(i)) for i in indices) + "\n"

@@ -1,4 +1,5 @@
-"""Metrics and the cross-validated evaluation harness."""
+"""Metrics, the fit on training rows that every command and harness shares,
+and the cross-validated evaluation harness."""
 
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ __all__ = [
     "holdout_rules_run",
     "attach_preprocessing",
     "apply_preprocessing",
+    "Fit",
+    "fit_on_rows",
 ]
 
 
@@ -177,7 +180,17 @@ def apply_preprocessing(net: BirNetwork, dataset: LabeledDataset, rows) -> np.nd
     names, or a ValueError names the first one that does not."""
     if "standardizer" not in net.meta:
         raise ValueError("model file lacks preprocessing metadata; re-train with this CLI")
-    cols = [int(c) for c in net.meta["selected_features"]]
+    m, d = net.meta["standardizer"], net.input_dim
+    try:
+        cols = [int(c) for c in net.meta["selected_features"]]
+        std = Standardizer(np.asarray(m["means"], dtype=np.float64),
+                           np.asarray(m["stddevs"], dtype=np.float64),
+                           np.asarray(m["constant"], dtype=bool))
+        ok = len(cols) == d and std.means.shape == std.stddevs.shape == (d,)
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"model preprocessing metadata is not {d} columns and their standardizer")
     for i, (c, want) in enumerate(zip(cols, net.feature_names)):
         if not 0 <= c < dataset.d:
             raise ValueError(f"model input {i} reads data column {c}, "
@@ -185,51 +198,71 @@ def apply_preprocessing(net: BirNetwork, dataset: LabeledDataset, rows) -> np.nd
         if dataset.feature_names[c] != want:
             raise ValueError(f"model input {i} is feature {want!r} from data column {c}, "
                              f"but the data has {dataset.feature_names[c]!r} there")
-    m = net.meta["standardizer"]
-    std = Standardizer(np.asarray(m["means"]), np.asarray(m["stddevs"]),
-                       np.asarray(m["constant"], dtype=bool))
-    return apply_standardizer(std, dataset.values[rows][:, cols])
+    return apply_standardizer(std, dataset.values[np.ix_(rows, cols)])
 
 
-def _fit_fold(
+@dataclass
+class Fit:
+    """A fit on training rows, as far as it went: the rows as model inputs,
+    then the construction report and the networks with their histories."""
+
+    X: np.ndarray  # the training rows: selected columns, standardized
+    names: list[str]  # the selected columns' feature names
+    report: ConstructionReport | None = None
+    nets: list[BirNetwork] = field(default_factory=list)  # BIRDNet, then its matched MLP
+    histories: list[TrainHistory] = field(default_factory=list)  # one per net, if trained
+
+
+def fit_on_rows(
     dataset: LabeledDataset,
-    train_rows: np.ndarray,
-    val_mask: np.ndarray,
     cfg: PipelineConfig,
-    matched: bool,
-):
-    """Feature selection and standardization fitted on the training rows
-    only, then construction and training."""
-    cols = preselect_features(dataset.subset(train_rows), cfg.preselect_m)
-    X_train_full = dataset.values[np.ix_(train_rows, cols)]  # one copy, standardized in place
-    std = fit_standardizer(X_train_full)
-    X_train_full -= std.means
-    X_train_full /= std.stddevs
-    names = [dataset.feature_names[c] for c in cols]
-    y_train_full = dataset.labels[train_rows]
-    net, report = build_birdnet(
-        X_train_full,
-        names,
-        dataset.class_names,
-        cfg.mining,
-        depth=cfg.depth,
-        head_hidden=cfg.head_hidden,
-        seed=cfg.seed,
+    rows: np.ndarray | None = None,
+    val_mask: np.ndarray | None = None,
+    until: str = "train",
+    matched: bool = False,
+) -> Fit:
+    """The protocol's fit, on the training rows only: ANOVA F preselection,
+    standardization, construction, then training with early stopping.
+
+    rows: the training rows; None takes every row and copies columns only.
+    val_mask: the early-stop rows among `rows`; None holds out a stratified
+    cfg.val_fraction of them, drawn with seed cfg.seed + 1.
+    until: "standardize" stops before construction, "build" before training.
+    matched: the dense matched MLP of the constructed network is trained too.
+    Each network's meta records its preprocessing (attach_preprocessing).
+    """
+    if until not in ("standardize", "build", "train"):
+        raise ValueError(f"unknown stage {until!r}")
+    # X is one copy, standardized in place. Its layout, column-major over
+    # every row and row-major over a subset, fixes the standardizer's rounding.
+    if rows is None:
+        cols = preselect_features(dataset, cfg.preselect_m)
+        X, y = dataset.values[:, cols], dataset.labels
+    else:
+        cols = preselect_features(dataset.subset(rows), cfg.preselect_m)
+        X, y = dataset.values[np.ix_(rows, cols)], dataset.labels[rows]
+    std = fit_standardizer(X)
+    X -= std.means
+    X /= std.stddevs
+    fit = Fit(X, [dataset.feature_names[c] for c in cols])
+    if until == "standardize":
+        return fit
+    net, fit.report = build_birdnet(
+        X, fit.names, dataset.class_names, cfg.mining,
+        depth=cfg.depth, head_hidden=cfg.head_hidden, seed=cfg.seed,
     )
-    if matched:
-        net = to_matched_mlp(net, seed=cfg.seed)
-    val_local = val_mask[train_rows]
-    net, history = train(
-        net,
-        X_train_full[~val_local],
-        y_train_full[~val_local],
-        X_train_full[val_local],
-        y_train_full[val_local],
-        cfg.training,
-    )
-    net.meta["trained"] = True
-    attach_preprocessing(net, cols, std)
-    return net, report, history, cols, std
+    fit.nets = [net, to_matched_mlp(net, seed=cfg.seed)] if matched else [net]
+    if until == "train":
+        if val_mask is None:
+            val_mask = stratified_holdout(y, cfg.val_fraction, cfg.seed + 1)
+        for net in fit.nets:
+            _, history = train(net, X[~val_mask], y[~val_mask], X[val_mask], y[val_mask],
+                               cfg.training)
+            fit.histories.append(history)
+    for net in fit.nets:
+        net.meta["trained"] = until == "train"
+        attach_preprocessing(net, cols, std)
+    return fit
 
 
 def cross_validate(
@@ -237,34 +270,22 @@ def cross_validate(
 ) -> CVResult:
     """Stratified k-fold evaluation per the standard protocol: preselect,
     standardize, and mine on each training fold only; hold out a stratified
-    15% of the training fold for early stopping; score on the test fold."""
+    15% of the training fold for early stopping; score on the test fold.
+    The matched MLP of a fold is the dense copy of that fold's construction."""
     plan = stratified_kfold(dataset.labels, cfg.folds, cfg.seed, cfg.val_fraction)
     results: list[FoldResult] = []
     matched_results: list[FoldResult] = []
     for f in range(cfg.folds):
         test_rows = np.flatnonzero(plan.fold_of_sample == f)
         train_rows = np.flatnonzero(plan.fold_of_sample != f)
-        for is_matched, sink in ((False, results), (True, matched_results)):
-            if is_matched and not include_matched:
-                continue
-            net, report, history, cols, std = _fit_fold(
-                dataset, train_rows, plan.val_mask, cfg, matched=is_matched
-            )
-            X_test = apply_standardizer(std, dataset.values[np.ix_(test_rows, cols)])
+        fit = fit_on_rows(dataset, cfg, train_rows, plan.val_mask[train_rows],
+                          matched=include_matched)
+        X_test = apply_preprocessing(fit.nets[0], dataset, test_rows)  # the same for both nets
+        for net, history, sink in zip(fit.nets, fit.histories, (results, matched_results)):
             logits, _ = net.forward(X_test, mode="eval")
             auroc, skipped, acc = _fold_scores(logits, dataset.labels[test_rows])
-            sink.append(
-                FoldResult(
-                    fold=f,
-                    auroc=auroc,
-                    acc=acc,
-                    skipped_classes=skipped,
-                    accounting=active_param_count(net),
-                    net=net,
-                    report=report,
-                    history=history,
-                )
-            )
+            sink.append(FoldResult(f, auroc, acc, skipped, active_param_count(net), net,
+                                   fit.report, history))
     return CVResult(folds=results, matched_folds=matched_results if include_matched else None)
 
 
@@ -276,13 +297,8 @@ def holdout_rules_run(
     """Single stratified split: train on (1 - test_fraction) of the data,
     estimate rule precision/recall/lift/support on the held-out remainder."""
     test_mask = stratified_holdout(dataset.labels, test_fraction, cfg.seed)
-    train_rows = np.flatnonzero(~test_mask)
-    val_mask = np.zeros(dataset.n, dtype=bool)
-    val_mask[train_rows] = stratified_holdout(
-        dataset.labels[train_rows], cfg.val_fraction, cfg.seed + 1
-    )
-    net, report, _, cols, std = _fit_fold(dataset, train_rows, val_mask, cfg, matched=False)
-    test_rows = np.flatnonzero(test_mask)
-    X_test = apply_standardizer(std, dataset.values[np.ix_(test_rows, cols)])
+    fit = fit_on_rows(dataset, cfg, np.flatnonzero(~test_mask))
+    net, test_rows = fit.nets[0], np.flatnonzero(test_mask)
+    X_test = apply_preprocessing(net, dataset, test_rows)
     rules = extract_rules(net, X_test, dataset.labels[test_rows], cfg.rule_min_support)
-    return net, rules, report
+    return net, rules, fit.report

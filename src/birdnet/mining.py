@@ -52,6 +52,8 @@ class MiningConfig:
             raise ValueError(f"p_star must be in (0,1), got {self.p_star}")
         if not 0.0 <= self.pi < 0.5:
             raise ValueError(f"pi must be in [0, 0.5), got {self.pi}")
+        if self.h_max < 1:
+            raise ValueError(f"h_max must be >= 1, got {self.h_max}")
 
 
 @dataclass(frozen=True)

@@ -542,17 +542,22 @@ def save_network(net: BirNetwork, path: str) -> None:
 
 def load_network(path: str) -> BirNetwork:
     """Read a model file, checked as outside input: bindings within each
-    block's input width, widths that chain, one binding per unit and finite
-    numbers, or a named error. A pair block is wired by its bindings; each
-    block's input width is the width of the layer below."""
+    block's input width, widths that chain, one binding per unit, finite
+    numbers, a positive input width, a head, a name per input and per class
+    and a meta object, or a named error. A pair block is wired by its bindings; each block's input width is
+    the width of the layer below."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a recognized model file")
     if doc.get("format") in ("birdnet-model-v1", "birdnet-model-v2", "birdnet-model-v3"):
         raise ValueError(f"{path}: model format {doc['format']} is not read; rebuild the model")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a recognized model file")
     blocks = []
     width = doc["input_dim"]
+    if not (isinstance(width, int) and width > 0):
+        raise ValueError(f"{path}: input_dim is not a positive integer")
     for ell, b in enumerate(doc["blocks"]):
         arrays = [_dec(b["linear"][k]) for k in _LINEAR_KEYS[b["kind"]]]
         bindings = EdgeTable.from_columns({k: _dec(v) for k, v in b["bindings"].items()})
@@ -576,6 +581,15 @@ def load_network(path: str) -> BirNetwork:
         blocks.append(BirBlock(lin, bn, bindings))
         width = lin.out_dim
     head = DenseHead(layers=[DenseLinear(_dec(l["W"]), _dec(l["b"])) for l in doc["head"]])
+    if not head.layers:
+        raise ValueError(f"{path}: the head has no layer")
+    for key, count in (("feature_names", doc["input_dim"]), ("class_names", head.layers[-1].out_dim)):
+        names = doc[key]
+        if not (isinstance(names, list) and len(names) == count
+                and all(isinstance(s, str) for s in names)):
+            raise ValueError(f"{path}: {key} is not a list of {count} names")
+    if not isinstance(doc["meta"], dict):
+        raise ValueError(f"{path}: meta is not a JSON object")
     net = BirNetwork(
         doc["input_dim"], doc["feature_names"], blocks, head, doc["class_names"], doc["meta"]
     )

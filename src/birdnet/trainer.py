@@ -42,6 +42,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (BatchNorm needs batch statistics)")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.epochs_max < 1:
+            raise ValueError("epochs_max must be >= 1")
+        if not self.clip_norm > 0.0:
+            raise ValueError("clip_norm must be > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

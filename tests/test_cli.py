@@ -3,13 +3,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 import birdnet
-from birdnet.cli import main
+from birdnet.cli import build_parser, main
+from birdnet.dataio import load_csv, stratified_holdout
+from birdnet.evaluate import PipelineConfig, fit_on_rows
+from birdnet.mining import MiningConfig
 from birdnet.network import load_network
+from birdnet.trainer import TrainConfig
 from helpers import planted_pair_data, write_csv
 
 
@@ -34,6 +39,14 @@ def built_model(data_csv, tmp_path):
     out = tmp_path / "built"
     assert run(["build", "--data", data_csv, *BASE, "--out", str(out),
                 "--mu", "1", "--depth", "1"]) == 0
+    return str(out / "model.json")
+
+
+@pytest.fixture
+def trained_model(data_csv, tmp_path):
+    out = tmp_path / "trained"
+    assert run(["train", "--data", data_csv, *BASE, "--out", str(out), "--mu", "1",
+                "--depth", "1", "--epochs-max", "10", "--batch-size", "32"]) == 0
     return str(out / "model.json")
 
 
@@ -94,6 +107,16 @@ class TestBuildAndTrain:
                     "--label", "diagnosis", "--id-column", "sample",
                     "--instance", "3", "--class", "nope",
                     "--out", str(exp_out)]) == 2
+
+    def test_train_is_the_holdout_fit_on_all_rows(self, data_csv, trained_model):
+        # `train` fits as `rules` does on its training rows: early stopping on
+        # a stratified 15% holdout drawn with seed + 1.
+        ds = load_csv(data_csv, "diagnosis", id_column="sample")
+        cfg = PipelineConfig(mining=MiningConfig(mu=1), depth=1,
+                             training=TrainConfig(epochs_max=10, batch_size=32))
+        want = fit_on_rows(ds, cfg, val_mask=stratified_holdout(ds.labels, 0.15, 43)).nets[0]
+        got = load_network(trained_model).snapshot()
+        assert all(np.array_equal(got[k], v) for k, v in want.snapshot().items())
 
 
 class TestEval:
@@ -291,6 +314,47 @@ class TestConfigAndErrors:
                     "--instance", "0", "--out", str(tmp_path / "e")]) == 2
         assert "do not chain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda doc: {**doc, "class_names": doc["class_names"][:1]},
+         "class_names is not a list of 2 names"),
+        (lambda doc: {**doc, "feature_names": doc["feature_names"][:2]},
+         "feature_names is not a list of 6 names"),
+        (lambda doc: {**doc, "meta": 5}, "meta is not a JSON object"),
+        (lambda doc: [], "not a recognized model file"),
+        (lambda doc: {**doc, "input_dim": "6"}, "input_dim is not a positive integer"),
+        (lambda doc: {**doc, "head": []}, "the head has no layer"),
+        (lambda doc: {**doc, "meta": {**doc["meta"], "standardizer": 5}},
+         "model preprocessing metadata is not 6 columns and their standardizer"),
+        (lambda doc: {**doc, "meta": {**doc["meta"], "selected_features": [0, 1]}},
+         "model preprocessing metadata is not 6 columns and their standardizer"),
+    ], ids=["one-class-name", "two-feature-names", "meta-not-object", "top-level-list",
+            "input-dim-text", "no-head", "standardizer-not-object", "two-columns"])
+    def test_model_with_bad_metadata_exits_2(self, data_csv, trained_model, tmp_path, capsys,
+                                             spoil, message):
+        with open(trained_model, encoding="utf-8") as fh:
+            doc = spoil(json.load(fh))
+        model = tmp_path / "spoilt.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for instance in ("0", "5"):
+            assert run(["explain", "--model", str(model), "--data", data_csv, *BASE,
+                        "--instance", instance, "--out", str(tmp_path / "e")]) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--epochs-max", "0"], "epochs_max must be >= 1"),
+        (["train", "--clip-norm", "0"], "clip_norm must be > 0"),
+        (["mine", "--h-max", "-2"], "h_max must be >= 1, got -2"),
+        (["mine", "--preselect", "-2"], "requested m=-2 features"),
+    ], ids=["epochs-max", "clip-norm", "h-max", "preselect"])
+    def test_bad_count_setting_exits_2(self, data_csv, tmp_path, capsys, argv, message):
+        capsys.readouterr()
+        assert run([*argv, "--data", data_csv, *BASE, "--mu", "1",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_explain_v3_model_exits_2(self, data_csv, built_model, tmp_path, capsys):
         with open(built_model, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -336,6 +400,28 @@ class TestConfigAndErrors:
                     "--instance", "-1", "--out", str(tmp_path / "e")]) == 2
         assert "rows 0..199" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+
+def test_config_backed_options_default_to_their_fields():
+    # An option sets the config field of its dest; --cv and --preselect are
+    # the two whose dest is not the field's name.
+    field_of = {"cv": "folds", "preselect": "preselect_m"}
+    defaults = {f.name: f.default for cls in (MiningConfig, TrainConfig, PipelineConfig)
+                for f in fields(cls) if f.default is not MISSING}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    backed = {}
+    for name, command in commands.items():
+        for action in command._actions:
+            key = field_of.get(action.dest, action.dest)
+            if key in defaults:
+                assert action.default == defaults[key], (name, action.dest)
+                assert action.type is type(defaults[key]) or defaults[key] is None
+                backed.setdefault(name, set()).add(key)
+    every_field = {f.name for cls in (MiningConfig, TrainConfig) for f in fields(cls)}
+    for name in ("train", "eval", "matched-mlp", "rules"):
+        assert every_field <= backed[name], name
+    assert backed["rules"] >= {"rule_min_support", "depth", "head_hidden", "preselect_m"}
+    assert backed["eval"] >= {"folds"} and backed["explain"] == {"seed"}
 
 
 def _run_python(*args):

@@ -9,7 +9,7 @@ from birdnet.dataio import (
     apply_standardizer,
     fit_standardizer,
     load_csv,
-    selection_to_text,
+    preselect_features,
     stratified_holdout,
     stratified_kfold,
 )
@@ -240,13 +240,6 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError, match="class 0"):
             stratified_kfold(labels, 4, seed=0)
 
-    def test_to_text(self):
-        labels = np.repeat([0, 1], 10)
-        plan = stratified_kfold(labels, 2, seed=0)
-        lines = plan.to_text().strip().split("\n")
-        assert len(lines) == 20
-        assert set(lines) <= {"0", "1"}
-
 
 class TestStratifiedHoldout:
     def test_fraction_and_stratification(self):
@@ -327,8 +320,13 @@ class TestAnovaFSelect:
         with pytest.raises(ValueError):
             anova_f_select(self._ds(X, y), 4)
 
-    def test_selection_to_text(self):
-        assert selection_to_text(np.array([2, 5, 9])) == "2\n5\n9\n"
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_m_below_one(self, m):
+        # A negative m once kept d - |m| features by a negative slice.
+        rng = np.random.default_rng(3)
+        ds = self._ds(rng.normal(size=(20, 5)), rng.integers(0, 2, 20))
+        with pytest.raises(ValueError, match=f"requested m={m} features"):
+            preselect_features(ds, m)
 
 
 class TestStandardizer:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birdnet.builder import build_birdnet
 from birdnet.dataio import LabeledDataset
 from birdnet.evaluate import (
     PipelineConfig,
@@ -10,6 +11,7 @@ from birdnet.evaluate import (
     accuracy,
     auroc_macro_ovr,
     cross_validate,
+    fit_on_rows,
     holdout_rules_run,
 )
 from birdnet.mining import MiningConfig
@@ -198,6 +200,23 @@ class TestCrossValidate:
         aurocs = np.array([f.auroc for f in res.folds])
         assert res.summary()["auroc_std"] == pytest.approx(aurocs.std(), abs=1e-15)
 
+    def test_matched_mlp_copies_the_folds_construction(self, monkeypatch):
+        import birdnet.evaluate as evaluate
+
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(args[0].shape)
+            return build_birdnet(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "build_birdnet", counting_build)
+        res = cross_validate(synthetic_dataset(), fast_config(), include_matched=True)
+        assert len(builds) == 3  # one construction per fold, shared by both models
+        for f, m in zip(res.folds, res.matched_folds):
+            assert m.report is f.report
+            assert [b.bindings for b in m.net.blocks] == [b.bindings for b in f.net.blocks]
+            assert m.net.meta["matched_mlp"] and "matched_mlp" not in f.net.meta
+
     def test_preselection_applied(self):
         cfg = fast_config()
         cfg.preselect_m = 3
@@ -205,6 +224,32 @@ class TestCrossValidate:
         for f in res.folds:
             assert f.net.input_dim == 3
             assert len(f.net.meta["selected_features"]) == 3
+
+
+class TestFitOnRows:
+    def test_stages(self):
+        ds, cfg = synthetic_dataset(), fast_config()
+        fit = fit_on_rows(ds, cfg, until="standardize")
+        assert fit.report is None and fit.nets == [] and fit.histories == []
+        assert np.allclose(fit.X.mean(axis=0), 0.0) and np.allclose(fit.X.std(axis=0), 1.0)
+        built = fit_on_rows(ds, cfg, until="build")
+        assert len(built.nets) == 1 and built.histories == []
+        assert built.nets[0].meta["trained"] is False
+        assert "standardizer" in built.nets[0].meta
+        with pytest.raises(ValueError, match="unknown stage"):
+            fit_on_rows(ds, cfg, until="mine")
+
+    def test_all_rows_copy_columns_only(self, monkeypatch):
+        ds = synthetic_dataset()
+        want = (ds.values - ds.values.mean(axis=0)) / ds.values.std(axis=0)
+
+        def no_row_copy(*args):
+            raise AssertionError("a fit on all rows copied the table by rows")
+
+        monkeypatch.setattr(LabeledDataset, "subset", no_row_copy)
+        fit = fit_on_rows(ds, fast_config(), until="standardize")
+        assert np.allclose(fit.X, want, rtol=0.0, atol=1e-12)
+        assert fit.names == ds.feature_names
 
 
 class TestHoldoutRules:
@@ -239,18 +284,15 @@ class TestHoldoutRules:
         # same pipeline, but nuke a non-test feature value before extraction:
         # extraction uses only test rows, so metrics must be identical when
         # we recompute them directly.
-        from birdnet.evaluate import _fit_fold
+        from birdnet.evaluate import fit_on_rows
         from birdnet.explain import extract_rules
-        from birdnet.dataio import apply_standardizer
 
         train_rows = np.flatnonzero(~test_mask)
-        val_mask = np.zeros(ds.n, dtype=bool)
-        val_mask[train_rows] = stratified_holdout(
-            ds.labels[train_rows], cfg.val_fraction, cfg.seed + 1
-        )
-        net, _, _, cols, std = _fit_fold(ds, train_rows, val_mask, cfg, matched=False)
+        val_mask = stratified_holdout(ds.labels[train_rows], cfg.val_fraction, cfg.seed + 1)
+        net = fit_on_rows(ds, cfg, train_rows, val_mask).nets[0]
         test_rows = np.flatnonzero(test_mask)
-        X_test = apply_standardizer(std, ds.values[np.ix_(test_rows, cols)])
+        cols, std = net.meta["selected_features"], net.meta["standardizer"]
+        X_test = (ds.values[np.ix_(test_rows, cols)] - std["means"]) / std["stddevs"]
         rules_b = extract_rules(net, X_test, ds.labels[test_rows],
                                 cfg.rule_min_support)
         assert [(r.unit, r.class_index, r.precision, r.recall, r.support)

@@ -335,6 +335,12 @@ class TestMineBirs:
         with pytest.raises(ValueError):
             mine_birs(bmat_from_bools(np.ones((10, 1), dtype=bool)), CFG)
 
+    @pytest.mark.parametrize("h_max", [0, -2])
+    def test_h_max_below_one_rejected(self, h_max):
+        # A negative cap once kept all but |h_max| edges by a negative slice.
+        with pytest.raises(ValueError, match=f"h_max must be >= 1, got {h_max}"):
+            MiningConfig(h_max=h_max)
+
 
 class TestDedup:
     def test_orientation_duplicates_collapse(self):

@@ -75,6 +75,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.0)
 
+    @pytest.mark.parametrize("kw, message", [
+        # 0 epochs returned the untrained net with best_epoch -1.
+        ({"epochs_max": 0}, "epochs_max must be >= 1"),
+        # clip_norm 0 scaled every gradient to zero for the whole run.
+        ({"clip_norm": 0.0}, "clip_norm must be > 0"),
+        ({"clip_norm": -1.0}, "clip_norm must be > 0"),
+        ({"clip_norm": float("nan")}, "clip_norm must be > 0"),
+    ])
+    def test_count_and_norm_bounds(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kw)
+
 
 def _training_setup(seed=0, n=160):
     rng = np.random.default_rng(seed)
