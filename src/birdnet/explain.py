@@ -7,7 +7,7 @@ class prevalence, with every hit count from one `active.T @ onehot(labels)`.
 
 Per-instance explanations propagate the target logit backward with an
 epsilon-stabilized relevance rule over the folded layers the eval forward
-runs, with each block's BatchNorm scale read from that forward's cache. A
+runs, with each block's `Fold` read from that forward's cache. A
 block's BatchNorm shift, not a bias (blocks have none), and each head layer's
 bias absorb no relevance, so the propagated total is conserved up to the
 epsilon leakage. Dense layers propagate matrix-free,
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from birdnet.mining import TYPES, EdgeTable
-from birdnet.network import BirNetwork, PairLinear
+from birdnet.network import BirNetwork, Fold, PairLinear
 from birdnet.trainer import softmax
 
 __all__ = [
@@ -120,7 +120,7 @@ def unit_activity(net: BirNetwork, rows: np.ndarray) -> np.ndarray:
     mode. Only block 0 is evaluated."""
     if not net.blocks:
         raise ValueError("network has no hidden blocks")
-    return net.blocks[0].linear.folded(net.check_input(rows), *net.blocks[0].fold()) > 0.0
+    return net.blocks[0].linear.folded(net.check_input(rows), net.blocks[0].fold()) > 0.0
 
 
 def extract_rules(
@@ -173,12 +173,10 @@ def _propagate_dense(R_out, a_in, W, scale, epsilon):
     return a_in * (share @ W)
 
 
-def _propagate_pair(R_out, a_in, lin: PairLinear, scale, epsilon):
-    c_src = a_in[lin.src] * (lin.w_src * scale)
-    c_tgt = a_in[lin.tgt] * (lin.w_tgt * scale)
-    share = R_out / _stabilize(c_src + c_tgt, epsilon)
-    idx = np.concatenate([lin.src, lin.tgt])
-    return np.bincount(idx, np.concatenate([c_src * share, c_tgt * share]), minlength=lin.in_dim)
+def _propagate_pair(R_out, a_in, lin: PairLinear, fold: Fold, epsilon):
+    c = a_in[fold.idx] * fold.w  # each unit's source, then target contributions
+    share = R_out / _stabilize(c[: lin.out_dim] + c[lin.out_dim :], epsilon)
+    return np.bincount(fold.idx, c * np.concatenate([share, share]), minlength=lin.in_dim)
 
 
 def lrp_explain(
@@ -192,8 +190,11 @@ def lrp_explain(
 
     Relevance flows only through active (post-ReLU positive) units; the
     argmax chain descends from the top block to layer 0 through each chosen
-    unit's two bound inputs.
+    unit's two bound inputs. target_class is an int in 0..k-1, not a bool.
     """
+    if type(target_class) is bool or not isinstance(target_class, (int, np.integer)) \
+            or not 0 <= target_class < net.n_classes:
+        raise ValueError(f"target class {target_class!r} is not a class index in 0..{net.n_classes - 1}")
     x = np.asarray(instance, dtype=np.float64).reshape(1, -1)
     logits, cache = net.forward(x, mode="eval")
     probs = softmax(logits)[0]
@@ -208,11 +209,11 @@ def lrp_explain(
     for ell in reversed(range(len(net.blocks))):
         blk, a_in = net.blocks[ell], cache["block_in"][ell][0]
         layer_rel[ell] = R
-        scale = cache["scale"][ell]
+        fold = cache["fold"][ell]
         if isinstance(blk.linear, PairLinear):
-            R = _propagate_pair(R, a_in, blk.linear, scale, epsilon)
+            R = _propagate_pair(R, a_in, blk.linear, fold, epsilon)
         else:
-            R = _propagate_dense(R, a_in, blk.linear.W, scale, epsilon)
+            R = _propagate_dense(R, a_in, blk.linear.W, fold.scale, epsilon)
 
     # Argmax chain: from the top block down through the chosen unit's bindings.
     chain: list[tuple[int, int, str, float]] = []

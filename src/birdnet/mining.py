@@ -86,7 +86,7 @@ class EdgeTable:
         """A table from a column name -> array mapping read from outside the
         program (a model file): every column present, 1-D, of one length and
         of its own dtype."""
-        arrays = [np.asarray(cols[name]) for name in _COLUMNS]
+        arrays = [np.asarray(cols.get(name)) for name in _COLUMNS]
         dtypes = [np.dtype(t).name for t in _DTYPES]
         shapes = {a.shape for a in arrays}
         if [a.dtype.name for a in arrays] != dtypes or len(shapes) != 1 or arrays[0].ndim != 1:

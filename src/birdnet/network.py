@@ -7,9 +7,9 @@ one mined implication, so the dense h x d weight view has at most 2h nonzeros
 Eval mode, the one inference path of predict, batch, relevance traces and
 rules, runs each block as a gather-FMA-ReLU with BatchNorm folded in
 (`BirBlock.fold`). A block has no bias: its BatchNorm shift is the offset,
-and in a relevance trace that shift, not a bias, absorbs no relevance. The
-fold is recomputed per call, never cached: AdamW, `restore`, `set_stats`
-and in-place edits write parameters where they lie.
+and in a relevance trace that shift, not a bias, absorbs no relevance. A
+loaded model is read-only, so each block folds once and keeps it; a built or
+training network's arrays are writeable and it refolds on every call.
 A pair block's one fresh large array per call is its output: rows go in
 chunks of about 256 KiB of output, each gathered straight into its slice.
 
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "DenseLinear",
     "BatchNorm",
     "BirBlock",
+    "Fold",
     "DenseHead",
     "BirNetwork",
     "build_bir_layer",
@@ -105,24 +107,31 @@ class PairLinear:
         z += xt * self.w_tgt
         return z, (xs, xt)
 
-    def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """(W x) * scale + shift, the scale folded into the two weights.
+    def folded(self, x: np.ndarray, fold: Fold) -> np.ndarray:
+        """(W x) * scale + shift from the fold's gather index and scaled weights.
 
         The output is the one fresh large array: rows go in chunks of about
         `_CHUNK_BYTES` of output, each gathered and multiplied straight into
         its slice, so the one temporary per chunk stays in cache instead of
-        being faulted in and freed at full batch size."""
-        ws, wt = self.w_src * scale, self.w_tgt * scale
+        being faulted in and freed at full batch size. A batch of one chunk
+        (every 1-row request) gathers both inputs at once instead, with the
+        same per-element operations."""
         m, h = x.shape[0], self.out_dim
-        z = np.empty((m, h))
         step = max(1, _CHUNK_BYTES // (8 * max(h, 1)))
-        for r in range(0, m, step):
-            xr, zr = x[r : r + step], z[r : r + step]
-            np.multiply(xr.take(self.src, axis=1), ws, out=zr)
-            t = xr.take(self.tgt, axis=1)
-            t *= wt
-            zr += t
-        z += shift
+        if m <= step:
+            g = x.take(fold.idx, axis=1)
+            g *= fold.w
+            z = g[:, :h] + g[:, h:]
+        else:
+            ws, wt = fold.w[:h], fold.w[h:]
+            z = np.empty((m, h))
+            for r in range(0, m, step):
+                xr, zr = x[r : r + step], z[r : r + step]
+                np.multiply(xr.take(self.src, axis=1), ws, out=zr)
+                t = xr.take(self.tgt, axis=1)
+                t *= wt
+                zr += t
+        z += fold.shift
         return z
 
     def backward(self, dz: np.ndarray, saved, input_grad: bool = True):
@@ -180,11 +189,11 @@ class DenseLinear:
             raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
         return x @ self.W.T if self.b is None else x @ self.W.T + self.b
 
-    def folded(self, x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    def folded(self, x: np.ndarray, fold: Fold) -> np.ndarray:
         """(W x) * scale + shift, scaled on the output: no out x in folded weight."""
         z = x @ self.W.T
-        z *= scale
-        z += shift
+        z *= fold.scale
+        z += fold.shift
         return z
 
     def forward_saved(self, x: np.ndarray):
@@ -242,6 +251,17 @@ class BatchNorm:
         self.running_var = np.asarray(var, dtype=np.float64).copy()
 
 
+class Fold(NamedTuple):
+    """Eval-mode BN(W x) = (W x) * scale + shift, scale = gamma / sqrt(running_var
+    + eps), shift = beta - running_mean * scale; a pair block's gather index (src,
+    then tgt) and weights times scale in that order, a dense block's None."""
+
+    scale: np.ndarray
+    shift: np.ndarray
+    idx: np.ndarray | None
+    w: np.ndarray | None
+
+
 @dataclass
 class BirBlock:
     """One hidden stage: (masked or dense) linear, BatchNorm, ReLU. A pair
@@ -250,14 +270,35 @@ class BirBlock:
     linear: PairLinear | DenseLinear
     bn: BatchNorm
     bindings: EdgeTable  # unit k <-> implication k (over the block input space)
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode BatchNorm folded into the linear map, from the current
-        parameters: (s, shift) with BN(W x) = (W x) * s + shift, where
-        s = gamma / sqrt(running_var + eps), shift = beta - running_mean * s."""
-        bn = self.bn
+    def fold(self) -> Fold:
+        """The block's `Fold`, kept and reused only while the block holds the
+        very same BatchNorm, weight and wiring arrays and none is writeable,
+        as in a loaded model. It cannot go stale: a read-only array cannot
+        change in place, and every library writer (`flat_params` and so
+        `train`, `restore`, `set_stats`, a train-mode BatchNorm step) installs
+        fresh writeable arrays. A writeable network refolds on every call."""
+        bn, lin = self.bn, self.linear
+        pair = isinstance(lin, PairLinear)
+        inputs = (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+        inputs += (lin.w_src, lin.w_tgt, lin.src, lin.tgt) if pair else ()
+        if self._kept is not None and len(self._kept[0]) == len(inputs):
+            for now, then in zip(inputs, self._kept[0]):
+                if now is not then or now.flags.writeable:
+                    break
+            else:
+                return self._kept[1]
         s = bn.gamma / np.sqrt(bn.running_var + BN_EPS)
-        return s, bn.beta - bn.running_mean * s
+        idx = w = None
+        if pair:
+            idx, w = np.concatenate([lin.src, lin.tgt]), np.concatenate([lin.w_src * s, lin.w_tgt * s])
+        fold = Fold(s, bn.beta - bn.running_mean * s, idx, w)
+        for arr in fold:
+            if arr is not None:
+                arr.flags.writeable = False  # a caller cannot edit a kept fold
+        self._kept = (inputs, fold)
+        return fold
 
 
 @dataclass
@@ -305,8 +346,7 @@ class BirNetwork:
         mode. Modes: 'train' (batch BN stats, `dropout` after each block's
         ReLU; the cache keeps what each linear map's backward reuses),
         'eval' (running stats folded into each block, deterministic; the
-        cache keeps each block's input and BatchNorm scale, no other BN
-        state)."""
+        cache keeps each block's input and `Fold`, no other BN state)."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         X = self.check_input(X)
@@ -318,14 +358,14 @@ class BirNetwork:
         if mode == "train":
             cache.update(saved=[], bn=[], drop=[], dropout=dropout)
         else:
-            cache.update(block_in=[], scale=[])
+            cache.update(block_in=[], fold=[])
         a = X
         for blk in self.blocks:
             if mode == "eval":
                 cache["block_in"].append(a)
-                scale, shift = blk.fold()
-                cache["scale"].append(scale)
-                a = blk.linear.folded(a, scale, shift)
+                fold = blk.fold()
+                cache["fold"].append(fold)
+                a = blk.linear.folded(a, fold)
                 cache["post_bn"].append(np.maximum(a, 0.0, out=a))
                 continue
             z, saved = blk.linear.forward_saved(a)
@@ -365,7 +405,7 @@ class BirNetwork:
             if cache["mode"] == "train":
                 saved, bn_cache = cache["saved"][ell], cache["bn"][ell]
                 keep = cache["drop"][ell]
-            else:  # the eval cache keeps only BatchNorm's scale: recompute its cache from x
+            else:  # the eval cache keeps only BatchNorm's fold: recompute its cache from x
                 z, saved = blk.linear.forward_saved(cache["block_in"][ell])
                 keep, (_, bn_cache) = None, blk.bn.forward(z, "eval")
             if keep is not None:
@@ -429,6 +469,7 @@ class BirNetwork:
         return state
 
     def restore(self, state: dict[str, np.ndarray]) -> None:
+        self.flat_params()  # copies a loaded model's read-only arrays into the writable buffer
         for p, arr, _ in self.params():
             arr[...] = state[p]
         for ell, blk in enumerate(self.blocks):
@@ -506,10 +547,16 @@ def _enc(arr: np.ndarray) -> dict:
     }
 
 
-def _dec(obj: dict) -> np.ndarray:
-    return np.frombuffer(
-        base64.b64decode(obj["data"]), dtype=np.dtype(obj["dtype"])
-    ).reshape(obj["shape"]).copy()
+def _dec(doc, key: str, part: str) -> np.ndarray:
+    """The numeric array encoded at doc[key], or a ValueError naming the part."""
+    try:
+        obj = doc[key]
+        arr = np.frombuffer(base64.b64decode(obj["data"]), dtype=np.dtype(obj["dtype"]))
+        if arr.dtype.kind in "iuf":
+            return arr.reshape(obj["shape"]).copy()
+    except (TypeError, KeyError, ValueError):
+        pass
+    raise ValueError(f"{part} {key} is not an encoded array of numbers")
 
 
 _LINEAR_KEYS = {"pair": ("w_src", "w_tgt"), "dense": ("W",)}
@@ -541,11 +588,12 @@ def save_network(net: BirNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> BirNetwork:
-    """Read a model file, checked as outside input: bindings within each
-    block's input width, widths that chain, one binding per unit, finite
-    numbers, a positive input width, a head, a name per input and per class
-    and a meta object, or a named error. A pair block is wired by its bindings; each block's input width is
-    the width of the layer below."""
+    """Read a model file, checked as outside input: lists of encoded arrays,
+    bindings within each block's input width, widths that chain, one binding per
+    unit, finite numbers, a positive input width, a head, a name per input and per
+    class and a meta object, or an error naming the part. A pair block is wired by
+    its bindings; each block's input width is the width of the layer below. Every
+    array of the loaded model is read-only, so each block folds once."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -555,18 +603,25 @@ def load_network(path: str) -> BirNetwork:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a recognized model file")
     blocks = []
-    width = doc["input_dim"]
-    if not (isinstance(width, int) and width > 0):
+    width = doc.get("input_dim")
+    if not (type(width) is int and width > 0):
         raise ValueError(f"{path}: input_dim is not a positive integer")
+    if not (isinstance(doc.get("blocks"), list) and isinstance(doc.get("head"), list)):
+        raise ValueError(f"{path}: blocks and head are not both lists")
     for ell, b in enumerate(doc["blocks"]):
-        arrays = [_dec(b["linear"][k]) for k in _LINEAR_KEYS[b["kind"]]]
-        bindings = EdgeTable.from_columns({k: _dec(v) for k, v in b["bindings"].items()})
+        part = f"{path}: block {ell}"
+        if not (isinstance(b, dict) and b.get("kind") in ("pair", "dense")
+                and isinstance(b.get("bindings"), dict)):
+            raise ValueError(f"{part} is not a pair or dense block with a bindings object")
+        arrays = [_dec(b.get("linear"), k, f"{part} linear") for k in _LINEAR_KEYS[b["kind"]]]
+        bindings = EdgeTable.from_columns({k: _dec(b["bindings"], k, f"{part} bindings")
+                                           for k in b["bindings"]})
         units = len(arrays[0]) if arrays[0].ndim else 0  # w_src or W: one per unit
         if len(bindings) != units:
-            raise ValueError(f"{path}: block {ell} has {len(bindings)} bindings for {units} units")
+            raise ValueError(f"{part} has {len(bindings)} bindings for {units} units")
         idx = np.concatenate([bindings.source, bindings.target])
         if np.any((idx < 0) | (idx >= width)) or np.any(bindings.btype >= len(TYPES)):
-            raise ValueError(f"{path}: block {ell}: a binding has a type code >= {len(TYPES)} "
+            raise ValueError(f"{part}: a binding has a type code >= {len(TYPES)} "
                              f"or an input outside 0..{width - 1}")
         if b["kind"] == "pair":
             lin = PairLinear(bindings.source, bindings.target, *arrays, width)
@@ -574,25 +629,29 @@ def load_network(path: str) -> BirNetwork:
             lin = DenseLinear(*arrays)
         bn = BatchNorm(lin.out_dim)
         for key in _BN_KEYS:
-            arr = _dec(b["bn"][key])
+            arr = _dec(b.get("bn"), key, f"{part} BatchNorm")
             if arr.shape != (lin.out_dim,):
-                raise ValueError(f"{path}: block {ell} BatchNorm {key} is not one per unit")
+                raise ValueError(f"{part} BatchNorm {key} is not one per unit")
             setattr(bn, key, arr)
         blocks.append(BirBlock(lin, bn, bindings))
         width = lin.out_dim
-    head = DenseHead(layers=[DenseLinear(_dec(l["W"]), _dec(l["b"])) for l in doc["head"]])
+    head = DenseHead(layers=[DenseLinear(*(_dec(lay, k, f"{path}: head layer {i}") for k in "Wb"))
+                             for i, lay in enumerate(doc["head"])])
     if not head.layers:
         raise ValueError(f"{path}: the head has no layer")
     for key, count in (("feature_names", doc["input_dim"]), ("class_names", head.layers[-1].out_dim)):
-        names = doc[key]
+        names = doc.get(key)
         if not (isinstance(names, list) and len(names) == count
                 and all(isinstance(s, str) for s in names)):
             raise ValueError(f"{path}: {key} is not a list of {count} names")
-    if not isinstance(doc["meta"], dict):
+    if not isinstance(doc.get("meta"), dict):
         raise ValueError(f"{path}: meta is not a JSON object")
     net = BirNetwork(
         doc["input_dim"], doc["feature_names"], blocks, head, doc["class_names"], doc["meta"]
     )
     if not all(np.isfinite(arr).all() for arr in net.snapshot().values()):
         raise ValueError(f"{path}: model holds NaN or infinite parameters")
+    for arr in [arr for _, arr, _ in net.params()] + [a for blk in net.blocks for a in (
+            blk.bn.running_mean, blk.bn.running_var, *vars(blk.bindings).values())]:
+        arr.flags.writeable = False
     return net

@@ -353,7 +353,7 @@ def min_kink_gap(net: BirNetwork, X: np.ndarray) -> float:
     _, cache = net.forward(X, mode="eval")
     gap = math.inf
     for blk, a_in in zip(net.blocks, cache["block_in"]):
-        gap = min(gap, float(np.abs(blk.linear.folded(a_in, *blk.fold())).min()))
+        gap = min(gap, float(np.abs(blk.linear.folded(a_in, blk.fold())).min()))
     for i, lay in enumerate(net.head.layers[:-1]):
         z = cache["head_in"][i] @ lay.W.T + lay.b
         gap = min(gap, float(np.abs(z).min()))

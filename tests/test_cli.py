@@ -34,6 +34,16 @@ def run(argv):
 BASE = ["--label", "diagnosis", "--id-column", "sample"]
 
 
+def _edited(doc, keys, value):
+    """A copy of a JSON document with the entry at the path `keys` set to value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
 @pytest.fixture
 def built_model(data_csv, tmp_path):
     out = tmp_path / "built"
@@ -327,8 +337,20 @@ class TestConfigAndErrors:
          "model preprocessing metadata is not 6 columns and their standardizer"),
         (lambda doc: {**doc, "meta": {**doc["meta"], "selected_features": [0, 1]}},
          "model preprocessing metadata is not 6 columns and their standardizer"),
+        (lambda doc: {**doc, "blocks": 5}, "spoilt.json: blocks and head are not both lists"),
+        (lambda doc: {**doc, "blocks": [5]}, "spoilt.json: block 0 is not a pair or dense block"),
+        (lambda doc: {**doc, "head": [5]}, "spoilt.json: head layer 0 W is not an encoded array"),
+        (lambda doc: _edited(doc, ("blocks", 0, "bn", "gamma"), 3),
+         "spoilt.json: block 0 BatchNorm gamma is not an encoded array"),
+        (lambda doc: _edited(doc, ("blocks", 0, "linear", "w_src", "dtype"), "<zz"),
+         "spoilt.json: block 0 linear w_src is not an encoded array"),
+        (lambda doc: _edited(doc, ("blocks", 0, "kind"), "xx"),
+         "spoilt.json: block 0 is not a pair or dense block"),
+        (lambda doc: {**doc, "input_dim": True}, "spoilt.json: input_dim is not a positive integer"),
     ], ids=["one-class-name", "two-feature-names", "meta-not-object", "top-level-list",
-            "input-dim-text", "no-head", "standardizer-not-object", "two-columns"])
+            "input-dim-text", "no-head", "standardizer-not-object", "two-columns",
+            "blocks-not-list", "block-not-object", "head-layer-not-object", "gamma-not-array",
+            "unknown-dtype", "unknown-kind", "input-dim-true"])
     def test_model_with_bad_metadata_exits_2(self, data_csv, trained_model, tmp_path, capsys,
                                              spoil, message):
         with open(trained_model, encoding="utf-8") as fh:

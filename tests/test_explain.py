@@ -191,6 +191,19 @@ class TestLrp:
         assert trace.target_logit == 0.0
         assert trace.conservation_total == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("target", [-1, 3, 2.0, True, np.bool_(False), "1", None])
+    def test_rejects_target_outside_classes(self, target):
+        net = random_pair_net(np.random.default_rng(7), d=6, widths=(5,), k=3)
+        with pytest.raises(ValueError, match=r"is not a class index in 0\.\.2"):
+            lrp_explain(net, np.ones(6), target)
+
+    def test_accepts_numpy_integer_target(self):
+        net = random_pair_net(np.random.default_rng(7), d=6, widths=(5,), k=3)
+        for target in (np.int64(2), np.uint8(2), np.int32(0)):
+            got, want = lrp_explain(net, np.ones(6), target), lrp_explain(net, np.ones(6), int(target))
+            assert got.target_class == want.target_class
+            assert np.array_equal(got.layer_relevances[0], want.layer_relevances[0])
+
     def test_conservation_on_random_nets(self):
         checked = 0
         for s in range(60):

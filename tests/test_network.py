@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from birdnet.explain import _input_name
+from birdnet.explain import _input_name, lrp_explain
 from birdnet.network import (
     _CHUNK_BYTES,
     BatchNorm,
@@ -213,9 +213,9 @@ class TestFoldedEval:
     def test_eval_cache_holds_no_batchnorm_state(self):
         _, net = next(inference_nets(0))
         _, cache = net.forward(np.ones((3, net.input_dim)), mode="eval")
-        assert set(cache) == {"mode", "block_in", "post_bn", "head_in", "scale"}
-        for blk, scale in zip(net.blocks, cache["scale"], strict=True):
-            assert np.array_equal(scale, blk.fold()[0])
+        assert set(cache) == {"mode", "block_in", "post_bn", "head_in", "fold"}
+        for blk, fold in zip(net.blocks, cache["fold"], strict=True):
+            assert np.array_equal(fold.scale, blk.fold().scale)
 
     def test_batch_equals_row_by_row(self):
         for seed in range(6):
@@ -237,9 +237,9 @@ class TestFoldedEval:
         blk = wide_net.blocks[0]
         lin = blk.linear
         X = np.random.default_rng(m).normal(size=(m, wide_net.input_dim))
-        s, shift = blk.fold()
+        s, shift = blk.fold()[:2]
         one_shot = X[:, lin.src] * (lin.w_src * s) + X[:, lin.tgt] * (lin.w_tgt * s) + shift
-        assert np.array_equal(lin.folded(X, s, shift), one_shot)
+        assert np.array_equal(lin.folded(X, blk.fold()), one_shot)
         logits, _ = wide_net.forward(X, mode="eval")
         assert np.abs(logits - oracle_eval_forward(wide_net, X)[0]).max(initial=0.0) <= 1e-12
         rows = [wide_net.forward(X[r : r + 1], mode="eval")[0] for r in range(m)]
@@ -281,6 +281,88 @@ class TestFoldedEval:
         bn = net.blocks[1].bn
         predict_tracks(lambda: np.subtract(bn.running_mean, 0.5, out=bn.running_mean))
         predict_tracks(lambda: np.multiply(bn.running_var, 2.0, out=bn.running_var))
+
+
+class TestServedModel:
+    """A loaded model is read-only and keeps one fold per block."""
+
+    @staticmethod
+    def _load(tmp_path, net):
+        p = tmp_path / "m.json"
+        save_network(net, str(p))
+        return load_network(str(p))
+
+    @staticmethod
+    def _arrays(net):
+        held = [o for blk in net.blocks for o in (blk.linear, blk.bn, blk.bindings)] + net.head.layers
+        return [v for o in held for v in vars(o).values() if isinstance(v, np.ndarray)]
+
+    def test_every_loaded_array_is_read_only(self, tmp_path):
+        for name, net in inference_nets(3):
+            arrays = self._arrays(self._load(tmp_path, net))
+            assert len(arrays) == len(self._arrays(net)) > 0
+            for arr in arrays:
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    np.add(arr, arr.dtype.type(1), out=arr)
+
+    def test_loaded_model_folds_once_built_model_every_call(self, tmp_path):
+        for name, net in inference_nets(4):
+            X = np.random.default_rng(4).normal(size=(3, net.input_dim))
+            for model, kept in ((self._load(tmp_path, net), True), (net, False)):
+                _, first = model.forward(X, mode="eval")
+                _, second = model.forward(X, mode="eval")
+                for f1, f2 in zip(first["fold"], second["fold"], strict=True):
+                    same = [a is b for a, b in zip(f1, f2) if a is not None]
+                    assert same == [kept] * len(same), (name, kept)
+
+    def test_loaded_predict_follows_every_parameter_writer(self, tmp_path):
+        # Each writer installs fresh writeable arrays, so the kept fold is
+        # dropped; restore packs a never-trained loaded model first.
+        rng = np.random.default_rng(21)
+        net = random_pair_net(rng, d=6, widths=(5, 4), k=3)
+        X = rng.normal(size=(40, 6))
+        y = rng.integers(0, 3, 40)
+        cfg = TrainConfig(epochs_max=3, batch_size=8, patience=3, seed=2)
+        trained = self._load(tmp_path, net)
+        train(trained, X[:30], y[:30], X[30:], y[30:], cfg)
+        state = trained.snapshot()
+        h = net.blocks[0].linear.out_dim
+
+        def unlock_and_write(m):  # a read-only flag turned off again also ends reuse
+            gamma = m.blocks[1].bn.gamma
+            gamma.flags.writeable = True
+            gamma *= 2.0
+
+        writers = {
+            "train": lambda m: train(m, X[:30], y[:30], X[30:], y[30:], cfg),
+            "restore": lambda m: m.restore(state),
+            "set_stats": lambda m: m.blocks[0].bn.set_stats(np.full(h, 0.4), np.full(h, 3.0)),
+            "unlocked": unlock_and_write,
+        }
+        for name, write in writers.items():
+            loaded = self._load(tmp_path, net)
+            before, _ = loaded.forward(X, mode="eval")
+            write(loaded)
+            after, _ = loaded.forward(X, mode="eval")
+            assert not np.array_equal(before, after), name
+            assert np.abs(after - oracle_eval_forward(loaded, X)[0]).max() <= 1e-12, name
+
+    def test_loaded_model_matches_the_model_it_was_saved_from(self, tmp_path):
+        # The 4100-unit net runs 64 rows through the chunk loop, the others in one chunk.
+        nets = [named for seed in range(4) for named in inference_nets(200 + seed)]
+        nets.append(("wide", random_pair_net(np.random.default_rng(41), d=10, widths=(4100,), k=3)))
+        for i, (name, net) in enumerate(nets):
+            loaded = self._load(tmp_path, net)
+            X = np.random.default_rng(i).normal(size=(64, net.input_dim))
+            for rows in (X[:1], X, X[:1]):  # the last call reuses the kept fold
+                want, _ = net.forward(rows, mode="eval")
+                assert np.array_equal(loaded.forward(rows, mode="eval")[0], want), name
+            for target in range(net.n_classes):
+                a, b = lrp_explain(net, X[1], target), lrp_explain(loaded, X[1], target)
+                for ra, rb in zip(a.layer_relevances, b.layer_relevances, strict=True):
+                    assert np.array_equal(ra, rb), (name, target)
+                assert a.chain == b.chain
 
 
 class TestGradients:
