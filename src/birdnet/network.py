@@ -111,26 +111,17 @@ class PairLinear:
         """(W x) * scale + shift from the fold's gather index and scaled weights.
 
         The output is the one fresh large array: rows go in chunks of about
-        `_CHUNK_BYTES` of output, each gathered and multiplied straight into
-        its slice, so the one temporary per chunk stays in cache instead of
-        being faulted in and freed at full batch size. A batch of one chunk
-        (every 1-row request) gathers both inputs at once instead, with the
-        same per-element operations."""
+        `_CHUNK_BYTES` of output, each gathering both inputs of every unit
+        with one `take` and summing them straight into its slice, so the one
+        temporary per chunk stays in cache instead of being faulted in and
+        freed at full batch size. A 1-row request is one chunk."""
         m, h = x.shape[0], self.out_dim
         step = max(1, _CHUNK_BYTES // (8 * max(h, 1)))
-        if m <= step:
-            g = x.take(fold.idx, axis=1)
+        z = np.empty((m, h))
+        for r in range(0, m, step):
+            g = x[r : r + step].take(fold.idx, axis=1)
             g *= fold.w
-            z = g[:, :h] + g[:, h:]
-        else:
-            ws, wt = fold.w[:h], fold.w[h:]
-            z = np.empty((m, h))
-            for r in range(0, m, step):
-                xr, zr = x[r : r + step], z[r : r + step]
-                np.multiply(xr.take(self.src, axis=1), ws, out=zr)
-                t = xr.take(self.tgt, axis=1)
-                t *= wt
-                zr += t
+            np.add(g[:, :h], g[:, h:], out=z[r : r + step])
         z += fold.shift
         return z
 
@@ -651,7 +642,9 @@ def load_network(path: str) -> BirNetwork:
     )
     if not all(np.isfinite(arr).all() for arr in net.snapshot().values()):
         raise ValueError(f"{path}: model holds NaN or infinite parameters")
-    for arr in [arr for _, arr, _ in net.params()] + [a for blk in net.blocks for a in (
-            blk.bn.running_mean, blk.bn.running_var, *vars(blk.bindings).values())]:
+    # Every array held, also a layer's own copy of a binding column that was
+    # stored in another byte order.
+    held = [o for blk in blocks for o in (blk.linear, blk.bn, blk.bindings)] + head.layers
+    for arr in [a for o in held for a in vars(o).values() if isinstance(a, np.ndarray)]:
         arr.flags.writeable = False
     return net

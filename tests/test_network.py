@@ -1,4 +1,5 @@
 import base64
+import itertools
 import json
 
 import numpy as np
@@ -287,9 +288,17 @@ class TestServedModel:
     """A loaded model is read-only and keeps one fold per block."""
 
     @staticmethod
-    def _load(tmp_path, net):
+    def _load(tmp_path, net, wiring=None):
+        """Save and load net; with a dtype, re-encode each block's source and
+        target columns in it (">i8": the pair layer keeps native copies)."""
         p = tmp_path / "m.json"
         save_network(net, str(p))
+        if wiring:
+            doc = json.loads(p.read_text())
+            for col in (blk["bindings"][k] for blk in doc["blocks"] for k in ("source", "target")):
+                arr = np.frombuffer(base64.b64decode(col["data"]), dtype=col["dtype"]).astype(wiring)
+                col.update(dtype=wiring, data=base64.b64encode(arr.tobytes()).decode("ascii"))
+            p.write_text(json.dumps(doc))
         return load_network(str(p))
 
     @staticmethod
@@ -298,18 +307,19 @@ class TestServedModel:
         return [v for o in held for v in vars(o).values() if isinstance(v, np.ndarray)]
 
     def test_every_loaded_array_is_read_only(self, tmp_path):
-        for name, net in inference_nets(3):
-            arrays = self._arrays(self._load(tmp_path, net))
+        for (name, net), wiring in itertools.product(inference_nets(3), (None, ">i8")):
+            arrays = self._arrays(self._load(tmp_path, net, wiring))
             assert len(arrays) == len(self._arrays(net)) > 0
             for arr in arrays:
-                assert not arr.flags.writeable, name
+                assert not arr.flags.writeable, (name, wiring)
                 with pytest.raises(ValueError, match="read-only"):
                     np.add(arr, arr.dtype.type(1), out=arr)
 
     def test_loaded_model_folds_once_built_model_every_call(self, tmp_path):
         for name, net in inference_nets(4):
             X = np.random.default_rng(4).normal(size=(3, net.input_dim))
-            for model, kept in ((self._load(tmp_path, net), True), (net, False)):
+            loaded = [(self._load(tmp_path, net, wiring), True) for wiring in (None, ">i8")]
+            for model, kept in loaded + [(net, False)]:
                 _, first = model.forward(X, mode="eval")
                 _, second = model.forward(X, mode="eval")
                 for f1, f2 in zip(first["fold"], second["fold"], strict=True):
@@ -349,7 +359,7 @@ class TestServedModel:
             assert np.abs(after - oracle_eval_forward(loaded, X)[0]).max() <= 1e-12, name
 
     def test_loaded_model_matches_the_model_it_was_saved_from(self, tmp_path):
-        # The 4100-unit net runs 64 rows through the chunk loop, the others in one chunk.
+        # The 4100-unit net runs 64 rows in several chunks, the others in one.
         nets = [named for seed in range(4) for named in inference_nets(200 + seed)]
         nets.append(("wide", random_pair_net(np.random.default_rng(41), d=10, widths=(4100,), k=3)))
         for i, (name, net) in enumerate(nets):
