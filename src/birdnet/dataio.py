@@ -45,16 +45,6 @@ class LabeledDataset:
     def k(self) -> int:
         return len(self.class_names)
 
-    def subset(self, row_idx: np.ndarray, col_idx: np.ndarray | None = None) -> "LabeledDataset":
-        cols = np.arange(self.d) if col_idx is None else np.asarray(col_idx)
-        return LabeledDataset(
-            values=self.values[np.ix_(np.asarray(row_idx), cols)],
-            feature_names=[self.feature_names[c] for c in cols],
-            sample_ids=[self.sample_ids[r] for r in np.asarray(row_idx)],
-            labels=self.labels[np.asarray(row_idx)],
-            class_names=list(self.class_names),
-        )
-
 
 @dataclass
 class Standardizer:
@@ -271,14 +261,14 @@ def stratified_holdout(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     return mask
 
 
-def anova_f_select(data: LabeledDataset, m: int) -> np.ndarray:
-    """Indices of the m features with largest between/within class variance ratio.
+def anova_f_select(X: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m columns of X (rows labelled y) with largest
+    between/within class variance ratio.
 
     F = [sum_c n_c (xbar_c - xbar)^2 / (k-1)] / [sum_c sum_{i in c} (x_i - xbar_c)^2 / (n-k)].
     Zero within-class variance with nonzero between-class variance ranks as +inf;
     zero between-class variance gives F = 0. Ties break toward the lower index.
     """
-    X, y = data.values, data.labels
     n, d = X.shape
     if not 1 <= m <= d:
         raise ValueError(f"requested m={m} features, need 1 <= m <= d={d}")
@@ -302,23 +292,31 @@ def anova_f_select(data: LabeledDataset, m: int) -> np.ndarray:
     return np.sort(order[:m])
 
 
-def preselect_features(data: LabeledDataset, m: int | None) -> np.ndarray:
-    """Columns kept by ANOVA F preselection of the top m features. m=None
+def preselect_features(X: np.ndarray, y: np.ndarray, m: int | None) -> np.ndarray:
+    """Columns of X kept by ANOVA F preselection of the top m features. m=None
     means 2000 when d > 2000 and no selection otherwise; m >= d keeps all."""
-    if m is None and data.d > 2000:
+    d = X.shape[1]
+    if m is None and d > 2000:
         m = 2000
-    if m is None or m >= data.d:
-        return np.arange(data.d)
-    return anova_f_select(data, m)
+    if m is None or m >= d:
+        return np.arange(d)
+    return anova_f_select(X, y, m)
 
 
 def fit_standardizer(rows: np.ndarray) -> Standardizer:
-    """Fit per-feature mean and population stddev on training rows."""
+    """Fit per-feature mean and population stddev on training rows. Squared
+    deviations are summed ~256 KiB of rows at a time, in row order, with no
+    (n, d) temporary; on row-major rows the bits are those of rows.std(axis=0)."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] < 2:
         raise ValueError("standardizer needs at least 2 training rows")
     means = rows.mean(axis=0)
-    std = rows.std(axis=0)  # population (1/n)
+    var, step = 0.0, max(1, (1 << 18) // max(rows[0].nbytes, 1))
+    for i in range(0, rows.shape[0], step):
+        dev = (rows[i : i + step] - means) ** 2
+        dev[0] += var  # the chunk's sum continues the running one
+        var = dev.sum(axis=0)
+    std = np.sqrt(var / rows.shape[0])  # population (1/n)
     constant = std == 0.0
     std = np.where(constant, 1.0, std)
     return Standardizer(means=means, stddevs=std, constant=constant)

@@ -224,7 +224,7 @@ def fit_on_rows(
     """The protocol's fit, on the training rows only: ANOVA F preselection,
     standardization, construction, then training with early stopping.
 
-    rows: the training rows; None takes every row and copies columns only.
+    rows: the training rows; None means every row, np.arange(dataset.n).
     val_mask: the early-stop rows among `rows`; None holds out a stratified
     cfg.val_fraction of them, drawn with seed cfg.seed + 1.
     until: "standardize" stops before construction, "build" before training.
@@ -233,14 +233,14 @@ def fit_on_rows(
     """
     if until not in ("standardize", "build", "train"):
         raise ValueError(f"unknown stage {until!r}")
-    # X is one copy, standardized in place. Its layout, column-major over
-    # every row and row-major over a subset, fixes the standardizer's rounding.
-    if rows is None:
-        cols = preselect_features(dataset, cfg.preselect_m)
-        X, y = dataset.values[:, cols], dataset.labels
-    else:
-        cols = preselect_features(dataset.subset(rows), cfg.preselect_m)
-        X, y = dataset.values[np.ix_(rows, cols)], dataset.labels[rows]
+    # X is one row-major copy of the training rows, narrowed only when the
+    # selection drops columns, then standardized in place. Its layout fixes
+    # the standardizer's rounding, so it is the same for every row set.
+    rows = np.arange(dataset.n) if rows is None else rows
+    X, y = dataset.values[rows], dataset.labels[rows]
+    cols = preselect_features(X, y, cfg.preselect_m)
+    if cols.size < X.shape[1]:
+        X = X.take(cols, axis=1)
     std = fit_standardizer(X)
     X -= std.means
     X /= std.stddevs

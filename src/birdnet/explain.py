@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 LRP_EPSILON = 1e-6
-DEFAULT_MIN_SUPPORT = 10
 
 # By type code T0..T5.
 _RULE_TEMPLATES = (
@@ -127,7 +126,7 @@ def extract_rules(
     net: BirNetwork,
     rows: np.ndarray,
     labels: np.ndarray,
-    min_support: int = DEFAULT_MIN_SUPPORT,
+    min_support: int,
 ) -> list[RuleRecord]:
     """Per (first-layer unit, class) rule statistics on held-out data,
     sorted by (class, precision desc, lift desc)."""

@@ -640,11 +640,11 @@ def load_network(path: str) -> BirNetwork:
     net = BirNetwork(
         doc["input_dim"], doc["feature_names"], blocks, head, doc["class_names"], doc["meta"]
     )
-    if not all(np.isfinite(arr).all() for arr in net.snapshot().values()):
-        raise ValueError(f"{path}: model holds NaN or infinite parameters")
-    # Every array held, also a layer's own copy of a binding column that was
-    # stored in another byte order.
+    # One walk over every array held, also a layer's own copy of a binding
+    # column that was stored in another byte order: finite, then read-only.
     held = [o for blk in blocks for o in (blk.linear, blk.bn, blk.bindings)] + head.layers
     for arr in [a for o in held for a in vars(o).values() if isinstance(a, np.ndarray)]:
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ValueError(f"{path}: model holds NaN or infinite numbers")
         arr.flags.writeable = False
     return net

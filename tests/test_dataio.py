@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birdnet.dataio import (
-    LabeledDataset,
     anova_f_select,
     apply_standardizer,
     fit_standardizer,
@@ -258,23 +257,13 @@ class TestStratifiedHoldout:
 
 
 class TestAnovaFSelect:
-    def _ds(self, X, y):
-        d = X.shape[1]
-        return LabeledDataset(
-            values=np.asarray(X, dtype=np.float64),
-            feature_names=[f"f{j}" for j in range(d)],
-            sample_ids=[f"s{i}" for i in range(X.shape[0])],
-            labels=np.asarray(y),
-            class_names=[str(c) for c in np.unique(y)],
-        )
-
     def test_selects_label_correlated_feature(self):
         rng = np.random.default_rng(0)
         n = 120
         y = rng.integers(0, 2, n)
         X = rng.normal(size=(n, 6))
         X[:, 3] = y + rng.normal(0, 0.01, n)
-        sel = anova_f_select(self._ds(X, y), 1)
+        sel = anova_f_select(X, y, 1)
         assert sel.tolist() == [3]
 
     def test_matches_direct_formula(self):
@@ -282,7 +271,6 @@ class TestAnovaFSelect:
         n, d, k = 60, 10, 3
         y = rng.integers(0, k, n)
         X = rng.normal(size=(n, d))
-        ds = self._ds(X, y)
         # direct F per feature
         F = np.empty(d)
         grand = X.mean(axis=0)
@@ -297,12 +285,12 @@ class TestAnovaFSelect:
             F[j] = b / w
         m = 4
         want = np.sort(np.argsort(-F, kind="stable")[:m])
-        assert np.array_equal(anova_f_select(ds, m), want)
+        assert np.array_equal(anova_f_select(X, y, m), want)
 
     def test_zero_within_variance_ranks_first(self):
         X = np.array([[0.0, 5.0], [0.0, 5.0], [1.0, 5.0], [1.0, 5.0]])
         y = np.array([0, 0, 1, 1])
-        sel = anova_f_select(self._ds(X, y), 1)
+        sel = anova_f_select(X, y, 1)
         assert sel.tolist() == [0]  # perfect separator, F = +inf
 
     def test_constant_feature_ranks_last(self):
@@ -310,7 +298,7 @@ class TestAnovaFSelect:
         X = rng.normal(size=(40, 3))
         X[:, 1] = 7.0  # between == 0 -> F = 0
         y = rng.integers(0, 2, 40)
-        sel = anova_f_select(self._ds(X, y), 2)
+        sel = anova_f_select(X, y, 2)
         assert 1 not in sel.tolist()
 
     def test_m_too_large(self):
@@ -318,15 +306,15 @@ class TestAnovaFSelect:
         X = rng.normal(size=(20, 3))
         y = rng.integers(0, 2, 20)
         with pytest.raises(ValueError):
-            anova_f_select(self._ds(X, y), 4)
+            anova_f_select(X, y, 4)
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_m_below_one(self, m):
         # A negative m once kept d - |m| features by a negative slice.
         rng = np.random.default_rng(3)
-        ds = self._ds(rng.normal(size=(20, 5)), rng.integers(0, 2, 20))
+        X, y = rng.normal(size=(20, 5)), rng.integers(0, 2, 20)
         with pytest.raises(ValueError, match=f"requested m={m} features"):
-            preselect_features(ds, m)
+            preselect_features(X, y, m)
 
 
 class TestStandardizer:
@@ -349,6 +337,13 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             apply_standardizer(s, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("n,d", [(2, 3), (200, 1000), (5, 40000)])
+    def test_row_chunks_sum_as_numpy_does(self, n, d):
+        # One chunk, many chunks, and one row per chunk: the same bits.
+        X = np.random.default_rng(n).normal(3.0, 2.5, size=(n, d)) * np.linspace(0.1, 100.0, d)
+        s = fit_standardizer(X)
+        assert np.array_equal(s.means, X.mean(axis=0)) and np.array_equal(s.stddevs, X.std(axis=0))
+
     @given(st.integers(min_value=2, max_value=40), st.integers(0, 2**31))
     @settings(max_examples=30)
     def test_standardized_moments(self, n, seed):
@@ -359,18 +354,3 @@ class TestStandardizer:
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-10)
 
-
-class TestSubset:
-    def test_row_and_column_subset(self):
-        ds = LabeledDataset(
-            values=np.arange(12.0).reshape(4, 3),
-            feature_names=["a", "b", "c"],
-            sample_ids=["s0", "s1", "s2", "s3"],
-            labels=np.array([0, 1, 0, 1]),
-            class_names=["x", "y"],
-        )
-        sub = ds.subset(np.array([1, 3]), np.array([0, 2]))
-        assert sub.feature_names == ["a", "c"]
-        assert sub.sample_ids == ["s1", "s3"]
-        assert np.array_equal(sub.values, [[3.0, 5.0], [9.0, 11.0]])
-        assert sub.labels.tolist() == [1, 1]

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birdnet.builder import build_birdnet
-from birdnet.dataio import LabeledDataset
+from birdnet.dataio import LabeledDataset, load_csv
 from birdnet.evaluate import (
     PipelineConfig,
     _fold_scores,
@@ -16,7 +18,7 @@ from birdnet.evaluate import (
 )
 from birdnet.mining import MiningConfig
 from birdnet.trainer import TrainConfig
-from helpers import planted_pair_data
+from helpers import planted_pair_data, write_csv
 
 
 def brute_force_auroc(scores, pos):
@@ -239,17 +241,39 @@ class TestFitOnRows:
         with pytest.raises(ValueError, match="unknown stage"):
             fit_on_rows(ds, cfg, until="mine")
 
-    def test_all_rows_copy_columns_only(self, monkeypatch):
+    def test_all_rows_one_row_major_copy(self, monkeypatch):
+        import birdnet.dataio as dataio
+
         ds = synthetic_dataset()
         want = (ds.values - ds.values.mean(axis=0)) / ds.values.std(axis=0)
 
-        def no_row_copy(*args):
-            raise AssertionError("a fit on all rows copied the table by rows")
+        def no_selection(*args):
+            raise AssertionError("ANOVA ran with nothing to select")
 
-        monkeypatch.setattr(LabeledDataset, "subset", no_row_copy)
+        monkeypatch.setattr(dataio, "anova_f_select", no_selection)
         fit = fit_on_rows(ds, fast_config(), until="standardize")
+        assert fit.X.flags.c_contiguous and fit.X.flags.owndata
         assert np.allclose(fit.X, want, rtol=0.0, atol=1e-12)
         assert fit.names == ds.feature_names
+
+    @pytest.mark.parametrize("preselect_m", [None, 3])
+    def test_every_row_is_the_fit_on_all_row_indices(self, tmp_path, preselect_m):
+        # The CLI's planted fixture, read back from its CSV.
+        X, y = planted_pair_data(np.random.default_rng(0), n=200, n_noise=4)
+        write_csv(str(tmp_path / "data.csv"), X, y, id_col=True)
+        ds = load_csv(str(tmp_path / "data.csv"), "diagnosis", id_column="sample")
+        cfg = fast_config(preselect_m=preselect_m)
+        a, b = fit_on_rows(ds, cfg), fit_on_rows(ds, cfg, np.arange(ds.n))
+        assert a.X.shape[1] == (preselect_m or ds.d)
+        assert np.array_equal(a.X, b.X) and a.names == b.names
+        na, nb = a.nets[0], b.nets[0]
+        sa, sb = na.snapshot(), nb.snapshot()
+        assert sa.keys() == sb.keys()
+        assert all(np.array_equal(sa[k], sb[k]) for k in sa)
+        for ba, bb in zip(na.blocks, nb.blocks, strict=True):
+            assert all(np.array_equal(getattr(ba.bindings, f.name), getattr(bb.bindings, f.name))
+                       for f in fields(ba.bindings))
+        assert na.meta == nb.meta
 
 
 class TestHoldoutRules:

@@ -138,7 +138,7 @@ class TestExtractRules:
     def test_empty_holdout_rejected(self):
         net, X, y = self._net_and_data()
         with pytest.raises(ValueError):
-            extract_rules(net, X[:0], y[:0])
+            extract_rules(net, X[:0], y[:0], min_support=10)
 
     def test_matches_loop_oracle(self):
         net, X, y = self._net_and_data()

@@ -636,6 +636,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="NaN or infinite"):
             self._reload(tmp_path, net)
 
+    @pytest.mark.parametrize("column,value", [("log_p", np.nan), ("exception_fraction", np.inf)])
+    def test_rejects_nonfinite_binding(self, tmp_path, column, value):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            self._reload(tmp_path, net, lambda doc: self._set_binding(doc, 0, column, value))
+
     def test_rejects_binding_count_mismatch(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
         net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
