@@ -34,7 +34,7 @@ __all__ = [
     "lrp_explain",
 ]
 
-LRP_EPSILON = 1e-6
+LRP_EPSILON = 1e-6  # the epsilon rule's stabilizer, stab(z) = z + LRP_EPSILON * sign(z)
 
 # By type code T0..T5.
 _RULE_TEMPLATES = (
@@ -129,12 +129,13 @@ def extract_rules(
     min_support: int,
 ) -> list[RuleRecord]:
     """Per (first-layer unit, class) rule statistics on held-out data,
-    sorted by (class, precision desc, lift desc)."""
+    sorted by (class, precision desc, lift desc); one label in 0..k-1 per row."""
     if rows.shape[0] == 0:
         raise ValueError("held-out set is empty")
+    labels = net.check_labels(labels, rows.shape[0])
     active = unit_activity(net, rows)
     bindings, names = net.blocks[0].bindings, net.feature_names
-    onehot = np.asarray(labels)[:, None] == np.arange(net.n_classes)
+    onehot = labels[:, None] == np.arange(net.n_classes)
     hits = active.T.astype(np.int64) @ onehot  # (units, classes)
     support, n_c = active.sum(axis=0), onehot.sum(axis=0)
     prevalence = onehot.mean(axis=0)
@@ -162,19 +163,19 @@ def rules_to_csv(records: list[RuleRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stabilize(z: np.ndarray, epsilon: float) -> np.ndarray:
-    return z + epsilon * np.where(z >= 0.0, 1.0, -1.0)
+def _stabilize(z: np.ndarray) -> np.ndarray:
+    return z + LRP_EPSILON * np.where(z >= 0.0, 1.0, -1.0)
 
 
-def _propagate_dense(R_out, a_in, W, scale, epsilon):
+def _propagate_dense(R_out, a_in, W, scale):
     # Matrix-free: input i receives a_i * sum_j W[j, i] * scale_j * R_j / stab(z_j).
-    share = scale * R_out / _stabilize((W @ a_in) * scale, epsilon)
+    share = scale * R_out / _stabilize((W @ a_in) * scale)
     return a_in * (share @ W)
 
 
-def _propagate_pair(R_out, a_in, lin: PairLinear, fold: Fold, epsilon):
+def _propagate_pair(R_out, a_in, lin: PairLinear, fold: Fold):
     c = a_in[fold.idx] * fold.w  # each unit's source, then target contributions
-    share = R_out / _stabilize(c[: lin.out_dim] + c[lin.out_dim :], epsilon)
+    share = R_out / _stabilize(c[: lin.out_dim] + c[lin.out_dim :])
     return np.bincount(fold.idx, c * np.concatenate([share, share]), minlength=lin.in_dim)
 
 
@@ -183,9 +184,8 @@ def lrp_explain(
     instance: np.ndarray,
     target_class: int,
     instance_id: str = "?",
-    epsilon: float = LRP_EPSILON,
 ) -> RelevanceTrace:
-    """Backward relevance decomposition of one logit into per-unit scores.
+    """Epsilon-rule (`LRP_EPSILON`) decomposition of one logit into per-unit scores.
 
     Relevance flows only through active (post-ReLU positive) units; the
     argmax chain descends from the top block to layer 0 through each chosen
@@ -203,16 +203,16 @@ def lrp_explain(
     R[target_class] = target_logit
     # Head, top down. Hidden head activations are cached inputs of later layers.
     for i in reversed(range(len(net.head.layers))):
-        R = _propagate_dense(R, cache["head_in"][i][0], net.head.layers[i].W, 1.0, epsilon)
+        R = _propagate_dense(R, cache["head_in"][i][0], net.head.layers[i].W, 1.0)
     layer_rel: list[np.ndarray] = [None] * len(net.blocks)
     for ell in reversed(range(len(net.blocks))):
         blk, a_in = net.blocks[ell], cache["block_in"][ell][0]
         layer_rel[ell] = R
         fold = cache["fold"][ell]
         if isinstance(blk.linear, PairLinear):
-            R = _propagate_pair(R, a_in, blk.linear, fold, epsilon)
+            R = _propagate_pair(R, a_in, blk.linear, fold)
         else:
-            R = _propagate_dense(R, a_in, blk.linear.W, fold.scale, epsilon)
+            R = _propagate_dense(R, a_in, blk.linear.W, fold.scale)
 
     # Argmax chain: from the top block down through the chosen unit's bindings.
     chain: list[tuple[int, int, str, float]] = []

@@ -13,13 +13,14 @@ training network's arrays are writeable and it refolds on every call.
 A pair block's one fresh large array per call is its output: rows go in
 chunks of about 256 KiB of output, each gathered straight into its slice.
 
-Train mode keeps every activation row-major: a pair layer gathers its two
-input columns once per step with `take` and its backward reuses them, and
-its input gradient is one `np.bincount` scatter. Once `flat_params` is
-called (the trainer does), every trainable parameter is a view of one flat
-float64 buffer owned by the network, so an optimizer step is a few
-whole-buffer operations. A network that is only loaded and served never
-builds that buffer.
+Eval mode is inference only: `backward` takes a train-mode cache, and
+BatchNorm's one eval form is the block's `Fold`. Train mode keeps every
+activation row-major: a pair layer gathers its two input columns once per
+step with `take` and its backward reuses them, and its input gradient is one
+`np.bincount` scatter. Once `flat_params` is called (the trainer does), every
+trainable parameter is a view of one flat float64 buffer owned by the
+network, so an optimizer step is a few whole-buffer operations. A network
+that is only loaded and served never builds that buffer.
 """
 
 from __future__ import annotations
@@ -198,6 +199,8 @@ class DenseLinear:
 
 
 class BatchNorm:
+    """Train-mode BatchNorm; its eval form is the block's `Fold`."""
+
     PARAMS = (("gamma", False), ("beta", False))
 
     def __init__(self, dim: int):
@@ -206,35 +209,29 @@ class BatchNorm:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, z: np.ndarray, mode: str):
-        if mode == "train":
-            mean = z.mean(axis=0)
-            xhat = z - mean
-            var = (xhat * xhat).sum(axis=0) / z.shape[0]  # z.var(axis=0), centred once
-            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
-            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
-        else:  # "eval": running statistics, treated as constants
-            xhat = z - self.running_mean
-            var = self.running_var
+    def forward(self, z: np.ndarray):
+        mean = z.mean(axis=0)
+        xhat = z - mean
+        var = (xhat * xhat).sum(axis=0) / z.shape[0]  # z.var(axis=0), centred once
+        self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
         y = self.gamma * xhat
         y += self.beta
-        return y, (xhat, inv_std, mode)
+        return y, (xhat, inv_std)
 
     def backward(self, dy: np.ndarray, cache):
-        xhat, inv_std, mode = cache
+        """(dz, grads): dz = (inv_std/m) (m dxhat - sum dxhat - xhat sum(dxhat xhat))."""
+        xhat, inv_std = cache
         dgamma = (dy * xhat).sum(axis=0)
         dbeta = dy.sum(axis=0)
         dxhat = dy * self.gamma
-        if mode == "train":  # (inv_std/m) (m dxhat - sum dxhat - xhat sum(dxhat xhat))
-            m = dy.shape[0]
-            dz = m * dxhat
-            dz -= dxhat.sum(axis=0)
-            dz -= xhat * (dxhat * xhat).sum(axis=0)
-            dz *= inv_std / m
-        else:
-            dz = dxhat * inv_std
+        m = dy.shape[0]
+        dz = m * dxhat
+        dz -= dxhat.sum(axis=0)
+        dz -= xhat * (dxhat * xhat).sum(axis=0)
+        dz *= inv_std / m
         return dz, {"gamma": dgamma, "beta": dbeta}
 
     def set_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
@@ -331,13 +328,21 @@ class BirNetwork:
             raise ValueError("input rows hold NaN or infinite values")
         return X
 
+    def check_labels(self, y, rows: int) -> np.ndarray:
+        """y as one integer class index in 0..k-1 per row, or a ValueError."""
+        y = np.asarray(y)
+        k = self.n_classes
+        if y.shape != (rows,) or y.dtype.kind not in "iu" or (rows and not 0 <= y.min() <= y.max() < k):
+            raise ValueError(f"labels must be {rows} integer class indices in 0..{k - 1}, one per row")
+        return y
+
     def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None,
                 dropout: float = 0.0):
-        """Returns (logits, cache), a cache that backward accepts in either
-        mode. Modes: 'train' (batch BN stats, `dropout` after each block's
-        ReLU; the cache keeps what each linear map's backward reuses),
-        'eval' (running stats folded into each block, deterministic; the
-        cache keeps each block's input and `Fold`, no other BN state)."""
+        """Returns (logits, cache). Modes: 'train' (batch BN stats, `dropout`
+        after each block's ReLU; the cache is what `backward` takes and keeps
+        what each linear map's backward reuses), 'eval' (inference only:
+        running stats folded into each block, deterministic; the cache keeps
+        each block's input and `Fold`, which relevance traces read)."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         X = self.check_input(X)
@@ -361,7 +366,7 @@ class BirNetwork:
                 continue
             z, saved = blk.linear.forward_saved(a)
             cache["saved"].append(saved)
-            y, bn_cache = blk.bn.forward(z, mode)
+            y, bn_cache = blk.bn.forward(z)
             cache["bn"].append(bn_cache)
             a = np.maximum(y, 0.0, out=y)
             cache["post_bn"].append(a)  # post-ReLU, pre-dropout
@@ -380,8 +385,10 @@ class BirNetwork:
         return a, cache
 
     def backward(self, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact gradients of the cached forward; keys match param paths.
-        No gradient is formed for the network input."""
+        """Exact gradients of a train-mode forward, from its cache; keys match
+        param paths. No gradient is formed for the network input."""
+        if cache["mode"] != "train":
+            raise ValueError("backward needs the cache of a train-mode forward")
         grads: dict[str, np.ndarray] = {}
         da = np.asarray(dlogits, dtype=np.float64)
         for i in reversed(range(len(self.head.layers))):
@@ -392,21 +399,15 @@ class BirNetwork:
             if i > 0:
                 da *= x > 0.0
         for ell in reversed(range(len(self.blocks))):
-            blk = self.blocks[ell]
-            if cache["mode"] == "train":
-                saved, bn_cache = cache["saved"][ell], cache["bn"][ell]
-                keep = cache["drop"][ell]
-            else:  # the eval cache keeps only BatchNorm's fold: recompute its cache from x
-                z, saved = blk.linear.forward_saved(cache["block_in"][ell])
-                keep, (_, bn_cache) = None, blk.bn.forward(z, "eval")
+            blk, keep = self.blocks[ell], cache["drop"][ell]
             if keep is not None:
                 da *= keep
                 da /= 1.0 - cache["dropout"]
             da *= cache["post_bn"][ell] > 0.0  # ReLU gate
-            da, g_bn = blk.bn.backward(da, bn_cache)
+            da, g_bn = blk.bn.backward(da, cache["bn"][ell])
             for name, arr in g_bn.items():
                 grads[f"block{ell}.bn.{name}"] = arr
-            da, g_lin = blk.linear.backward(da, saved, input_grad=ell > 0)
+            da, g_lin = blk.linear.backward(da, cache["saved"][ell], input_grad=ell > 0)
             for name, arr in g_lin.items():
                 grads[f"block{ell}.{name}"] = arr
         return grads
@@ -468,7 +469,7 @@ class BirNetwork:
             blk.bn.running_var = state[f"block{ell}.bn.running_var"].copy()
 
 
-def build_bir_layer(spec: EdgeTable, d: int, seed_or_rng) -> BirBlock:
+def build_bir_layer(spec: EdgeTable, d: int, rng: np.random.Generator) -> BirBlock:
     """One masked block from a mined layer spec, with type-aware sign init.
 
     T0/T4 start both weights positive, T1 both negative, T2/T5 positive
@@ -479,9 +480,6 @@ def build_bir_layer(spec: EdgeTable, d: int, seed_or_rng) -> BirBlock:
     h = len(spec)
     if not h:
         raise ValueError("cannot build a layer from an empty implication table")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.Generator(
-        np.random.PCG64(seed_or_rng)
-    )
     w = _TYPE_SIGNS[spec.btype] * np.abs(rng.standard_normal((h, 2))) * INIT_SCALE
     w_src, w_tgt = w.T.copy()
     linear = PairLinear(spec.source, spec.target, w_src, w_tgt, d)

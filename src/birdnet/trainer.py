@@ -109,6 +109,7 @@ def train(
     if X_val.shape[0] == 0:
         raise ValueError("the validation set must be non-empty")
     n = X_train.shape[0]
+    y_train, y_val = net.check_labels(y_train, n), net.check_labels(y_val, X_val.shape[0])
     if n < 2:
         raise ValueError(f"the training set has {n} rows; BatchNorm needs at least 2 rows per batch")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))

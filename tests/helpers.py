@@ -7,6 +7,7 @@ sums instead of log-domain float arithmetic) so they can serve as oracles.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from collections import namedtuple
@@ -29,7 +30,7 @@ from birdnet.network import (
     build_bir_layer,
     to_matched_mlp,
 )
-from birdnet.trainer import cross_entropy, softmax
+from birdnet.trainer import cross_entropy, cross_entropy_grad, softmax
 
 TYPES = ("T0", "T1", "T2", "T3", "T4", "T5")
 
@@ -345,15 +346,22 @@ def inference_nets(seed: int):
     yield "matched_mlp", mlp
 
 
-def min_kink_gap(net: BirNetwork, X: np.ndarray) -> float:
-    """Smallest |pre-ReLU activation| anywhere in an eval-mode forward pass.
+def min_kink_gap(net: BirNetwork, X: np.ndarray, mode: str = "eval") -> float:
+    """Smallest |pre-ReLU activation| anywhere in a forward pass of that mode,
+    dropout off. A train pass runs on a copy, so the running statistics stay.
 
     Central differences are only valid away from the ReLU kinks, so gradient
     checks require this gap to be comfortably larger than the step."""
-    _, cache = net.forward(X, mode="eval")
+    if mode == "train":
+        net = copy.deepcopy(net)
+    _, cache = net.forward(X, mode=mode)
     gap = math.inf
-    for blk, a_in in zip(net.blocks, cache["block_in"]):
-        gap = min(gap, float(np.abs(blk.linear.folded(a_in, blk.fold())).min()))
+    for ell, blk in enumerate(net.blocks):
+        if mode == "train":
+            pre = blk.bn.gamma * cache["bn"][ell][0] + blk.bn.beta
+        else:
+            pre = blk.linear.folded(cache["block_in"][ell], blk.fold())
+        gap = min(gap, float(np.abs(pre).min()))
     for i, lay in enumerate(net.head.layers[:-1]):
         z = cache["head_in"][i] @ lay.W.T + lay.b
         gap = min(gap, float(np.abs(z).min()))
@@ -388,11 +396,13 @@ def min_carried_denominator(net: BirNetwork, x: np.ndarray) -> float:
     return worst
 
 
-def finite_diff_grads(net: BirNetwork, X, y, step: float = 1e-4):
-    """Central-difference gradients of the eval-mode cross-entropy loss."""
+def finite_diff_grads(net: BirNetwork, X, y, step: float = 1e-4, mode: str = "eval"):
+    """Central-difference gradients of the cross-entropy loss of a forward in
+    that mode, dropout off. A train forward moves the running statistics,
+    which its own loss never reads."""
 
     def loss():
-        logits, _ = net.forward(X, mode="eval")
+        logits, _ = net.forward(X, mode=mode)
         return cross_entropy(logits, y)
 
     out = {}
@@ -409,6 +419,55 @@ def finite_diff_grads(net: BirNetwork, X, y, step: float = 1e-4):
             gf[idx] = (lp - lm) / (2.0 * step)
         out[path] = g
     return out
+
+
+def eval_gradients(net: BirNetwork, X, y) -> dict[str, np.ndarray]:
+    """Exact gradients of the eval-mode cross-entropy loss, keyed like
+    `BirNetwork.backward`'s. The library's own `PairLinear.backward` and
+    `DenseLinear.backward` are chained through each block's eval BatchNorm,
+    gamma * (z - running_mean) * inv_std + beta, with the running statistics
+    held constant; the library's `backward` takes only a train-mode cache."""
+    a = np.asarray(X, dtype=np.float64)
+    saved = []
+    for blk in net.blocks:
+        bn = blk.bn
+        z, lin_saved = blk.linear.forward_saved(a)
+        inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPS)
+        xhat = (z - bn.running_mean) * inv_std
+        a = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
+        saved.append((lin_saved, xhat, inv_std, a))
+    head_in = []
+    for i, lay in enumerate(net.head.layers):
+        head_in.append(a)
+        a = lay.forward(a)
+        if i < len(net.head.layers) - 1:
+            a = np.maximum(a, 0.0)
+    da = cross_entropy_grad(a, y)
+    grads = {}
+    for i in reversed(range(len(net.head.layers))):
+        da, g = net.head.layers[i].backward(da, head_in[i])
+        grads.update({f"head{i}.{name}": arr for name, arr in g.items()})
+        if i > 0:
+            da = da * (head_in[i] > 0.0)
+    for ell in reversed(range(len(net.blocks))):
+        blk = net.blocks[ell]
+        lin_saved, xhat, inv_std, post = saved[ell]
+        da = da * (post > 0.0)
+        grads[f"block{ell}.bn.gamma"] = (da * xhat).sum(axis=0)
+        grads[f"block{ell}.bn.beta"] = da.sum(axis=0)
+        da, g = blk.linear.backward(da * blk.bn.gamma * inv_std, lin_saved)
+        grads.update({f"block{ell}.{name}": arr for name, arr in g.items()})
+    return grads
+
+
+def library_gradients(net: BirNetwork, X, y, mode: str) -> dict[str, np.ndarray]:
+    """The library's gradients of the cross-entropy loss in that mode,
+    dropout off: train mode's `BirNetwork.backward`, eval mode's
+    `eval_gradients`."""
+    if mode == "eval":
+        return eval_gradients(net, X, y)
+    logits, cache = net.forward(X, mode="train")
+    return net.backward(cache, cross_entropy_grad(logits, y))
 
 
 def oracle_train_step(net: BirNetwork, xb, yb, rng, cfg, lr: float, adam: dict):

@@ -8,6 +8,7 @@ it at data/mice_protein.csv) to enable it. All other criteria are
 self-contained.
 """
 
+import itertools
 import math
 import os
 import time
@@ -19,7 +20,7 @@ from birdnet.binarize import binarize, fit_binarization
 from birdnet.builder import build_birdnet
 from birdnet.dataio import LabeledDataset, load_csv
 from birdnet.evaluate import PipelineConfig, cross_validate
-from birdnet.explain import extract_rules, lrp_explain
+from birdnet.explain import LRP_EPSILON, extract_rules, lrp_explain
 from birdnet import mining
 from birdnet.mining import (
     MiningConfig,
@@ -35,7 +36,7 @@ from birdnet.network import (
     build_bir_layer,
     save_network,
 )
-from birdnet.trainer import TrainConfig, cross_entropy_grad, train
+from birdnet.trainer import TrainConfig, train
 from helpers import (
     assert_edges_match,
     bmat_from_bools,
@@ -43,6 +44,7 @@ from helpers import (
     edge_rows,
     edge_table,
     finite_diff_grads,
+    library_gradients,
     min_carried_denominator,
     min_kink_gap,
     mp_log_lower_tail_curve,
@@ -267,35 +269,37 @@ def test_criterion_06_planted_implication_recovery():
 
 def test_criterion_07_gradient_check():
     """All parameter gradients match central finite differences (step 1e-4)
-    within 1e-4 relative on nets with <= 10 units, 3 classes, eval-mode BN,
-    dropout off."""
+    within 1e-4 relative on nets with <= 10 units, 3 classes, dropout off:
+    eval-mode BN through `eval_gradients` (the library's linear backward
+    passes), and train-mode BN through the library's `BirNetwork.backward`."""
     shapes = [
         dict(d=6, widths=(5, 4), k=3),
         dict(d=5, widths=(6,), k=3, head_hidden=6),
         dict(d=4, widths=(), k=3, head_hidden=5),
         dict(d=8, widths=(4, 3, 3), k=3),
     ]
-    worst = 0.0
-    for base_seed, kwargs in enumerate(shapes):
+    worst = {"eval": 0.0, "train": 0.0}
+    for mode, (base_seed, kwargs) in itertools.product(("eval", "train"), enumerate(shapes)):
         for s in range(50):
             rng = np.random.default_rng(1000 * base_seed + s)
             net = random_pair_net(rng, **kwargs)
             X = rng.normal(size=(7, net.input_dim))
             y = rng.integers(0, net.n_classes, 7)
-            if min_kink_gap(net, X) > 5e-3:
+            if min_kink_gap(net, X, mode) > 5e-3:
                 break
         else:
-            raise AssertionError("no kink-free configuration found")
-        logits, cache = net.forward(X, mode="eval")
-        analytic = net.backward(cache, cross_entropy_grad(logits, y))
-        numeric = finite_diff_grads(net, X, y, step=1e-4)
+            raise AssertionError(f"no kink-free {mode}-mode configuration found")
+        analytic = library_gradients(net, X, y, mode)
+        numeric = finite_diff_grads(net, X, y, step=1e-4, mode=mode)
+        assert set(analytic) == set(numeric)
         for path, n_grad in numeric.items():
             a = analytic[path]
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n_grad)), 1e-6)
             rel = float((np.abs(a - n_grad) / denom).max())
-            worst = max(worst, rel)
-            assert rel < 1e-4, f"{kwargs} {path}: rel {rel}"
-    report(7, worst < 1e-4, f"(worst relative error {worst:.2e})")
+            worst[mode] = max(worst[mode], rel)
+            assert rel < 1e-4, f"{mode} {kwargs} {path}: rel {rel}"
+    report(7, max(worst.values()) < 1e-4,
+           f"(worst relative error eval {worst['eval']:.2e}, train {worst['train']:.2e})")
 
 
 def test_criterion_08_compression_accounting():
@@ -350,6 +354,7 @@ def test_criterion_09_rule_metric_identities():
 def test_criterion_10_lrp_conservation():
     """On 20 random small nets, the sum of layer-0 relevances equals the
     target logit within 1% relative at epsilon = 1e-6."""
+    assert LRP_EPSILON == 1e-6
     checked = 0
     worst = 0.0
     for s in range(200):
@@ -363,7 +368,7 @@ def test_criterion_10_lrp_conservation():
             continue
         if min_carried_denominator(net, x) < 1e-3:
             continue  # offset-carried unit: its BatchNorm shift or head bias absorbs it
-        trace = lrp_explain(net, x, target, epsilon=1e-6)
+        trace = lrp_explain(net, x, target)
         rel = abs(trace.conservation_total - trace.target_logit) / abs(
             trace.target_logit
         )

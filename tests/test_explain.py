@@ -140,6 +140,16 @@ class TestExtractRules:
         with pytest.raises(ValueError):
             extract_rules(net, X[:0], y[:0], min_support=10)
 
+    @pytest.mark.parametrize("bad", [
+        lambda y: y[:-1],  # one label short
+        lambda y: np.where(np.arange(y.size) == 0, 7, y),  # a class the net lacks
+        lambda y: y.astype(np.float64),  # not integer class indices
+    ], ids=["short", "class_outside", "float"])
+    def test_malformed_labels_rejected(self, bad):
+        net, X, y = self._net_and_data()
+        with pytest.raises(ValueError, match="integer class indices in 0..1, one per row"):
+            extract_rules(net, X, bad(y), min_support=10)
+
     def test_matches_loop_oracle(self):
         net, X, y = self._net_and_data()
         for min_support in (1, 10, 40):

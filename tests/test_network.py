@@ -9,6 +9,7 @@ from birdnet.explain import _input_name, lrp_explain
 from birdnet.network import (
     _CHUNK_BYTES,
     BatchNorm,
+    BirBlock,
     BirNetwork,
     DenseHead,
     DenseLinear,
@@ -19,13 +20,14 @@ from birdnet.network import (
     save_network,
     to_matched_mlp,
 )
-from birdnet.trainer import TrainConfig, cross_entropy, cross_entropy_grad, train
+from birdnet.trainer import TrainConfig, cross_entropy_grad, train
 from helpers import (
     dense_weight,
     edge_rows,
     edge_table,
     finite_diff_grads,
     inference_nets,
+    library_gradients,
     min_kink_gap,
     oracle_eval_forward,
     oracle_input_names,
@@ -36,7 +38,7 @@ from helpers import (
 class TestBuildBirLayer:
     def test_type_aware_init_signs(self):
         spec = edge_table((0, 1, t) for t in ("T0", "T1", "T2", "T3", "T4", "T5"))
-        blk = build_bir_layer(spec, 2, seed_or_rng=0)
+        blk = build_bir_layer(spec, 2, np.random.default_rng(0))
         ws, wt = blk.linear.w_src, blk.linear.w_tgt
         assert ws[0] > 0 and wt[0] > 0  # T0
         assert ws[1] < 0 and wt[1] < 0  # T1
@@ -50,7 +52,7 @@ class TestBuildBirLayer:
         layers = [[(0, 1, "T0"), (1, 2, "T1")], [(0, 1, "T4"), (1, 0, "T2")], [(0, 1, "T5")]]
         blocks, d = [], 3
         for spec in layers:
-            blocks.append(build_bir_layer(edge_table(spec), d, 0))
+            blocks.append(build_bir_layer(edge_table(spec), d, np.random.default_rng(0)))
             d = len(spec)
         head = DenseHead([DenseLinear.init(1, 2, np.random.default_rng(0))])
         net = BirNetwork(3, ["geneA", "geneB", "geneC"], blocks, head, ["c0", "c1"])
@@ -64,15 +66,15 @@ class TestBuildBirLayer:
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            build_bir_layer(edge_table([(1, 1, "T0")]), 3, 0)
+            build_bir_layer(edge_table([(1, 1, "T0")]), 3, np.random.default_rng(0))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            build_bir_layer(edge_table([(0, 5, "T0")]), 3, 0)
+            build_bir_layer(edge_table([(0, 5, "T0")]), 3, np.random.default_rng(0))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            build_bir_layer(edge_table([]), 3, 0)
+            build_bir_layer(edge_table([]), 3, np.random.default_rng(0))
 
 
 class TestPairLinear:
@@ -130,28 +132,33 @@ class TestBatchNorm:
     def test_train_mode_normalizes(self):
         bn = BatchNorm(2)
         z = np.array([[0.0, 10.0], [2.0, 30.0], [4.0, 50.0]])
-        y, _ = bn.forward(z, "train")
+        y, _ = bn.forward(z)
         assert np.allclose(y.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(y.std(axis=0), 1.0, atol=1e-3)  # eps-shrunk
 
     def test_running_stats_torch_style_update(self):
         bn = BatchNorm(1)
         z = np.array([[2.0], [4.0]])  # batch mean 3, population var 1
-        bn.forward(z, "train")
+        bn.forward(z)
         assert bn.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.0)
         assert bn.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
+    @staticmethod
+    def _block(mean, var):
+        # BatchNorm's eval form is the block's fold: one unit reading input 0.
+        blk = BirBlock(PairLinear([0], [1], [1.0], [0.0], 2), BatchNorm(1), edge_table([(0, 1, "T0")]))
+        blk.bn.set_stats(np.array([mean]), np.array([var]))
+        return blk
+
     def test_eval_uses_running_stats(self):
-        bn = BatchNorm(1)
-        bn.set_stats(np.array([5.0]), np.array([4.0]))
-        y, _ = bn.forward(np.array([[7.0]]), "eval")
+        blk = self._block(5.0, 4.0)
+        y = blk.linear.folded(np.array([[7.0, 3.0]]), blk.fold())
         assert y[0, 0] == pytest.approx(2.0 / np.sqrt(4.0 + 1e-5))
 
     def test_eval_forward_does_not_touch_running_stats(self):
-        bn = BatchNorm(1)
-        bn.set_stats(np.array([5.0]), np.array([4.0]))
-        bn.forward(np.array([[100.0]]), "eval")
-        assert bn.running_mean[0] == 5.0 and bn.running_var[0] == 4.0
+        blk = self._block(5.0, 4.0)
+        blk.linear.folded(np.array([[100.0, 3.0]]), blk.fold())
+        assert blk.bn.running_mean[0] == 5.0 and blk.bn.running_var[0] == 4.0
 
 
 class TestForwardModes:
@@ -376,25 +383,24 @@ class TestServedModel:
 
 
 class TestGradients:
-    def _check(self, net, X, y, tol=1e-4):
-        logits, cache = net.forward(X, mode="eval")
-        analytic = net.backward(cache, cross_entropy_grad(logits, y))
-        numeric = finite_diff_grads(net, X, y, step=1e-4)
+    def _check(self, net, X, y, mode="eval", tol=1e-4):
+        analytic = library_gradients(net, X, y, mode)
+        numeric = finite_diff_grads(net, X, y, step=1e-4, mode=mode)
         for path in numeric:
             a, n = analytic[path], numeric[path]
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
             rel = np.abs(a - n) / denom
             assert rel.max() < tol, f"{path}: max rel err {rel.max()}"
 
-    def _net_and_batch(self, seed, **kwargs):
+    def _net_and_batch(self, seed, rows=7, mode="eval", **kwargs):
         # Regenerate until no pre-ReLU activation sits near a kink, where
         # central differences are invalid.
         for s in range(seed, seed + 50):
             rng = np.random.default_rng(s)
             net = random_pair_net(rng, **kwargs)
-            X = rng.normal(size=(7, net.input_dim))
-            y = rng.integers(0, net.n_classes, 7)
-            if min_kink_gap(net, X) > 5e-3:
+            X = rng.normal(size=(rows, net.input_dim))
+            y = rng.integers(0, net.n_classes, rows)
+            if min_kink_gap(net, X, mode) > 5e-3:
                 return net, X, y
         raise AssertionError("no kink-free configuration found")
 
@@ -413,46 +419,18 @@ class TestGradients:
     def test_train_mode_batch_statistics_gradient(self):
         # Train mode differentiates through the batch mean/variance; dropout
         # off so the loss is a deterministic function of the parameters.
-        for s in range(300, 350):
-            rng = np.random.default_rng(s)
-            net = random_pair_net(rng, d=5, widths=(4,), k=3)
-            X = rng.normal(size=(6, 5))
-            y = rng.integers(0, 3, 6)
-            logits, cache = net.forward(X, mode="train")
-            analytic = net.backward(cache, cross_entropy_grad(logits, y))
+        net, X, y = self._net_and_batch(300, rows=6, mode="train", d=5, widths=(4,), k=3)
+        self._check(net, X, y, mode="train")
 
-            def loss_train():
-                # Running statistics drift across forwards but never enter the
-                # train-mode loss, so no state reset is needed.
-                lg, _ = net.forward(X, mode="train")
-                return cross_entropy(lg, y)
-
-            # Kink check in train mode: recompute post-BN activations.
-            gap = min(float(np.abs(blk.bn.gamma * c[0] + blk.bn.beta).min())
-                      for blk, c in zip(net.blocks, cache["bn"]))
-            if gap < 5e-3:
-                continue
-            ok = True
-            for path, arr, _ in net.params():
-                g = np.zeros_like(arr)
-                flat, gf = arr.ravel(), g.ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + 1e-4
-                    lp = loss_train()
-                    flat[i] = orig - 1e-4
-                    lm = loss_train()
-                    flat[i] = orig
-                    gf[i] = (lp - lm) / 2e-4
-                denom = np.maximum(np.maximum(np.abs(g), np.abs(analytic[path])), 1e-6)
-                ok &= bool((np.abs(g - analytic[path]) / denom).max() < 1e-4)
-            if ok:
-                return
-        raise AssertionError("train-mode gradient check failed on all seeds")
+    def test_backward_rejects_eval_cache(self):
+        net, X, y = self._net_and_batch(400, d=8, widths=(6,), k=3)
+        logits, cache = net.forward(X, mode="eval")
+        with pytest.raises(ValueError, match="train-mode forward"):
+            net.backward(cache, cross_entropy_grad(logits, y))
 
     def test_masked_positions_receive_no_gradient(self):
         net, X, y = self._net_and_batch(400, d=8, widths=(6,), k=3)
-        logits, cache = net.forward(X, mode="eval")
+        logits, cache = net.forward(X, mode="train")
         grads = net.backward(cache, cross_entropy_grad(logits, y))
         lin = net.blocks[0].linear
         # Gradients exist only for the 2h stored weights; the dense gradient

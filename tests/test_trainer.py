@@ -162,6 +162,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, Xt, yt, Xv[:0], yv[:0], TrainConfig())
 
+    @pytest.mark.parametrize("split, bad", [
+        ("train", lambda y: y[:-1]),
+        ("train", lambda y: y.astype(np.float64)),
+        ("val", lambda y: y[:-1]),
+        ("val", lambda y: y.astype(np.float64)),
+    ], ids=["train_short", "train_float", "val_short", "val_float"])
+    def test_malformed_labels_rejected(self, split, bad):
+        net, Xt, yt, Xv, yv = _training_setup()
+        if split == "train":
+            yt = bad(yt)
+        else:
+            yv = bad(yv)
+        with pytest.raises(ValueError, match="integer class indices in 0..1, one per row"):
+            train(net, Xt, yt, Xv, yv, TrainConfig(epochs_max=1))
+
     def test_single_training_row_rejected(self):
         # One row makes every batch a singleton: no step could be taken.
         net, Xt, yt, Xv, yv = _training_setup()
