@@ -22,7 +22,7 @@ import numpy as np
 
 import birdnet
 from birdnet.binarize import binarize, fit_binarization
-from birdnet.dataio import load_csv
+from birdnet.dataio import load_csv, preselect_and_standardize
 from birdnet.evaluate import (
     PipelineConfig,
     apply_preprocessing,
@@ -196,15 +196,20 @@ def _write(args, name: str, text: str) -> None:
 def cmd_mine(args) -> int:
     ds = _load_dataset(args)
     cfg = _pipeline_cfg(args)
-    fit = fit_on_rows(ds, cfg, until="standardize")
-    model = fit_binarization(fit.X)
-    graph = mine_birs(binarize(fit.X, model), cfg.mining, feature_names=fit.names)
+    # The loaded matrix is standardized in place; nothing holds it past binarize.
+    X, cols, _ = preselect_and_standardize(ds.values, ds.labels, cfg.preselect_m)
+    names = [ds.feature_names[c] for c in cols]
+    del ds
+    model = fit_binarization(X)
+    bits = binarize(X, model)
+    del X
+    graph = mine_birs(bits, cfg.mining, feature_names=names)
     os.makedirs(args.out, exist_ok=True)
     _write(args, "edges.tsv", graph_to_tsv(graph))
-    _write(args, "thresholds.tsv", model.to_text(fit.names))
+    _write(args, "thresholds.tsv", model.to_text(names))
     export_graph(graph, os.path.join(args.out, "graph.dot"))
     _manifest(args, args.out)
-    print(f"mined {len(graph.edges)} edges over {len(fit.names)} features -> {args.out}")
+    print(f"mined {len(graph.edges)} edges over {len(names)} features -> {args.out}")
     return 0
 
 

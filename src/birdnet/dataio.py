@@ -17,6 +17,7 @@ __all__ = [
     "stratified_kfold",
     "anova_f_select",
     "preselect_features",
+    "preselect_and_standardize",
     "fit_standardizer",
     "apply_standardizer",
 ]
@@ -73,6 +74,7 @@ class FoldPlan:
 _CSV = dict(dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2)
 # A line of nothing but these characters holds no cell and is skipped.
 _BLANK = " \t\r\n\f\v,"
+_CHUNK_BYTES = 1 << 18  # rows are summed, or moved within the parsed table, ~256 KiB at a time
 
 
 def _zero(cell: str) -> float:
@@ -100,6 +102,7 @@ def load_csv(
     must be numeric; a non-parseable cell is a hard error naming the cell.
     Rows that parse to NaN or +-inf are rejected and counted.
     Labels are factorized into class indices by first appearance.
+    `values` is a C-contiguous view into the parsed table, so the file is held once.
     The cell contract (what counts as a number, a blank line or a quoted
     cell) is set out in the README's data section.
     """
@@ -167,10 +170,17 @@ def load_csv(
     names = list(class_code)
     if id_column is None:
         ids = [f"row{num}" for num in row_nums]
+    # Kept feature cells move left in table's buffer a block of rows at a time: no
+    # row's new place starts after its old one, and a block is read before it is written.
+    keep, cols = np.flatnonzero(finite), np.asarray(feat_cols, dtype=np.intp)
+    values = table.reshape(-1)[: keep.size * cols.size].reshape(keep.size, cols.size)
+    step = max(1, _CHUNK_BYTES // max(8 * cols.size, 1))
+    for i in range(0, keep.size, step):
+        values[i : i + step] = table[np.ix_(keep[i : i + step], cols)]
     return LabeledDataset(
-        values=table[np.ix_(finite, feat_cols)],
+        values=values,
         feature_names=[header[c] for c in feat_cols],
-        sample_ids=[ids[i] for i in np.flatnonzero(finite)],
+        sample_ids=[ids[i] for i in keep],
         labels=np.argsort(order)[inverse],
         class_names=[names[u] for u in uniq[order]],
         n_rejected_rows=int(finite.size - finite.sum()),
@@ -303,6 +313,18 @@ def preselect_features(X: np.ndarray, y: np.ndarray, m: int | None) -> np.ndarra
     return anova_f_select(X, y, m)
 
 
+def preselect_and_standardize(X: np.ndarray, y: np.ndarray, m: int | None):
+    """(X, cols, Standardizer): X's columns that `preselect_features` keeps, standardized.
+    Writes into X, which is narrowed to a copy only when the selection drops columns."""
+    cols = preselect_features(X, y, m)
+    if cols.size < X.shape[1]:
+        X = X.take(cols, axis=1)
+    std = fit_standardizer(X)
+    X -= std.means
+    X /= std.stddevs
+    return X, cols, std
+
+
 def fit_standardizer(rows: np.ndarray) -> Standardizer:
     """Fit per-feature mean and population stddev on training rows. Squared
     deviations are summed ~256 KiB of rows at a time, in row order, with no
@@ -311,7 +333,7 @@ def fit_standardizer(rows: np.ndarray) -> Standardizer:
     if rows.shape[0] < 2:
         raise ValueError("standardizer needs at least 2 training rows")
     means = rows.mean(axis=0)
-    var, step = 0.0, max(1, (1 << 18) // max(rows[0].nbytes, 1))
+    var, step = 0.0, max(1, _CHUNK_BYTES // max(rows[0].nbytes, 1))
     for i in range(0, rows.shape[0], step):
         dev = (rows[i : i + step] - means) ** 2
         dev[0] += var  # the chunk's sum continues the running one

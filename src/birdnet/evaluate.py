@@ -11,8 +11,7 @@ from birdnet.dataio import (
     LabeledDataset,
     Standardizer,
     apply_standardizer,
-    fit_standardizer,
-    preselect_features,
+    preselect_and_standardize,
     stratified_holdout,
     stratified_kfold,
 )
@@ -20,7 +19,7 @@ from birdnet.builder import ConstructionReport, build_birdnet
 from birdnet.explain import RuleRecord, extract_rules
 from birdnet.mining import MiningConfig
 from birdnet.network import BirNetwork, active_param_count, to_matched_mlp
-from birdnet.trainer import TrainConfig, TrainHistory, softmax, train
+from birdnet.trainer import TrainConfig, TrainHistory, check_labels, softmax, train
 
 __all__ = [
     "PipelineConfig",
@@ -57,10 +56,10 @@ def auroc_macro_ovr(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list
     probabilities, not raw logits (a shift shared by one row's logits moves
     that row's rank). Classes without both a positive and a negative are
     skipped; their indices are returned alongside the mean over evaluable
-    classes.
+    classes. One label in 0..k-1 per row of the (rows, k) scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = check_labels(labels, *scores.shape)
     k = scores.shape[1]
     aucs = []
     skipped = []
@@ -227,26 +226,17 @@ def fit_on_rows(
     rows: the training rows; None means every row, np.arange(dataset.n).
     val_mask: the early-stop rows among `rows`; None holds out a stratified
     cfg.val_fraction of them, drawn with seed cfg.seed + 1.
-    until: "standardize" stops before construction, "build" before training.
+    until: "build" stops before training.
     matched: the dense matched MLP of the constructed network is trained too.
     Each network's meta records its preprocessing (attach_preprocessing).
     """
-    if until not in ("standardize", "build", "train"):
+    if until not in ("build", "train"):
         raise ValueError(f"unknown stage {until!r}")
-    # X is one row-major copy of the training rows, narrowed only when the
-    # selection drops columns, then standardized in place. Its layout fixes
-    # the standardizer's rounding, so it is the same for every row set.
+    # One row-major copy: its layout fixes the standardizer's rounding.
     rows = np.arange(dataset.n) if rows is None else rows
-    X, y = dataset.values[rows], dataset.labels[rows]
-    cols = preselect_features(X, y, cfg.preselect_m)
-    if cols.size < X.shape[1]:
-        X = X.take(cols, axis=1)
-    std = fit_standardizer(X)
-    X -= std.means
-    X /= std.stddevs
+    y = dataset.labels[rows]
+    X, cols, std = preselect_and_standardize(dataset.values[rows], y, cfg.preselect_m)
     fit = Fit(X, [dataset.feature_names[c] for c in cols])
-    if until == "standardize":
-        return fit
     net, fit.report = build_birdnet(
         X, fit.names, dataset.class_names, cfg.mining,
         depth=cfg.depth, head_hidden=cfg.head_hidden, seed=cfg.seed,

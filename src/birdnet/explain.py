@@ -23,7 +23,7 @@ import numpy as np
 
 from birdnet.mining import TYPES, EdgeTable
 from birdnet.network import BirNetwork, Fold, PairLinear
-from birdnet.trainer import softmax
+from birdnet.trainer import check_labels, softmax
 
 __all__ = [
     "RuleRecord",
@@ -132,7 +132,7 @@ def extract_rules(
     sorted by (class, precision desc, lift desc); one label in 0..k-1 per row."""
     if rows.shape[0] == 0:
         raise ValueError("held-out set is empty")
-    labels = net.check_labels(labels, rows.shape[0])
+    labels = check_labels(labels, rows.shape[0], net.n_classes)
     active = unit_activity(net, rows)
     bindings, names = net.blocks[0].bindings, net.feature_names
     onehot = labels[:, None] == np.arange(net.n_classes)

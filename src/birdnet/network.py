@@ -328,14 +328,6 @@ class BirNetwork:
             raise ValueError("input rows hold NaN or infinite values")
         return X
 
-    def check_labels(self, y, rows: int) -> np.ndarray:
-        """y as one integer class index in 0..k-1 per row, or a ValueError."""
-        y = np.asarray(y)
-        k = self.n_classes
-        if y.shape != (rows,) or y.dtype.kind not in "iu" or (rows and not 0 <= y.min() <= y.max() < k):
-            raise ValueError(f"labels must be {rows} integer class indices in 0..{k - 1}, one per row")
-        return y
-
     def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None,
                 dropout: float = 0.0):
         """Returns (logits, cache). Modes: 'train' (batch BN stats, `dropout`

@@ -23,7 +23,7 @@ import numpy as np
 
 from birdnet.network import BirNetwork
 
-__all__ = ["TrainConfig", "TrainHistory", "cross_entropy", "softmax", "train"]
+__all__ = ["TrainConfig", "TrainHistory", "check_labels", "cross_entropy", "softmax", "train"]
 
 
 @dataclass
@@ -65,6 +65,14 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
+def check_labels(y, rows: int, k: int) -> np.ndarray:
+    """y as one integer class index in 0..k-1 per row, or a ValueError."""
+    y = np.asarray(y)
+    if y.shape != (rows,) or y.dtype.kind not in "iu" or (rows and not 0 <= y.min() <= y.max() < k):
+        raise ValueError(f"labels must be {rows} integer class indices in 0..{k - 1}, one per row")
+    return y
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -74,9 +82,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log softmax probability of the true class (log-sum-exp)."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("label index out of range")
+    labels = check_labels(labels, *logits.shape)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(labels.shape[0]), labels]
@@ -84,10 +90,10 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    m = logits.shape[0]
+    labels = check_labels(labels, *logits.shape)
     g = softmax(logits)
-    g[np.arange(m), labels] -= 1.0
-    return g / m
+    g[np.arange(labels.size), labels] -= 1.0
+    return g / labels.size
 
 
 def _global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -108,8 +114,8 @@ def train(
     parameters and the per-epoch history."""
     if X_val.shape[0] == 0:
         raise ValueError("the validation set must be non-empty")
-    n = X_train.shape[0]
-    y_train, y_val = net.check_labels(y_train, n), net.check_labels(y_val, X_val.shape[0])
+    n, k = X_train.shape[0], net.n_classes
+    y_train, y_val = check_labels(y_train, n, k), check_labels(y_val, X_val.shape[0], k)
     if n < 2:
         raise ValueError(f"the training set has {n} rows; BatchNorm needs at least 2 rows per batch")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))

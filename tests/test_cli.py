@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -82,6 +83,21 @@ class TestMine:
             run(["mine", "--data", data_csv, *BASE, "--out", str(out)])
             outs.append((out / "edges.tsv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_holds_one_matrix_at_a_time(self, tmp_path):
+        # A copy of the n x d matrix is 1.9 MB; a second copy held alongside
+        # the first (and the parsed table) lifts the traced peak past 2.5.
+        n, d = 400, 600
+        X, y = planted_pair_data(np.random.default_rng(1), n=n, n_noise=d - 2)
+        data = str(tmp_path / "wide.csv")
+        write_csv(data, X, y, id_col=True)
+        tracemalloc.start()
+        try:
+            assert run(["mine", "--data", data, *BASE, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * d * 8
 
 
 class TestBuildAndTrain:

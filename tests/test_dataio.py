@@ -75,6 +75,30 @@ class TestLoadCsv:
         ds = load_csv(path, "label")
         assert ds.n == 2
 
+    def test_kept_cells_compact_in_place_across_row_blocks(self, tmp_path):
+        # 1000 feature columns make 8000-byte rows, so 100 rows span four
+        # blocks of the in-place compaction; the label comes first, and the
+        # id and a dropped column sit between feature columns.
+        rng = np.random.default_rng(7)
+        n, d = 100, 1000
+        X = rng.normal(size=(n, d)).astype(object)
+        for row, cell in ((0, "nan"), (37, "inf"), (38, "-inf"), (63, "nan"), (n - 1, "inf")):
+            X[row, rng.integers(d)] = cell
+        header = ["label", *(f"g{j}" for j in range(400)), "sample", "junk",
+                  *(f"g{j}" for j in range(400, d))]
+        lines = [",".join(header)]
+        for i in range(n):
+            cells = [repr(v) if isinstance(v, float) else v for v in X[i]]
+            lines.append(",".join([f"c{i % 3}", *cells[:400], f"s{i}", "x", *cells[400:]]))
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        ds = load_csv(path, "label", id_column="sample", drop_columns=("junk",))
+        want = oracle_load_csv(path, "label", id_column="sample", drop_columns=("junk",))
+        assert ds.values.dtype == np.float64 and ds.values.flags.c_contiguous
+        assert ds.values.shape == (n - 5, d)
+        assert ds.values.tobytes() == want.values.tobytes()
+        assert ds.sample_ids == want.sample_ids and ds.n_rejected_rows == want.n_rejected_rows == 5
+        assert np.array_equal(ds.labels, want.labels) and ds.class_names == want.class_names
+
 
 def _write(tmp_path, text, name="data.csv", encoding="utf-8"):
     p = tmp_path / name

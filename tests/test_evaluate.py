@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birdnet.builder import build_birdnet
-from birdnet.dataio import LabeledDataset, load_csv
+from birdnet.dataio import LabeledDataset, load_csv, preselect_and_standardize
 from birdnet.evaluate import (
     PipelineConfig,
     _fold_scores,
@@ -55,6 +55,12 @@ class TestAuroc:
         labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])  # class 2 absent
         auc, skipped = auroc_macro_ovr(scores, labels)
         assert skipped == [2]
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0, 0.0], [0, 1], [0, 1, 2]],
+                             ids=["float", "short", "class_outside"])
+    def test_malformed_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="3 integer class indices in 0..1, one per row"):
+            auroc_macro_ovr(np.zeros((3, 2)), np.array(labels))
 
     def test_no_evaluable_class(self):
         with pytest.raises(ValueError):
@@ -231,29 +237,36 @@ class TestCrossValidate:
 class TestFitOnRows:
     def test_stages(self):
         ds, cfg = synthetic_dataset(), fast_config()
-        fit = fit_on_rows(ds, cfg, until="standardize")
-        assert fit.report is None and fit.nets == [] and fit.histories == []
-        assert np.allclose(fit.X.mean(axis=0), 0.0) and np.allclose(fit.X.std(axis=0), 1.0)
         built = fit_on_rows(ds, cfg, until="build")
         assert len(built.nets) == 1 and built.histories == []
         assert built.nets[0].meta["trained"] is False
         assert "standardizer" in built.nets[0].meta
-        with pytest.raises(ValueError, match="unknown stage"):
-            fit_on_rows(ds, cfg, until="mine")
+        assert np.allclose(built.X.mean(axis=0), 0.0) and np.allclose(built.X.std(axis=0), 1.0)
+        for stage in ("standardize", "mine"):
+            with pytest.raises(ValueError, match="unknown stage"):
+                fit_on_rows(ds, cfg, until=stage)
 
     def test_all_rows_one_row_major_copy(self, monkeypatch):
         import birdnet.dataio as dataio
 
-        ds = synthetic_dataset()
+        ds, cfg = synthetic_dataset(), fast_config()
         want = (ds.values - ds.values.mean(axis=0)) / ds.values.std(axis=0)
+        X = ds.values.copy()
+        narrowed, cols, _ = preselect_and_standardize(X, ds.labels, 3)
+        assert narrowed.shape == (ds.n, 3) and cols.size == 3
+        assert np.array_equal(X, ds.values)  # narrowing copies before it writes
 
         def no_selection(*args):
             raise AssertionError("ANOVA ran with nothing to select")
 
         monkeypatch.setattr(dataio, "anova_f_select", no_selection)
-        fit = fit_on_rows(ds, fast_config(), until="standardize")
+        fit = fit_on_rows(ds, cfg, until="build")
         assert fit.X.flags.c_contiguous and fit.X.flags.owndata
-        assert np.allclose(fit.X, want, rtol=0.0, atol=1e-12)
+        X = np.array(ds.values, order="C")
+        out, cols, _ = preselect_and_standardize(X, ds.labels, cfg.preselect_m)
+        assert out is X and np.array_equal(cols, np.arange(ds.d))
+        assert out.tobytes() == fit.X.tobytes()
+        assert np.allclose(out, want, rtol=0.0, atol=1e-12)
         assert fit.names == ds.feature_names
 
     @pytest.mark.parametrize("preselect_m", [None, 3])

@@ -53,6 +53,13 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
 
+    @pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+    @pytest.mark.parametrize("labels", [[0.0, 1.0, 2.0], [0, 1], [0, 1, 3]],
+                             ids=["float", "short", "class_outside"])
+    def test_malformed_labels_rejected(self, fn, labels):
+        with pytest.raises(ValueError, match="3 integer class indices in 0..2, one per row"):
+            fn(np.zeros((3, 3)), np.array(labels))
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         p = softmax(rng.normal(size=(6, 4)) * 50)
