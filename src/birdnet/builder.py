@@ -3,7 +3,7 @@ post-activations, stop at the depth cap or when mining comes up short."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,8 @@ def build_birdnet(
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.shape[0] < 2 or X_train.shape[1] < 2:
         raise ValueError("need at least 2 rows and 2 features to build")
+    if len(feature_names) != X_train.shape[1]:
+        raise ValueError(f"{len(feature_names)} feature names for {X_train.shape[1]} columns")
     rng = np.random.Generator(np.random.PCG64(seed))
     report = ConstructionReport()
     blocks = []
@@ -93,31 +95,9 @@ def build_birdnet(
         H = block.linear.folded(H, block.fold())
         np.maximum(H, 0.0, out=H)
 
-    k = len(class_names)
-    last_width = blocks[-1].linear.out_dim if blocks else X_train.shape[1]
-    head_layers = []
+    widths = [blocks[-1].linear.out_dim if blocks else X_train.shape[1], len(class_names)]
     if head_hidden and head_hidden > 0:
-        head_layers.append(DenseLinear.init(last_width, head_hidden, rng))
-        head_layers.append(DenseLinear.init(head_hidden, k, rng))
-    else:
-        head_layers.append(DenseLinear.init(last_width, k, rng))
-    net = BirNetwork(
-        input_dim=X_train.shape[1],
-        feature_names=list(feature_names),
-        blocks=blocks,
-        head=DenseHead(layers=head_layers),
-        class_names=list(class_names),
-        meta={
-            "seed": seed,
-            "standardization": "population-stddev",
-            "init": "type-aware |N(0,1)|*0.5",
-            "mining": {
-                "p_star": cfg.p_star,
-                "pi": cfg.pi,
-                "h_max": cfg.h_max,
-                "mu": cfg.mu,
-                "min_support": cfg.min_support,
-            },
-        },
-    )
+        widths.insert(1, head_hidden)
+    head = DenseHead([DenseLinear.init(a, b, rng) for a, b in zip(widths, widths[1:])])
+    net = BirNetwork(feature_names, blocks, head, class_names, {"seed": seed, "mining": asdict(cfg)})
     return net, report

@@ -270,7 +270,10 @@ def cmd_explain(args) -> int:
     ds = _load_dataset(args)
     if not 0 <= args.instance < ds.n:
         raise ValueError(f"--instance {args.instance} is out of range: the data has rows 0..{ds.n - 1}")
-    x = apply_preprocessing(net, ds, [args.instance])[0]
+    try:
+        x = apply_preprocessing(net, ds, [args.instance])[0]
+    except ValueError as e:
+        raise ValueError(f"{args.model}: {e}") from None
     if args.target_class is None:
         logits, _ = net.forward(x.reshape(1, -1), mode="eval")
         target = int(np.argmax(logits[0]))

@@ -66,8 +66,6 @@ class FoldPlan:
 
     fold_of_sample: np.ndarray  # (n,) int in [0, F)
     val_mask: np.ndarray  # (n,) bool
-    seed: int
-    folds: int
 
 
 # One parser reads every data cell: numpy's C loadtxt over the file's lines.
@@ -224,12 +222,15 @@ def _reads_as_number(cell: str) -> bool:
         return False
 
 
-def stratified_kfold(labels: np.ndarray, folds: int, seed: int, val_fraction: float = 0.15) -> FoldPlan:
+VAL_FRACTION = 0.15  # the share of training rows held out for early stopping
+
+
+def stratified_kfold(labels: np.ndarray, folds: int, seed: int) -> FoldPlan:
     """Deterministic stratified fold plan with a per-fold early-stop mask.
 
     Per class, members are permuted by a PCG64 generator seeded with `seed`
     and dealt round-robin, so per-fold class counts are balanced within 1.
-    `val_mask` marks a stratified `val_fraction` of each (fold, class) cell,
+    `val_mask` marks a stratified VAL_FRACTION of each (fold, class) cell,
     giving every training fold (union of the other folds) the same fraction.
     """
     labels = np.asarray(labels)
@@ -249,10 +250,10 @@ def stratified_kfold(labels: np.ndarray, folds: int, seed: int, val_fraction: fl
         fold_of_sample[perm] = np.arange(perm.size) % folds
         for f in range(folds):
             cell = perm[np.arange(perm.size) % folds == f]
-            n_val = int(round(val_fraction * cell.size))
+            n_val = int(round(VAL_FRACTION * cell.size))
             n_val = min(n_val, max(cell.size - 1, 0))
             val_mask[cell[:n_val]] = True
-    return FoldPlan(fold_of_sample=fold_of_sample, val_mask=val_mask, seed=seed, folds=folds)
+    return FoldPlan(fold_of_sample=fold_of_sample, val_mask=val_mask)
 
 
 def stratified_holdout(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:

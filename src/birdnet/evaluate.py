@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from birdnet.dataio import (
+    VAL_FRACTION,
     LabeledDataset,
     Standardizer,
     apply_standardizer,
@@ -45,7 +46,6 @@ class PipelineConfig:
     depth: int = 2
     head_hidden: int = 32
     seed: int = 42
-    val_fraction: float = 0.15
     rule_min_support: int = 10
 
 
@@ -81,9 +81,11 @@ def auroc_macro_ovr(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list
 
 
 def accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Argmax accuracy; ties resolve to the lowest class index."""
-    preds = np.asarray(scores).argmax(axis=1)
-    return float((preds == np.asarray(labels)).mean())
+    """Argmax accuracy; ties resolve to the lowest class index. One label in
+    0..k-1 per row of the (rows, k) scores."""
+    scores = np.asarray(scores)
+    labels = check_labels(labels, *scores.shape)
+    return float((scores.argmax(axis=1) == labels).mean())
 
 
 @dataclass
@@ -225,7 +227,7 @@ def fit_on_rows(
 
     rows: the training rows; None means every row, np.arange(dataset.n).
     val_mask: the early-stop rows among `rows`; None holds out a stratified
-    cfg.val_fraction of them, drawn with seed cfg.seed + 1.
+    VAL_FRACTION of them, drawn with seed cfg.seed + 1.
     until: "build" stops before training.
     matched: the dense matched MLP of the constructed network is trained too.
     Each network's meta records its preprocessing (attach_preprocessing).
@@ -244,7 +246,7 @@ def fit_on_rows(
     fit.nets = [net, to_matched_mlp(net, seed=cfg.seed)] if matched else [net]
     if until == "train":
         if val_mask is None:
-            val_mask = stratified_holdout(y, cfg.val_fraction, cfg.seed + 1)
+            val_mask = stratified_holdout(y, VAL_FRACTION, cfg.seed + 1)
         for net in fit.nets:
             _, history = train(net, X[~val_mask], y[~val_mask], X[val_mask], y[val_mask],
                                cfg.training)
@@ -262,7 +264,7 @@ def cross_validate(
     standardize, and mine on each training fold only; hold out a stratified
     15% of the training fold for early stopping; score on the test fold.
     The matched MLP of a fold is the dense copy of that fold's construction."""
-    plan = stratified_kfold(dataset.labels, cfg.folds, cfg.seed, cfg.val_fraction)
+    plan = stratified_kfold(dataset.labels, cfg.folds, cfg.seed)
     results: list[FoldResult] = []
     matched_results: list[FoldResult] = []
     for f in range(cfg.folds):

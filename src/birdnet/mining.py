@@ -78,14 +78,13 @@ class EdgeTable:
     btype: np.ndarray  # uint8
     log_p: np.ndarray  # float64, natural-log p-value, <= 0
     exceptions: np.ndarray  # int64
-    exception_fraction: np.ndarray  # float64
-    antecedent_support: np.ndarray  # int64
+    antecedent_support: np.ndarray  # int64; exceptions / support is the exception fraction
 
     @classmethod
     def from_columns(cls, cols: dict) -> EdgeTable:
         """A table from a column name -> array mapping read from outside the
         program (a model file): every column present, 1-D, of one length and
-        of its own dtype."""
+        of its own dtype. Other columns are ignored."""
         arrays = [np.asarray(cols.get(name)) for name in _COLUMNS]
         dtypes = [np.dtype(t).name for t in _DTYPES]
         shapes = {a.shape for a in arrays}
@@ -107,7 +106,9 @@ class EdgeTable:
 
 
 _COLUMNS = tuple(f.name for f in fields(EdgeTable))
-_DTYPES = (np.int64, np.int64, np.uint8, np.float64, np.int64, np.float64, np.int64)
+_DTYPES = (np.int64, np.int64, np.uint8, np.float64, np.int64, np.int64)
+# The edge list's cells: the table's columns and the derived exception fraction.
+_TSV_CELLS = "source target type log_p exceptions exception_fraction antecedent_support".split()
 
 
 @dataclass
@@ -134,22 +135,24 @@ def _log_choose(n: int, m: int) -> np.ndarray:
     return out
 
 
-def _log_pmf_terms(n: int, p: float) -> np.ndarray:
-    j = np.arange(n + 1, dtype=np.float64)
-    return _log_choose(n, n) + j * math.log(p) + (n - j) * math.log1p(-p)
-
-
-def _log_sum_exp(terms: np.ndarray) -> float:
-    top = terms.max()
-    return float(top + math.log(np.exp(terms - top).sum()))
+def _log_sum_down(k: int, n: int, lp: float, lq: float) -> float:
+    """ln of the sum of the binomial pmf terms j = k, k-1, ..., 0 (ln p = lp, ln(1-p)
+    = lq), for k below the mean: the first by lgamma, the next ones by their ratios.
+    The log pmf is concave, so the terms fall at least as fast as the first step, and
+    the sum stops where they are 60 below the first (the rest is < n e^-60 of it)."""
+    odds = lq - lp  # ln((1 - p) / p)
+    m = 0 if k == 0 else min(k, math.ceil(-60.0 / (math.log(k / (n - k + 1)) + odds)))
+    j = np.arange(k, k - m, -1.0)  # the steps j -> j - 1
+    first = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq
+    return first + math.log1p(np.exp(np.cumsum(np.log(j / (n - j + 1)) + odds)).sum())
 
 
 def log_binom_lower_tail(k: int, n: int, p: float) -> float:
     """ln P(K <= k) for K ~ Binomial(n, p), accurate in the log domain.
 
-    Sums log pmf terms over whichever tail is smaller: the lower tail
-    directly, or the upper tail followed by log1p(-exp(.)) when the
-    lower-tail mass is close to 1.
+    Sums the pmf terms of the side away from the mean n*p: the lower tail when
+    k is below it, else the upper tail P(K > k) = P(n - K <= n - k - 1), whose
+    complement is taken with log1p(-exp(u)) below ln 1/2, log(-expm1(u)) above.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"binomial success probability must be in (0,1), got {p}")
@@ -157,11 +160,11 @@ def log_binom_lower_tail(k: int, n: int, p: float) -> float:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == n:
         return 0.0
-    terms = _log_pmf_terms(n, p)
-    upper = _log_sum_exp(terms[k + 1 :])
-    if upper < _LN_HALF:
-        return math.log1p(-math.exp(upper))
-    return min(_log_sum_exp(terms[: k + 1]), 0.0)
+    lp, lq = math.log(p), math.log1p(-p)
+    if k < n * p:
+        return min(_log_sum_down(k, n, lp, lq), 0.0)
+    u = _log_sum_down(n - k - 1, n, lq, lp)
+    return math.log1p(-math.exp(u)) if u < _LN_HALF else math.log(-math.expm1(u))
 
 
 def _lower_tail_batch(
@@ -413,7 +416,7 @@ def _mine_kernel(bmat, cfg: MiningConfig) -> EdgeTable:
     if not found:
         found.append(kernel.edges(*(np.empty(0, dtype=np.int64),) * 4))
     _, src, tgt, btype, log_p, exc, supp = (np.concatenate(x) for x in zip(*found))
-    return EdgeTable(src, tgt, btype.astype(np.uint8), log_p, exc, exc / supp, supp)
+    return EdgeTable(src, tgt, btype.astype(np.uint8), log_p, exc, supp)
 
 
 def mine_birs(bmat, cfg: MiningConfig, feature_names=None) -> ImplicationGraph:
@@ -460,25 +463,29 @@ def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> EdgeTable:
 
 def graph_to_tsv(g: ImplicationGraph) -> str:
     names = g.vertices
-    lines = ["source\ttarget\ttype\tlog_p\texceptions\texception_fraction\tantecedent_support"]
-    for src, tgt, btype, log_p, exc, frac, supp in g.edges._rows():
-        lines.append(f"{names[src]}\t{names[tgt]}\t{btype}\t{log_p!r}\t{exc}\t{frac!r}\t{supp}")
+    lines = ["\t".join(_TSV_CELLS)]
+    for src, tgt, btype, log_p, exc, supp in g.edges._rows():
+        lines.append(f"{names[src]}\t{names[tgt]}\t{btype}\t{log_p!r}\t{exc}\t{exc / supp!r}\t{supp}")
     return "\n".join(lines) + "\n"
 
 
 def read_graph_tsv(text: str) -> ImplicationGraph:
     """The graph from an edge list written by graph_to_tsv, vertices numbered
-    by first appearance. A malformed line is a ValueError that names it."""
+    by first appearance. The fraction cell must be a number but is not kept:
+    the table derives it. A malformed line is a ValueError that names it."""
     index: dict[str, int] = {}
     rows = []
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     for no, ln in lines[1:]:
-        try:  # a wrong cell count, unknown type or unparsed number
+        try:  # a wrong cell count, unknown type, unparsed number or support below 1
             src, tgt, btype, log_p, exc, frac, supp = ln.split("\t")
-            stats = (TYPES.index(btype), float(log_p), int(exc), float(frac), int(supp))
+            float(frac)  # a number, though the table derives it
+            stats = (TYPES.index(btype), float(log_p), int(exc), int(supp))
+            if stats[3] < 1:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"edge list line {no}: expected the {len(_COLUMNS)} tab-separated "
-                             f"cells {_COLUMNS} with a type in {TYPES}, got {ln!r}") from None
+            raise ValueError(f"edge list line {no}: expected the {len(_TSV_CELLS)} tab-separated cells "
+                             f"{_TSV_CELLS}, a type in {TYPES} and a support >= 1, got {ln!r}") from None
         rows.append((index.setdefault(src, len(index)), index.setdefault(tgt, len(index)), *stats))
     cols = zip(*rows) if rows else [()] * len(_COLUMNS)
     edges = EdgeTable(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))

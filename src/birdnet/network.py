@@ -51,7 +51,7 @@ __all__ = [
 
 INIT_SCALE = 0.5  # magnitude scale for type-aware init: |N(0,1)| * INIT_SCALE
 
-MODEL_FORMAT = "birdnet-model-v4"
+MODEL_FORMAT = "birdnet-model-v5"
 
 BN_EPS = 1e-5  # BatchNorm variance floor
 BN_MOMENTUM = 0.1  # BatchNorm running-statistic update rate
@@ -295,20 +295,26 @@ class DenseHead:
 
 
 class BirNetwork:
-    """Ordered stack of implication-masked blocks plus a dense classifier head."""
+    """Ordered stack of implication-masked blocks plus a dense classifier head.
+    Every network, built, copied or loaded, is checked here: the widths chain from
+    the number of feature names, and the head has one output per class name."""
 
-    def __init__(self, input_dim, feature_names, blocks, head, class_names, meta=None):
-        self.input_dim = int(input_dim)
+    def __init__(self, feature_names, blocks, head, class_names, meta=None):
         self.feature_names = list(feature_names)
+        self.input_dim = len(self.feature_names)
         self.blocks: list[BirBlock] = list(blocks)
         self.head: DenseHead = head
         self.class_names = list(class_names)
         self.meta = dict(meta or {})
+        if not self.head.layers:
+            raise ValueError("the head has no layer")
         width = self.input_dim
         for lin in [blk.linear for blk in self.blocks] + self.head.layers:
             if lin.in_dim != width:
                 raise ValueError(f"layer widths do not chain: {width} feed {lin.in_dim} inputs")
             width = lin.out_dim
+        if width != len(self.class_names):
+            raise ValueError(f"the head has {width} outputs for {len(self.class_names)} class names")
         self._flat = None  # packed by the first `flat_params` call
 
     @property
@@ -509,9 +515,7 @@ def to_matched_mlp(net: BirNetwork, seed: int) -> BirNetwork:
     head = DenseHead(
         layers=[DenseLinear.init(lay.in_dim, lay.out_dim, rng) for lay in net.head.layers]
     )
-    meta = dict(net.meta)
-    meta["matched_mlp"] = True
-    return BirNetwork(net.input_dim, net.feature_names, blocks, head, net.class_names, meta)
+    return BirNetwork(net.feature_names, blocks, head, net.class_names, {**net.meta, "matched_mlp": True})
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +551,6 @@ _BN_KEYS = ("gamma", "beta", "running_mean", "running_var")
 def save_network(net: BirNetwork, path: str) -> None:
     doc = {
         "format": MODEL_FORMAT,
-        "input_dim": net.input_dim,
         "feature_names": net.feature_names,
         "class_names": net.class_names,
         "meta": net.meta,
@@ -569,28 +572,38 @@ def save_network(net: BirNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> BirNetwork:
-    """Read a model file, checked as outside input: lists of encoded arrays,
-    bindings within each block's input width, widths that chain, one binding per
-    unit, finite numbers, a positive input width, a head, a name per input and per
-    class and a meta object, or an error naming the part. A pair block is wired by
-    its bindings; each block's input width is the width of the layer below. Every
-    array of the loaded model is read-only, so each block folds once."""
+    """Read a model file of format v5 or v4 (v4's `input_dim` and seventh binding
+    column are derived, and not read), checked as outside input: lists of names
+    and encoded arrays, a meta object, one binding per unit, within the block's
+    input width (the width below), and finite numbers; then the constructor's
+    checks. Any error is a ValueError under the file's name. A pair block is
+    wired by its bindings; every array is read-only, so each block folds once."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return _decode_network(json.load(fh))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def _decode_network(doc) -> BirNetwork:
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a recognized model file")
+        raise ValueError("not a recognized model file")
     if doc.get("format") in ("birdnet-model-v1", "birdnet-model-v2", "birdnet-model-v3"):
-        raise ValueError(f"{path}: model format {doc['format']} is not read; rebuild the model")
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a recognized model file")
-    blocks = []
-    width = doc.get("input_dim")
-    if not (type(width) is int and width > 0):
-        raise ValueError(f"{path}: input_dim is not a positive integer")
+        raise ValueError(f"model format {doc['format']} is not read; rebuild the model")
+    if doc.get("format") not in (MODEL_FORMAT, "birdnet-model-v4"):
+        raise ValueError("not a recognized model file")
+    for key in ("feature_names", "class_names"):
+        names = doc.get(key)
+        if not (isinstance(names, list) and all(isinstance(s, str) for s in names)):
+            raise ValueError(f"{key} is not a list of names")
+    if not isinstance(doc.get("meta"), dict):
+        raise ValueError("meta is not a JSON object")
     if not (isinstance(doc.get("blocks"), list) and isinstance(doc.get("head"), list)):
-        raise ValueError(f"{path}: blocks and head are not both lists")
+        raise ValueError("blocks and head are not both lists")
+    blocks = []
+    width = len(doc["feature_names"])
     for ell, b in enumerate(doc["blocks"]):
-        part = f"{path}: block {ell}"
+        part = f"block {ell}"
         if not (isinstance(b, dict) and b.get("kind") in ("pair", "dense")
                 and isinstance(b.get("bindings"), dict)):
             raise ValueError(f"{part} is not a pair or dense block with a bindings object")
@@ -616,25 +629,14 @@ def load_network(path: str) -> BirNetwork:
             setattr(bn, key, arr)
         blocks.append(BirBlock(lin, bn, bindings))
         width = lin.out_dim
-    head = DenseHead(layers=[DenseLinear(*(_dec(lay, k, f"{path}: head layer {i}") for k in "Wb"))
+    head = DenseHead(layers=[DenseLinear(*(_dec(lay, k, f"head layer {i}") for k in "Wb"))
                              for i, lay in enumerate(doc["head"])])
-    if not head.layers:
-        raise ValueError(f"{path}: the head has no layer")
-    for key, count in (("feature_names", doc["input_dim"]), ("class_names", head.layers[-1].out_dim)):
-        names = doc.get(key)
-        if not (isinstance(names, list) and len(names) == count
-                and all(isinstance(s, str) for s in names)):
-            raise ValueError(f"{path}: {key} is not a list of {count} names")
-    if not isinstance(doc.get("meta"), dict):
-        raise ValueError(f"{path}: meta is not a JSON object")
-    net = BirNetwork(
-        doc["input_dim"], doc["feature_names"], blocks, head, doc["class_names"], doc["meta"]
-    )
+    net = BirNetwork(doc["feature_names"], blocks, head, doc["class_names"], doc["meta"])
     # One walk over every array held, also a layer's own copy of a binding
     # column that was stored in another byte order: finite, then read-only.
     held = [o for blk in blocks for o in (blk.linear, blk.bn, blk.bindings)] + head.layers
     for arr in [a for o in held for a in vars(o).values() if isinstance(a, np.ndarray)]:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise ValueError(f"{path}: model holds NaN or infinite numbers")
+            raise ValueError("model holds NaN or infinite numbers")
         arr.flags.writeable = False
     return net

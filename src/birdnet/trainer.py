@@ -38,6 +38,10 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (BatchNorm needs batch statistics)")
         if self.patience < 1:

@@ -309,7 +309,7 @@ def test_criterion_08_compression_accounting():
     blk0 = _structural_layer(rng, 5000, 2000)
     blk1 = _structural_layer(rng, 5000, 5000)
     head = DenseHead([DenseLinear.init(5000, 32, rng), DenseLinear.init(32, 8, rng)])
-    net = BirNetwork(2000, [f"g{i}" for i in range(2000)], [blk0, blk1], head,
+    net = BirNetwork([f"g{i}" for i in range(2000)], [blk0, blk1], head,
                      [f"c{i}" for i in range(8)])
     acc = active_param_count(net)
     d, h = 200, 40

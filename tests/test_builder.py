@@ -156,6 +156,16 @@ class TestBuildBirdnet:
         with pytest.raises(ValueError):
             build_birdnet(np.zeros((10, 1)), ["g0"], ["a"], MiningConfig())
 
+    def test_name_count_must_match_columns(self, monkeypatch):
+        # One name for six columns once built and saved a model that
+        # load_network then refused; it now fails before any mining.
+        import birdnet.builder as builder
+
+        monkeypatch.setattr(builder, "mine_birs", None)
+        X = duplicated_feature_data(np.random.default_rng(3), groups=3)
+        with pytest.raises(ValueError, match="1 feature names for 6 columns"):
+            build_birdnet(X, ["g0"], ["a", "b"], MiningConfig(mu=1), depth=1)
+
     def test_deeper_layer_unit_names_reference_lower_units(self):
         rng = np.random.default_rng(10)
         X = nested_implication_data(rng)

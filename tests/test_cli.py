@@ -342,13 +342,14 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("spoil, message", [
         (lambda doc: {**doc, "class_names": doc["class_names"][:1]},
-         "class_names is not a list of 2 names"),
+         "spoilt.json: the head has 2 outputs for 1 class names"),
         (lambda doc: {**doc, "feature_names": doc["feature_names"][:2]},
-         "feature_names is not a list of 6 names"),
+         "spoilt.json: model preprocessing metadata is not 2 columns and their standardizer"),
         (lambda doc: {**doc, "meta": 5}, "meta is not a JSON object"),
         (lambda doc: [], "not a recognized model file"),
-        (lambda doc: {**doc, "input_dim": "6"}, "input_dim is not a positive integer"),
-        (lambda doc: {**doc, "head": []}, "the head has no layer"),
+        (lambda doc: {**doc, "feature_names": [6] * 6},
+         "spoilt.json: feature_names is not a list of names"),
+        (lambda doc: {**doc, "head": []}, "spoilt.json: the head has no layer"),
         (lambda doc: {**doc, "meta": {**doc["meta"], "standardizer": 5}},
          "model preprocessing metadata is not 6 columns and their standardizer"),
         (lambda doc: {**doc, "meta": {**doc["meta"], "selected_features": [0, 1]}},
@@ -362,11 +363,12 @@ class TestConfigAndErrors:
          "spoilt.json: block 0 linear w_src is not an encoded array"),
         (lambda doc: _edited(doc, ("blocks", 0, "kind"), "xx"),
          "spoilt.json: block 0 is not a pair or dense block"),
-        (lambda doc: {**doc, "input_dim": True}, "spoilt.json: input_dim is not a positive integer"),
+        (lambda doc: {**doc, "feature_names": doc["feature_names"][:1]},
+         "spoilt.json: block 0: a binding has a type code >= 6 or an input outside 0..0"),
     ], ids=["one-class-name", "two-feature-names", "meta-not-object", "top-level-list",
-            "input-dim-text", "no-head", "standardizer-not-object", "two-columns",
+            "feature-name-not-text", "no-head", "standardizer-not-object", "two-columns",
             "blocks-not-list", "block-not-object", "head-layer-not-object", "gamma-not-array",
-            "unknown-dtype", "unknown-kind", "input-dim-true"])
+            "unknown-dtype", "unknown-kind", "one-feature-name"])
     def test_model_with_bad_metadata_exits_2(self, data_csv, trained_model, tmp_path, capsys,
                                              spoil, message):
         with open(trained_model, encoding="utf-8") as fh:
@@ -377,7 +379,8 @@ class TestConfigAndErrors:
         for instance in ("0", "5"):
             assert run(["explain", "--model", str(model), "--data", data_csv, *BASE,
                         "--instance", instance, "--out", str(tmp_path / "e")]) == 2
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err and err.startswith(f"error: {model}: ")
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -385,7 +388,9 @@ class TestConfigAndErrors:
         (["train", "--clip-norm", "0"], "clip_norm must be > 0"),
         (["mine", "--h-max", "-2"], "h_max must be >= 1, got -2"),
         (["mine", "--preselect", "-2"], "requested m=-2 features"),
-    ], ids=["epochs-max", "clip-norm", "h-max", "preselect"])
+        # A NaN rate once trained for every epoch and saved an unloadable model.
+        (["train", "--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
+    ], ids=["epochs-max", "clip-norm", "h-max", "preselect", "learning-rate-nan"])
     def test_bad_count_setting_exits_2(self, data_csv, tmp_path, capsys, argv, message):
         capsys.readouterr()
         assert run([*argv, "--data", data_csv, *BASE, "--mu", "1",

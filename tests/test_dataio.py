@@ -241,7 +241,7 @@ class TestStratifiedKfold:
 
     def test_val_mask_stratified_within_training_folds(self):
         labels = np.repeat(np.arange(4), 100)
-        plan = stratified_kfold(labels, 5, seed=0, val_fraction=0.15)
+        plan = stratified_kfold(labels, 5, seed=0)
         for f in range(5):
             train = plan.fold_of_sample != f
             frac = plan.val_mask[train].mean()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birdnet.builder import build_birdnet
-from birdnet.dataio import LabeledDataset, load_csv, preselect_and_standardize
+from birdnet.dataio import VAL_FRACTION, LabeledDataset, load_csv, preselect_and_standardize
 from birdnet.evaluate import (
     PipelineConfig,
     _fold_scores,
@@ -136,6 +136,13 @@ class TestAccuracy:
         scores = np.zeros((4, 3))
         assert accuracy(scores, np.zeros(4, dtype=int)) == 1.0
         assert accuracy(scores, np.ones(4, dtype=int)) == 0.0
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0.0, 1.0, 0.0, 1.0], [0, 1, 2, 1]],
+                             ids=["short", "float", "class_outside"])
+    def test_malformed_labels_rejected(self, labels):
+        # A short label vector once failed inside numpy's broadcasting.
+        with pytest.raises(ValueError, match="4 integer class indices in 0..1, one per row"):
+            accuracy(np.zeros((4, 2)), np.array(labels))
 
 
 def synthetic_dataset(seed=0, n=300):
@@ -325,7 +332,7 @@ class TestHoldoutRules:
         from birdnet.explain import extract_rules
 
         train_rows = np.flatnonzero(~test_mask)
-        val_mask = stratified_holdout(ds.labels[train_rows], cfg.val_fraction, cfg.seed + 1)
+        val_mask = stratified_holdout(ds.labels[train_rows], VAL_FRACTION, cfg.seed + 1)
         net = fit_on_rows(ds, cfg, train_rows, val_mask).nets[0]
         test_rows = np.flatnonzero(test_mask)
         cols, std = net.meta["selected_features"], net.meta["standardizer"]

@@ -181,7 +181,7 @@ def single_path_net():
     bn.set_stats(np.zeros(1), np.ones(1) - 1e-5)  # scale exactly 1
     blk = BirBlock(linear=lin, bn=bn, bindings=edge_table([(0, 1, "T0")]))
     head = DenseHead([DenseLinear(np.array([[2.0], [0.0]]), np.zeros(2))])
-    return BirNetwork(2, ["a", "b"], [blk], head, ["c0", "c1"])
+    return BirNetwork(["a", "b"], [blk], head, ["c0", "c1"])
 
 
 class TestLrp:

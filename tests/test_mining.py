@@ -345,26 +345,26 @@ class TestMineBirs:
 class TestDedup:
     def test_orientation_duplicates_collapse(self):
         # T0 a->b and T1 b->a test the same (1,0) quadrant: one rule.
-        e1 = (0, 1, "T0", -30.0, 0, 0.0, 50)
-        e2 = (1, 0, "T1", -30.0, 0, 0.0, 60)
+        e1 = (0, 1, "T0", -30.0, 0, 50)
+        e2 = (1, 0, "T1", -30.0, 0, 60)
         g = ImplicationGraph(["a", "b"], edge_table([e1, e2]))
         kept = deduplicate_and_cap(g, 100)
         assert edge_rows(kept) == [e1]  # tie on log_p: source < target wins
 
     def test_smaller_log_p_wins(self):
-        e1 = (0, 1, "T0", -30.0, 1, 0.02, 50)
-        e2 = (1, 0, "T1", -40.0, 1, 0.01, 60)
+        e1 = (0, 1, "T0", -30.0, 1, 50)
+        e2 = (1, 0, "T1", -40.0, 1, 60)
         kept = deduplicate_and_cap(ImplicationGraph(["a", "b"], edge_table([e1, e2])), 100)
         assert edge_rows(kept) == [e2]
 
     def test_distinct_quadrants_kept(self):
-        e1 = (0, 1, "T0", -30.0, 0, 0.0, 50)  # quadrant (1,0)
-        e2 = (0, 1, "T1", -25.0, 0, 0.0, 50)  # quadrant (0,1)
+        e1 = (0, 1, "T0", -30.0, 0, 50)  # quadrant (1,0)
+        e2 = (0, 1, "T1", -25.0, 0, 50)  # quadrant (0,1)
         kept = deduplicate_and_cap(ImplicationGraph(["a", "b"], edge_table([e1, e2])), 100)
         assert edge_rows(kept) == [e1, e2]  # sorted by log_p ascending
 
     def test_cap(self):
-        edges = edge_table([(i, i + 1, "T0", -10.0 - i, 0, 0.0, 50) for i in range(20)])
+        edges = edge_table([(i, i + 1, "T0", -10.0 - i, 0, 50) for i in range(20)])
         kept = deduplicate_and_cap(ImplicationGraph([f"f{i}" for i in range(21)], edges), 5)
         assert len(kept) == 5
         assert kept.source.tolist() == [19, 18, 17, 16, 15]
@@ -398,6 +398,17 @@ class TestGraphIO:
         assert named(g2) == named(g)
         assert graph_to_tsv(g2) == graph_to_tsv(g)
 
+    def test_fraction_cell_is_exceptions_over_support(self):
+        # The table keeps exceptions and support; the edge list writes their
+        # quotient, for directional and merged (T4/T5, support n) edges alike.
+        g = mine_birs(bmat_from_bools(random_correlated_bools(np.random.default_rng(11), 150, 12)), CFG)
+        lines = graph_to_tsv(g).splitlines()
+        assert lines[0].split("\t")[4:] == ["exceptions", "exception_fraction", "antecedent_support"]
+        assert {ln.split("\t")[2] for ln in lines[1:]} >= {"T0", "T4"}
+        for ln in lines[1:]:
+            exc, frac, supp = ln.split("\t")[4:]
+            assert frac == repr(int(exc) / int(supp))
+
     def test_read_empty_edge_list(self):
         g = read_graph_tsv(graph_to_tsv(ImplicationGraph(["a"], edge_table([]))))
         assert g.vertices == [] and len(g.edges) == 0 and g.type_counts == {}
@@ -408,6 +419,8 @@ class TestGraphIO:
         "a\tb\tT9\t-30.0\t0\t0.0\t50",  # unknown type
         "a\tb\tT0\t-30.0\t0.5\t0.0\t50",  # exceptions not an integer
         "a\tb\tT0\tlow\t0\t0.0\t50",  # log_p not a number
+        "a\tb\tT0\t-30.0\t0\tnone\t50",  # fraction not a number
+        "a\tb\tT0\t-30.0\t0\t0.0\t0",  # no support: the fraction cell is exceptions / support
     ])
     def test_read_names_malformed_line(self, bad):
         good = "a\tb\tT0\t-30.0\t0\t0.0\t50"

@@ -55,7 +55,7 @@ class TestBuildBirLayer:
             blocks.append(build_bir_layer(edge_table(spec), d, np.random.default_rng(0)))
             d = len(spec)
         head = DenseHead([DenseLinear.init(1, 2, np.random.default_rng(0))])
-        net = BirNetwork(3, ["geneA", "geneB", "geneC"], blocks, head, ["c0", "c1"])
+        net = BirNetwork(["geneA", "geneB", "geneC"], blocks, head, ["c0", "c1"])
         assert _input_name(net, 0, 2) == "geneC"
         assert _input_name(net, 1, 0) == "L0/u0:T0(geneA,geneB)"
         assert _input_name(net, 2, 1) == "L1/u1:T2(L0/u1:T1(geneB,geneC),L0/u0:T0(geneA,geneB))"
@@ -456,7 +456,7 @@ class TestAccounting:
         blk0 = build_bir_layer(self._random_spec(rng, 5000, 2000, "T0"), 2000, rng)
         blk1 = build_bir_layer(self._random_spec(rng, 5000, 5000, "T1"), 5000, rng)
         head = DenseHead([DenseLinear.init(5000, 32, rng), DenseLinear.init(32, 8, rng)])
-        net = BirNetwork(2000, [f"f{i}" for i in range(2000)], [blk0, blk1], head,
+        net = BirNetwork([f"f{i}" for i in range(2000)], [blk0, blk1], head,
                          [f"c{i}" for i in range(8)])
         acc = active_param_count(net)
         assert acc["width"] == 10000
@@ -507,11 +507,15 @@ class TestSerialization:
         assert loaded.meta == net.meta
         # names, wiring copies, widths and constants are derived, never stored
         doc = json.loads(p1.read_text())
+        assert set(doc) == {"format", "feature_names", "class_names", "meta", "blocks", "head"}
         for blk in doc["blocks"]:
             assert set(blk) == {"kind", "bindings", "bn", "linear"}
+            assert set(blk["bindings"]) == {"source", "target", "btype", "log_p", "exceptions",
+                                            "antecedent_support"}
             assert set(blk["linear"]) == {"w_src", "w_tgt"}
             assert set(blk["bn"]) == {"gamma", "beta", "running_mean", "running_var"}
-        for key in ("unit_names", "input_names", "src", "tgt", "in_dim", "dropout", "eps", "momentum"):
+        for key in ("unit_names", "input_names", "src", "tgt", "in_dim", "dropout", "eps", "momentum",
+                    "input_dim", "exception_fraction"):
             assert f'"{key}"' not in p1.read_text()
         # byte-determinism: saving the loaded model reproduces the file
         p2 = tmp_path / "m2.json"
@@ -545,6 +549,31 @@ class TestSerialization:
             p.write_text(json.dumps(doc))
         return load_network(str(p))
 
+    def test_reads_v4_file(self, tmp_path):
+        # v4 also stored the input width and each binding's exception
+        # fraction; both are derived, and neither is read.
+        net = random_pair_net(np.random.default_rng(8), d=7, widths=(6, 5), k=3)
+        p5, p4 = tmp_path / "v5.json", tmp_path / "v4.json"
+        save_network(net, str(p5))
+        doc = json.loads(p5.read_text())
+        doc.update(format="birdnet-model-v4", input_dim=7)
+        for ell, blk in enumerate(net.blocks):
+            frac = blk.bindings.exceptions / blk.bindings.antecedent_support
+            doc["blocks"][ell]["bindings"]["exception_fraction"] = {
+                "dtype": frac.dtype.str, "shape": list(frac.shape),
+                "data": base64.b64encode(frac.tobytes()).decode("ascii")}
+        p4.write_text(json.dumps(doc, sort_keys=True))
+        v5, v4 = load_network(str(p5)), load_network(str(p4))
+        assert v4.input_dim == v5.input_dim == 7
+        arrays = [[(p, a.tolist()) for p, a, _ in net.params()] for net in (v4, v5)]
+        assert arrays[0] == arrays[1]
+        for b4, b5 in zip(v4.blocks, v5.blocks):
+            assert edge_rows(b4.bindings) == edge_rows(b5.bindings)
+            assert np.array_equal(b4.bn.running_var, b5.bn.running_var)
+        resaved = tmp_path / "again.json"
+        save_network(v4, str(resaved))  # a loaded v4 model saves as v5
+        assert resaved.read_bytes() == p5.read_bytes()
+
     def test_rejects_v1_file(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
         with pytest.raises(ValueError, match="birdnet-model-v1.*rebuild"):
@@ -567,7 +596,7 @@ class TestSerialization:
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_network(net, str(p1))
         doc = json.loads(p1.read_text())
-        assert doc["format"] == "birdnet-model-v4"
+        assert doc["format"] == "birdnet-model-v5"
         assert all(set(blk["linear"]) == {"W"} for blk in doc["blocks"])
         assert all(set(lay) == {"W", "b"} for lay in doc["head"])
         loaded = load_network(str(p1))
@@ -614,7 +643,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="NaN or infinite"):
             self._reload(tmp_path, net)
 
-    @pytest.mark.parametrize("column,value", [("log_p", np.nan), ("exception_fraction", np.inf)])
+    @pytest.mark.parametrize("column,value", [("log_p", np.nan), ("log_p", np.inf)])
     def test_rejects_nonfinite_binding(self, tmp_path, column, value):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
         with pytest.raises(ValueError, match="NaN or infinite"):
@@ -625,6 +654,22 @@ class TestSerialization:
         net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
         with pytest.raises(ValueError, match="5 bindings for 6 units"):
             self._reload(tmp_path, net)
+
+    def test_constructor_checks_head_and_names(self):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        parts = (net.feature_names, net.blocks, net.head, net.class_names)
+        assert BirNetwork(*parts).input_dim == 7
+        with pytest.raises(ValueError, match="the head has 3 outputs for 2 class names"):
+            BirNetwork(*parts[:3], ["c0", "c1"])
+        with pytest.raises(ValueError, match="the head has no layer"):
+            BirNetwork(*parts[:2], DenseHead([]), net.class_names)
+        with pytest.raises(ValueError, match="layer widths do not chain: 6 feed 7 inputs"):
+            BirNetwork(net.feature_names[:6], *parts[1:])
+
+    def test_load_names_constructor_errors(self, tmp_path):
+        net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
+        with pytest.raises(ValueError, match=r"m\.json: the head has 3 outputs for 4 class names"):
+            self._reload(tmp_path, net, lambda doc: doc["class_names"].append("c3"))
 
     def test_snapshot_restore(self):
         rng = np.random.default_rng(5)

@@ -89,10 +89,21 @@ class TestTrainConfig:
         ({"clip_norm": 0.0}, "clip_norm must be > 0"),
         ({"clip_norm": -1.0}, "clip_norm must be > 0"),
         ({"clip_norm": float("nan")}, "clip_norm must be > 0"),
+        # A NaN or infinite rate trained to a model that could not be loaded.
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": -1e-3}, "learning_rate must be finite and > 0"),
+        ({"weight_decay": float("nan")}, "weight_decay must be finite and >= 0"),
+        ({"weight_decay": float("inf")}, "weight_decay must be finite and >= 0"),
+        ({"weight_decay": -1e-4}, "weight_decay must be finite and >= 0"),
     ])
     def test_count_and_norm_bounds(self, kw, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kw)
+
+    def test_zero_weight_decay_allowed(self):
+        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
 
 def _training_setup(seed=0, n=160):
