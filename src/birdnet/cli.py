@@ -293,7 +293,10 @@ def cmd_explain(args) -> int:
 
 def cmd_export_graph(args) -> int:
     with open(args.edges, encoding="utf-8") as fh:
-        graph = read_graph_tsv(fh.read())
+        try:
+            graph = read_graph_tsv(fh.read())
+        except ValueError as e:
+            raise ValueError(f"{args.edges}: {e}") from None
     os.makedirs(args.out, exist_ok=True)
     export_graph(graph, os.path.join(args.out, "graph.dot"))
     _manifest(args, args.out)

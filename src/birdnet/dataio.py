@@ -51,13 +51,19 @@ class LabeledDataset:
 class Standardizer:
     """Per-feature affine map (x - mean) / stddev, fitted on training rows only.
 
-    Population (1/n) standard deviation; zero-variance features get stddev 1
-    and are flagged constant, so they map to exactly 0.
+    Population (1/n) standard deviation; zero-variance features get stddev 1 and
+    are flagged constant, so they map to 0. Means are finite, stddevs finite and > 0.
     """
 
     means: np.ndarray
     stddevs: np.ndarray
     constant: np.ndarray  # bool, per feature
+
+    def __post_init__(self):
+        m, s = self.means, self.stddevs
+        if not (np.ndim(m) == 1 and np.shape(m) == np.shape(s) == np.shape(self.constant)
+                and np.isfinite(m).all() and np.isfinite(s).all() and (s > 0).all()):
+            raise ValueError("a standardizer needs 1-D finite means, finite stddevs > 0 and flags of one length")
 
 
 @dataclass

@@ -187,8 +187,8 @@ def apply_preprocessing(net: BirNetwork, dataset: LabeledDataset, rows) -> np.nd
         std = Standardizer(np.asarray(m["means"], dtype=np.float64),
                            np.asarray(m["stddevs"], dtype=np.float64),
                            np.asarray(m["constant"], dtype=bool))
-        ok = len(cols) == d and std.means.shape == std.stddevs.shape == (d,)
-    except (KeyError, TypeError, ValueError):
+        ok = len(cols) == d == len(std.means)
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         ok = False
     if not ok:
         raise ValueError(f"model preprocessing metadata is not {d} columns and their standardizer")

@@ -71,7 +71,8 @@ class Implication:
 
 @dataclass(eq=False)
 class EdgeTable:
-    """Edges as parallel columns; row k is edge k. btype holds codes into TYPES."""
+    """Edges as parallel columns; row k is edge k. btype holds codes into TYPES.
+    Every table, however built, holds the edge-row rule `_EDGE_RULE`, or raises."""
 
     source: np.ndarray  # int64
     target: np.ndarray  # int64
@@ -80,17 +81,19 @@ class EdgeTable:
     exceptions: np.ndarray  # int64
     antecedent_support: np.ndarray  # int64; exceptions / support is the exception fraction
 
-    @classmethod
-    def from_columns(cls, cols: dict) -> EdgeTable:
-        """A table from a column name -> array mapping read from outside the
-        program (a model file): every column present, 1-D, of one length and
-        of its own dtype. Other columns are ignored."""
-        arrays = [np.asarray(cols.get(name)) for name in _COLUMNS]
-        dtypes = [np.dtype(t).name for t in _DTYPES]
-        shapes = {a.shape for a in arrays}
-        if [a.dtype.name for a in arrays] != dtypes or len(shapes) != 1 or arrays[0].ndim != 1:
-            raise ValueError(f"edge columns {_COLUMNS} need one 1-D length, dtypes {dtypes}")
-        return cls(*arrays)
+    def __post_init__(self):
+        cols = [getattr(self, name) for name in _COLUMNS]
+        dtypes = [np.dtype(getattr(c, "dtype", object)).name for c in cols]  # either byte order
+        if dtypes != _DTYPE_NAMES or len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+            raise ValueError(f"edge columns {_COLUMNS} need one 1-D length, dtypes {_DTYPE_NAMES}")
+        src, tgt, btype, log_p, exc, supp = cols
+        ok = (btype < len(TYPES)) & (np.minimum(src, tgt) >= 0) & (src != tgt) & np.isfinite(log_p)
+        ok &= (log_p <= 0.0) & (exc >= 0) & (exc <= supp) & (supp >= 1)
+        if not ok.all():
+            row = int(np.argmin(ok))
+            err = ValueError(f"edge row {row} needs {_EDGE_RULE}, got {[c[row].item() for c in cols]}")
+            err.row = row  # the row's index, which read_graph_tsv reports as its line
+            raise err
 
     def take(self, idx) -> EdgeTable:
         return EdgeTable(*(getattr(self, name)[idx] for name in _COLUMNS))
@@ -106,7 +109,8 @@ class EdgeTable:
 
 
 _COLUMNS = tuple(f.name for f in fields(EdgeTable))
-_DTYPES = (np.int64, np.int64, np.uint8, np.float64, np.int64, np.int64)
+_DTYPE_NAMES = ["int64", "int64", "uint8", "float64", "int64", "int64"]
+_EDGE_RULE = "a type below 6, distinct inputs >= 0, a finite log_p <= 0, 0 <= exceptions <= support >= 1"
 # The edge list's cells: the table's columns and the derived exception fraction.
 _TSV_CELLS = "source target type log_p exceptions exception_fraction antecedent_support".split()
 
@@ -470,25 +474,27 @@ def graph_to_tsv(g: ImplicationGraph) -> str:
 
 
 def read_graph_tsv(text: str) -> ImplicationGraph:
-    """The graph from an edge list written by graph_to_tsv, vertices numbered
-    by first appearance. The fraction cell must be a number but is not kept:
-    the table derives it. A malformed line is a ValueError that names it."""
+    """The graph from an edge list written by graph_to_tsv, vertices numbered by first
+    appearance. The fraction cell must be a number, though the table derives it. A line
+    that does not parse, or whose row breaks the table's rule, is a ValueError naming it."""
     index: dict[str, int] = {}
     rows = []
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    for no, ln in lines[1:]:
-        try:  # a wrong cell count, unknown type, unparsed number or support below 1
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()][1:]
+    for no, ln in lines:
+        try:  # a wrong cell count, unknown type, or a number that does not parse or fit
             src, tgt, btype, log_p, exc, frac, supp = ln.split("\t")
             float(frac)  # a number, though the table derives it
-            stats = (TYPES.index(btype), float(log_p), int(exc), int(supp))
-            if stats[3] < 1:
-                raise ValueError
-        except ValueError:
+            stats = (TYPES.index(btype), float(log_p), np.int64(exc), np.int64(supp))
+        except (ValueError, OverflowError):
             raise ValueError(f"edge list line {no}: expected the {len(_TSV_CELLS)} tab-separated cells "
-                             f"{_TSV_CELLS}, a type in {TYPES} and a support >= 1, got {ln!r}") from None
+                             f"{_TSV_CELLS}, a type in {TYPES} and int64 counts, got {ln!r}") from None
         rows.append((index.setdefault(src, len(index)), index.setdefault(tgt, len(index)), *stats))
     cols = zip(*rows) if rows else [()] * len(_COLUMNS)
-    edges = EdgeTable(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
+    try:
+        edges = EdgeTable(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPE_NAMES)))
+    except ValueError as e:  # here only a row can break the table's rule
+        no, ln = lines[e.row]
+        raise ValueError(f"edge list line {no}: needs {_EDGE_RULE}, got {ln!r}") from None
     return ImplicationGraph(vertices=list(index), edges=edges)
 
 

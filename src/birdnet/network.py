@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from birdnet.mining import TYPES, EdgeTable
+from birdnet.mining import EdgeTable
 
 __all__ = [
     "PairLinear",
@@ -88,8 +88,6 @@ class PairLinear:
         idx = np.concatenate([self.src, self.tgt])
         if np.any((idx < 0) | (idx >= self.in_dim)):
             raise ValueError(f"pair layer indexes outside input dim {self.in_dim}")
-        if np.any(self.src == self.tgt):
-            raise ValueError("pair layer binds a unit to one input twice (self-loop)")
 
     @property
     def out_dim(self) -> int:
@@ -252,13 +250,19 @@ class Fold(NamedTuple):
 
 @dataclass
 class BirBlock:
-    """One hidden stage: (masked or dense) linear, BatchNorm, ReLU. A pair
-    block's wiring is its bindings' source and target columns."""
+    """One hidden stage: (masked or dense) linear, BatchNorm, ReLU. A pair block's wiring is
+    its bindings' source and target columns; every block has one binding per unit, in range."""
 
     linear: PairLinear | DenseLinear
     bn: BatchNorm
     bindings: EdgeTable  # unit k <-> implication k (over the block input space)
     _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        b, lin = self.bindings, self.linear
+        if len(b) != lin.out_dim or np.concatenate([b.source, b.target]).max(initial=-1) >= lin.in_dim:
+            raise ValueError(f"a block needs one binding per unit, each reading inputs 0..{lin.in_dim - 1}; "
+                             f"it has {len(b)} bindings for {lin.out_dim} units")
 
     def fold(self) -> Fold:
         """The block's `Fold`, kept and reused only while the block holds the
@@ -573,11 +577,10 @@ def save_network(net: BirNetwork, path: str) -> None:
 
 def load_network(path: str) -> BirNetwork:
     """Read a model file of format v5 or v4 (v4's `input_dim` and seventh binding
-    column are derived, and not read), checked as outside input: lists of names
-    and encoded arrays, a meta object, one binding per unit, within the block's
-    input width (the width below), and finite numbers; then the constructor's
-    checks. Any error is a ValueError under the file's name. A pair block is
-    wired by its bindings; every array is read-only, so each block folds once."""
+    column are derived, and not read). This checks the JSON's shape and that every
+    number is finite; the edge tables, blocks and network constructor check the
+    rest. Any error is a ValueError under the file's name. A pair block is wired
+    by its bindings; every array is read-only, so each block folds once."""
     with open(path, encoding="utf-8") as fh:
         try:
             return _decode_network(json.load(fh))
@@ -604,19 +607,10 @@ def _decode_network(doc) -> BirNetwork:
     width = len(doc["feature_names"])
     for ell, b in enumerate(doc["blocks"]):
         part = f"block {ell}"
-        if not (isinstance(b, dict) and b.get("kind") in ("pair", "dense")
-                and isinstance(b.get("bindings"), dict)):
-            raise ValueError(f"{part} is not a pair or dense block with a bindings object")
+        if not (isinstance(b, dict) and b.get("kind") in ("pair", "dense")):
+            raise ValueError(f"{part} is not a pair or dense block")
         arrays = [_dec(b.get("linear"), k, f"{part} linear") for k in _LINEAR_KEYS[b["kind"]]]
-        bindings = EdgeTable.from_columns({k: _dec(b["bindings"], k, f"{part} bindings")
-                                           for k in b["bindings"]})
-        units = len(arrays[0]) if arrays[0].ndim else 0  # w_src or W: one per unit
-        if len(bindings) != units:
-            raise ValueError(f"{part} has {len(bindings)} bindings for {units} units")
-        idx = np.concatenate([bindings.source, bindings.target])
-        if np.any((idx < 0) | (idx >= width)) or np.any(bindings.btype >= len(TYPES)):
-            raise ValueError(f"{part}: a binding has a type code >= {len(TYPES)} "
-                             f"or an input outside 0..{width - 1}")
+        bindings = EdgeTable(*(_dec(b.get("bindings"), f.name, f"{part} bindings") for f in fields(EdgeTable)))
         if b["kind"] == "pair":
             lin = PairLinear(bindings.source, bindings.target, *arrays, width)
         else:

@@ -69,9 +69,12 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def check_labels(y, rows: int, k: int) -> np.ndarray:
-    """y as one integer class index in 0..k-1 per row, or a ValueError."""
-    y = np.asarray(y)
+def check_labels(y, *shape: int) -> np.ndarray:
+    """y as one integer class index in 0..k-1 per row of a (rows, k) shape, that of the
+    scores y labels, or a ValueError."""
+    if len(shape) != 2:
+        raise ValueError(f"scores must be 2-D (rows, classes), got shape {shape}")
+    (rows, k), y = shape, np.asarray(y)
     if y.shape != (rows,) or y.dtype.kind not in "iu" or (rows and not 0 <= y.min() <= y.max() < k):
         raise ValueError(f"labels must be {rows} integer class indices in 0..{k - 1}, one per row")
     return y

@@ -193,7 +193,12 @@ class TestExportGraph:
         mined = edge_lines(mine_out / "graph.dot")
         assert mined and edge_lines(out / "graph.dot") == mined
 
-    @pytest.mark.parametrize("cell, value", [(2, "T9"), (4, "many"), (6, None)])
+    # Cells: 0 source, 1 target, 2 type, 3 log_p, 4 exceptions, 5 fraction, 6 support.
+    # "support+1" and "source" stand for the line's own support plus one and its source.
+    @pytest.mark.parametrize("cell, value", [
+        (2, "T9"), (4, "many"), (6, None), (4, "99999999999999999999"), (3, "nan"), (3, "-inf"),
+        (3, "5.0"), (4, "-1"), (4, "support+1"), (1, "source"),
+    ])
     def test_malformed_edge_list_exits_2_naming_the_line(self, data_csv, tmp_path, capsys,
                                                          cell, value):
         mine_out = tmp_path / "mine"
@@ -203,13 +208,14 @@ class TestExportGraph:
         if value is None:
             del cells[cell]
         else:
-            cells[cell] = value
+            cells[cell] = {"support+1": str(int(cells[6]) + 1), "source": cells[0]}.get(value, value)
         lines[1:2] = [lines[1], "\t".join(cells)]
         edges = tmp_path / "bad.tsv"
         edges.write_text("\n".join(lines))
         capsys.readouterr()
         assert run(["export-graph", "--edges", str(edges), "--out", str(tmp_path / "o")]) == 2
-        assert "error: edge list line 3: " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {edges}: edge list line 3: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestDataErrors:
@@ -363,12 +369,21 @@ class TestConfigAndErrors:
          "spoilt.json: block 0 linear w_src is not an encoded array"),
         (lambda doc: _edited(doc, ("blocks", 0, "kind"), "xx"),
          "spoilt.json: block 0 is not a pair or dense block"),
+        # Block 0's pair layer is wired by bindings that read inputs 0..5.
         (lambda doc: {**doc, "feature_names": doc["feature_names"][:1]},
-         "spoilt.json: block 0: a binding has a type code >= 6 or an input outside 0..0"),
+         "spoilt.json: pair layer indexes outside input dim 1"),
+        # A standardizer needs finite means and finite stddevs > 0.
+        (lambda doc: _edited(doc, ("meta", "standardizer", "stddevs", 2), 0),
+         "spoilt.json: model preprocessing metadata is not 6 columns and their standardizer"),
+        (lambda doc: _edited(doc, ("meta", "standardizer", "means", 0), float("nan")),
+         "spoilt.json: model preprocessing metadata is not 6 columns and their standardizer"),
+        (lambda doc: _edited(doc, ("meta", "standardizer", "stddevs", 5), None),
+         "spoilt.json: model preprocessing metadata is not 6 columns and their standardizer"),
     ], ids=["one-class-name", "two-feature-names", "meta-not-object", "top-level-list",
             "feature-name-not-text", "no-head", "standardizer-not-object", "two-columns",
             "blocks-not-list", "block-not-object", "head-layer-not-object", "gamma-not-array",
-            "unknown-dtype", "unknown-kind", "one-feature-name"])
+            "unknown-dtype", "unknown-kind", "one-feature-name", "stddev-zero", "mean-nan",
+            "stddev-null"])
     def test_model_with_bad_metadata_exits_2(self, data_csv, trained_model, tmp_path, capsys,
                                              spoil, message):
         with open(trained_model, encoding="utf-8") as fh:

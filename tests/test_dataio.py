@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birdnet.dataio import (
+    Standardizer,
     anova_f_select,
     apply_standardizer,
     fit_standardizer,
@@ -355,6 +356,23 @@ class TestStandardizer:
         assert s.stddevs[0] == 1.0
         out = apply_standardizer(s, np.full((2, 1), 3.0))
         assert np.array_equal(out, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("means, stddevs, constant", [
+        ([0.0, np.nan], [1.0, 1.0], [0, 0]),
+        ([0.0, np.inf], [1.0, 1.0], [0, 0]),
+        ([0.0, 1.0], [1.0, 0.0], [0, 0]),
+        ([0.0, 1.0], [1.0, -2.0], [0, 0]),
+        ([0.0, 1.0], [np.nan, 1.0], [0, 0]),
+        ([0.0, 1.0], [1.0, np.inf], [0, 0]),
+        ([0.0, 1.0], [1.0], [0, 0]),
+        ([0.0, 1.0], [1.0, 1.0], [0]),
+        ([[0.0, 1.0]], [[1.0, 1.0]], [[0, 0]]),
+        (0.0, 1.0, 0),
+    ], ids=["mean-nan", "mean-inf", "stddev-zero", "stddev-negative", "stddev-nan", "stddev-inf",
+            "short-stddevs", "short-flags", "2-D", "0-D"])
+    def test_rejects_what_it_cannot_apply(self, means, stddevs, constant):
+        with pytest.raises(ValueError, match="a standardizer needs 1-D finite means, finite stddevs > 0"):
+            Standardizer(np.array(means), np.array(stddevs), np.array(constant, dtype=bool))
 
     def test_dimension_mismatch(self):
         s = fit_standardizer(np.zeros((4, 2)))

@@ -62,6 +62,11 @@ class TestAuroc:
         with pytest.raises(ValueError, match="3 integer class indices in 0..1, one per row"):
             auroc_macro_ovr(np.zeros((3, 2)), np.array(labels))
 
+    def test_scores_not_2d_rejected(self):
+        # Once a TypeError from unpacking the scores' shape.
+        with pytest.raises(ValueError, match=r"scores must be 2-D \(rows, classes\), got shape \(4,\)"):
+            auroc_macro_ovr(np.zeros(4), np.array([0, 1, 0, 1]))
+
     def test_no_evaluable_class(self):
         with pytest.raises(ValueError):
             auroc_macro_ovr(np.zeros((3, 2)), np.array([0, 0, 0]))
@@ -143,6 +148,13 @@ class TestAccuracy:
         # A short label vector once failed inside numpy's broadcasting.
         with pytest.raises(ValueError, match="4 integer class indices in 0..1, one per row"):
             accuracy(np.zeros((4, 2)), np.array(labels))
+
+    @pytest.mark.parametrize("scores", [np.zeros(4), np.zeros((4, 2, 1)), np.float64(0.5)],
+                             ids=["1-D", "3-D", "0-D"])
+    def test_scores_not_2d_rejected(self, scores):
+        # A 1-D score vector was once a TypeError from unpacking its shape.
+        with pytest.raises(ValueError, match=r"scores must be 2-D \(rows, classes\)"):
+            accuracy(scores, np.zeros(4, dtype=int))
 
 
 def synthetic_dataset(seed=0, n=300):

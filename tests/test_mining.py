@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birdnet.mining import (
+    EdgeTable,
     ImplicationGraph,
     MiningConfig,
     deduplicate_and_cap,
@@ -17,6 +18,7 @@ from birdnet.mining import (
 )
 from birdnet.mining import test_pair as pair_tests
 from helpers import (
+    Edge,
     assert_edges_match,
     bmat_from_bools,
     edge_rows,
@@ -342,6 +344,57 @@ class TestMineBirs:
             MiningConfig(h_max=h_max)
 
 
+class TestEdgeTable:
+    """Every table checks the edge-row rule when it is built."""
+
+    GOOD = (3, 1, "T2", -7.5, 4, 40)
+
+    @pytest.mark.parametrize("column, value", [
+        ("btype", 6), ("source", -1), ("target", -2), ("target", 3), ("log_p", np.nan),
+        ("log_p", np.inf), ("log_p", -np.inf), ("log_p", 5.0), ("log_p", 1e-300),
+        ("exceptions", -1), ("exceptions", 41), ("antecedent_support", 0),
+        ("antecedent_support", -4),
+    ], ids=["type-6", "source-negative", "target-negative", "self-loop", "log_p-nan", "log_p-inf",
+            "log_p-minus-inf", "log_p-positive", "log_p-tiny-positive", "exceptions-negative",
+            "exceptions-above-support", "support-0", "support-negative"])
+    def test_rejects_bad_row_naming_it(self, column, value):
+        t = edge_table([self.GOOD] * 3)
+        cols = {name: getattr(t, name).copy() for name in Edge._fields}
+        cols[column][2] = value
+        with pytest.raises(ValueError, match=r"edge row 2 needs a type below 6, distinct inputs >= 0, "
+                                             r"a finite log_p <= 0, 0 <= exceptions <= support >= 1") as err:
+            EdgeTable(**cols)
+        assert err.value.row == 2
+
+    def test_accepts_rule_boundaries(self):
+        # log_p 0, exceptions equal to the support, support 1, and input 0.
+        rows = [(0, 1, "T0", 0.0, 1, 1), (1, 0, "T5", -0.0, 0, 1), self.GOOD]
+        assert [tuple(e) for e in edge_rows(edge_table(rows))] == rows
+        assert len(edge_table([])) == 0
+
+    def test_columns_need_their_dtypes_and_one_length(self):
+        t = edge_table([self.GOOD])
+        cols = [getattr(t, name) for name in Edge._fields]
+        swapped = [c.astype(c.dtype.newbyteorder()) for c in cols]
+        assert edge_rows(EdgeTable(*swapped)) == edge_rows(t)  # either byte order
+        message = "edge columns .* need one 1-D length"
+        for bad in (
+            [cols[0].astype(np.int32), *cols[1:]],  # a dtype not its own
+            [np.concatenate([cols[0], cols[0]]), *cols[1:]],  # two lengths
+            [c.reshape(1, 1) for c in cols],  # 2-D
+            [cols[0].tolist(), *cols[1:]],  # not an array
+        ):
+            with pytest.raises(ValueError, match=message):
+                EdgeTable(*bad)
+
+    def test_take_checks_its_rows_too(self):
+        t = edge_table([self.GOOD, (0, 2, "T0")])
+        assert edge_rows(t.take([1])) == edge_rows(t)[1:]
+        t.exceptions[1] = 99  # an edit in place bypasses the check until a new table is built
+        with pytest.raises(ValueError, match="edge row 0 needs"):
+            t.take([1])
+
+
 class TestDedup:
     def test_orientation_duplicates_collapse(self):
         # T0 a->b and T1 b->a test the same (1,0) quadrant: one rule.
@@ -421,6 +474,13 @@ class TestGraphIO:
         "a\tb\tT0\tlow\t0\t0.0\t50",  # log_p not a number
         "a\tb\tT0\t-30.0\t0\tnone\t50",  # fraction not a number
         "a\tb\tT0\t-30.0\t0\t0.0\t0",  # no support: the fraction cell is exceptions / support
+        "a\tb\tT0\t-30.0\t99999999999999999999\t0.0\t50",  # a count past int64
+        "a\tb\tT0\tnan\t0\t0.0\t50",  # log_p not finite
+        "a\tb\tT0\t-inf\t0\t0.0\t50",
+        "a\tb\tT0\t5.0\t0\t0.0\t50",  # log_p above 0
+        "a\tb\tT0\t-30.0\t-1\t0.0\t50",  # exceptions below 0
+        "a\tb\tT0\t-30.0\t51\t0.0\t50",  # exceptions above the support
+        "a\ta\tT0\t-30.0\t0\t0.0\t50",  # a self-loop
     ])
     def test_read_names_malformed_line(self, bad):
         good = "a\tb\tT0\t-30.0\t0\t0.0\t50"

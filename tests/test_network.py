@@ -65,7 +65,8 @@ class TestBuildBirLayer:
                 assert [_input_name(net, ell, j) for j in range(len(names))] == names
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
+        # The edge table refuses the row, so no layer can be built from it.
+        with pytest.raises(ValueError, match="edge row 0 needs .*distinct inputs"):
             build_bir_layer(edge_table([(1, 1, "T0")]), 3, np.random.default_rng(0))
 
     def test_rejects_out_of_range(self):
@@ -75,6 +76,31 @@ class TestBuildBirLayer:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_bir_layer(edge_table([]), 3, np.random.default_rng(0))
+
+
+class TestBirBlock:
+    """A block, however made, holds one binding per unit, each reading an input
+    of its linear map."""
+
+    def test_rejects_bindings_that_do_not_fit_the_linear_map(self):
+        pair = PairLinear([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0], 3)
+        spec = edge_table([(0, 1, "T0"), (1, 2, "T1")])
+        assert len(BirBlock(pair, BatchNorm(2), spec).bindings) == 2
+        with pytest.raises(ValueError, match="one binding per unit, each reading inputs 0..2; "
+                                             "it has 1 bindings for 2 units"):
+            BirBlock(pair, BatchNorm(2), spec.take([0]))
+        dense = DenseLinear(np.ones((2, 3)))
+        assert BirBlock(dense, BatchNorm(2), spec).linear is dense
+        with pytest.raises(ValueError, match="each reading inputs 0..2; it has 2 bindings for 2 units"):
+            BirBlock(dense, BatchNorm(2), edge_table([(0, 1, "T0"), (3, 2, "T1")]))
+
+    def test_matched_mlp_blocks_keep_checked_bindings(self):
+        net = random_pair_net(np.random.default_rng(3), d=7, widths=(6, 5), k=3)
+        mlp = to_matched_mlp(net, seed=0)
+        for blk, dense in zip(net.blocks, mlp.blocks):
+            assert dense.bindings is blk.bindings
+            with pytest.raises(ValueError, match="one binding per unit"):
+                BirBlock(dense.linear, dense.bn, blk.bindings.take(slice(1, None)))
 
 
 class TestPairLinear:
@@ -630,11 +656,19 @@ class TestSerialization:
                                               ("btype", 6)])
     def test_rejects_bad_binding(self, tmp_path, matched, column, value):
         # Block 1 reads the 6 units of block 0; a matched MLP's dense blocks
-        # keep their bindings for rule text and are checked the same way.
+        # keep their bindings for rule text and are checked the same way. A
+        # negative input or unknown type breaks the edge table's rule; an input
+        # past the block's width, the pair layer's or the block's own check.
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
         if matched:
             net = to_matched_mlp(net, seed=0)
-        with pytest.raises(ValueError, match="block 1: a binding has a type code >= 6 or an input outside 0..5"):
+        if value == -1 or column == "btype":
+            message = r"m\.json: edge row 0 needs a type below 6, distinct inputs >= 0"
+        elif matched:
+            message = r"m\.json: a block needs one binding per unit, each reading inputs 0\.\.5"
+        else:
+            message = r"m\.json: pair layer indexes outside input dim 6"
+        with pytest.raises(ValueError, match=message):
             self._reload(tmp_path, net, lambda doc: self._set_binding(doc, 1, column, value))
 
     def test_rejects_nan_weight(self, tmp_path):
@@ -646,13 +680,20 @@ class TestSerialization:
     @pytest.mark.parametrize("column,value", [("log_p", np.nan), ("log_p", np.inf)])
     def test_rejects_nonfinite_binding(self, tmp_path, column, value):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(ValueError, match=r"m\.json: edge row 0 needs .*a finite log_p <= 0"):
             self._reload(tmp_path, net, lambda doc: self._set_binding(doc, 0, column, value))
 
     def test_rejects_binding_count_mismatch(self, tmp_path):
+        # A pair layer is wired by its bindings, so its own shape check fires first.
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
         net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
-        with pytest.raises(ValueError, match="5 bindings for 6 units"):
+        with pytest.raises(ValueError, match="pair layer needs 1-D src, tgt and weights of one length"):
+            self._reload(tmp_path, net)
+
+    def test_rejects_dense_binding_count_mismatch(self, tmp_path):
+        net = to_matched_mlp(random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3), seed=0)
+        net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
+        with pytest.raises(ValueError, match=r"m\.json: a block needs .*; it has 5 bindings for 6 units"):
             self._reload(tmp_path, net)
 
     def test_constructor_checks_head_and_names(self):

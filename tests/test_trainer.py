@@ -60,6 +60,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="3 integer class indices in 0..2, one per row"):
             fn(np.zeros((3, 3)), np.array(labels))
 
+    @pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+    def test_logits_not_2d_rejected(self, fn):
+        with pytest.raises(ValueError, match=r"scores must be 2-D \(rows, classes\), got shape \(3,\)"):
+            fn(np.zeros(3), np.array([0, 1, 2]))
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         p = softmax(rng.normal(size=(6, 4)) * 50)
