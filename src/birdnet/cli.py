@@ -197,7 +197,10 @@ def cmd_mine(args) -> int:
     ds = _load_dataset(args)
     cfg = _pipeline_cfg(args)
     # The loaded matrix is standardized in place; nothing holds it past binarize.
-    X, cols, _ = preselect_and_standardize(ds.values, ds.labels, cfg.preselect_m)
+    try:
+        X, cols, _ = preselect_and_standardize(ds.values, ds.labels, cfg.preselect_m)
+    except ValueError as e:
+        raise ValueError(f"{args.data}: {e}") from None
     names = [ds.feature_names[c] for c in cols]
     del ds
     model = fit_binarization(X)
@@ -274,16 +277,14 @@ def cmd_explain(args) -> int:
         x = apply_preprocessing(net, ds, [args.instance])[0]
     except ValueError as e:
         raise ValueError(f"{args.model}: {e}") from None
-    if args.target_class is None:
+    if args.target_class is not None and args.target_class not in net.class_names:
+        raise ValueError(f"unknown class {args.target_class!r}; model has {net.class_names}")
+    try:
         logits, _ = net.forward(x.reshape(1, -1), mode="eval")
-        target = int(np.argmax(logits[0]))
-    else:
-        if args.target_class not in net.class_names:
-            raise ValueError(
-                f"unknown class {args.target_class!r}; model has {net.class_names}"
-            )
-        target = net.class_names.index(args.target_class)
-    trace = lrp_explain(net, x, target, instance_id=ds.sample_ids[args.instance])
+        target = int(np.argmax(logits[0])) if args.target_class is None else net.class_names.index(args.target_class)
+        trace = lrp_explain(net, x, target, instance_id=ds.sample_ids[args.instance])
+    except ValueError as e:
+        raise ValueError(f"{args.data}: row {args.instance}: {e}") from None
     os.makedirs(args.out, exist_ok=True)
     _write(args, f"trace_{args.instance}.txt", trace.to_text())
     _manifest(args, args.out)

@@ -268,6 +268,8 @@ def stratified_holdout(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     Per class, a seeded permutation selects round(fraction * size) members,
     capped so at least one member stays out of the held-out set.
     """
+    if not 0.0 < fraction < 1.0:  # NaN fails too
+        raise ValueError(f"a held-out fraction is in (0, 1), got {fraction}")
     labels = np.asarray(labels)
     rng = np.random.Generator(np.random.PCG64(seed))
     mask = np.zeros(labels.shape[0], dtype=bool)
@@ -278,6 +280,7 @@ def stratified_holdout(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     return mask
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # an overflow's inf or NaN F is ranked too
 def anova_f_select(X: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     """Indices of the m columns of X (rows labelled y) with largest
     between/within class variance ratio.
@@ -301,8 +304,7 @@ def anova_f_select(X: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
         mc = Xc.mean(axis=0)
         between += Xc.shape[0] * (mc - grand) ** 2
         within += ((Xc - mc) ** 2).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = (between / (k - 1)) / (within / (n - k))
+    F = (between / (k - 1)) / (within / (n - k))
     F = np.where(between == 0.0, 0.0, F)
     F = np.where((within == 0.0) & (between > 0.0), np.inf, F)
     order = np.lexsort((np.arange(d), -F))  # stable: descending F, then lower index
@@ -332,6 +334,7 @@ def preselect_and_standardize(X: np.ndarray, y: np.ndarray, m: int | None):
     return X, cols, std
 
 
+@np.errstate(over="ignore")  # an overflow makes an infinite stddev, which Standardizer refuses
 def fit_standardizer(rows: np.ndarray) -> Standardizer:
     """Fit per-feature mean and population stddev on training rows. Squared
     deviations are summed ~256 KiB of rows at a time, in row order, with no
@@ -351,6 +354,7 @@ def fit_standardizer(rows: np.ndarray) -> Standardizer:
     return Standardizer(means=means, stddevs=std, constant=constant)
 
 
+@np.errstate(over="ignore")  # an infinite result is refused where the rows are used
 def apply_standardizer(s: Standardizer, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[1] != s.means.shape[0]:

@@ -58,10 +58,10 @@ def rule_text(bindings: EdgeTable, k: int, input_names) -> str:
 def _input_name(net: BirNetwork, ell: int, j: int) -> str:
     """Name of input j of block ell: feature j under block 0, else unit j of
     block ell - 1 as L{ell-1}/u{j}:{type}({a},{b}) over that block's inputs.
-    Derived from the bindings on demand; no name list is ever built."""
+    Derived from the pair layers' bindings on demand; no name list is ever built."""
     if ell == 0:
         return net.feature_names[j]
-    b = net.blocks[ell - 1].bindings
+    b = net.blocks[ell - 1].linear.bindings
     a, c = (_input_name(net, ell - 1, int(i)) for i in (b.source[j], b.target[j]))
     return f"L{ell - 1}/u{j}:{TYPES[b.btype[j]]}({a},{c})"
 
@@ -89,7 +89,7 @@ class RelevanceTrace:
     target_class: str
     target_logit: float
     layer_relevances: list[np.ndarray]  # per block, relevance on its units
-    chain: list[tuple[int, int, str, float]]  # (layer, unit, rule text, relevance)
+    chain: list[tuple[int, int, str, float]]  # (layer, unit, rule text, relevance); [] if a block is dense
     conservation_total: float  # sum of layer-0 relevances
     trained: bool = True
 
@@ -101,10 +101,9 @@ class RelevanceTrace:
         ]
         if not self.trained:
             lines.append("warning: network does not appear to be trained")
-        chain_txt = "  ~>  ".join(f"[{rule}]" for _, _, rule, _ in self.chain)
-        lines.append(
-            f"{chain_txt}  ~>  class = {self.target_class} ({self.predicted_prob:.2f})"
-        )
+        if self.chain:
+            chain_txt = "  ~>  ".join(f"[{rule}]" for _, _, rule, _ in self.chain)
+            lines.append(f"{chain_txt}  ~>  class = {self.target_class} ({self.predicted_prob:.2f})")
         for ell, rel in enumerate(self.layer_relevances):
             order = np.argsort(-np.abs(rel))[:top]
             lines.append(f"layer {ell} top units:")
@@ -134,7 +133,9 @@ def extract_rules(
         raise ValueError("held-out set is empty")
     labels = check_labels(labels, rows.shape[0], net.n_classes)
     active = unit_activity(net, rows)
-    bindings, names = net.blocks[0].bindings, net.feature_names
+    if not isinstance(net.blocks[0].linear, PairLinear):
+        raise ValueError("block 0 is a dense layer, whose units have no rules")
+    bindings, names = net.blocks[0].linear.bindings, net.feature_names
     onehot = labels[:, None] == np.arange(net.n_classes)
     hits = active.T.astype(np.int64) @ onehot  # (units, classes)
     support, n_c = active.sum(axis=0), onehot.sum(axis=0)
@@ -189,7 +190,8 @@ def lrp_explain(
 
     Relevance flows only through active (post-ReLU positive) units; the
     argmax chain descends from the top block to layer 0 through each chosen
-    unit's two bound inputs. target_class is an int in 0..k-1, not a bool.
+    unit's two bound inputs, and is empty if a block is dense (whose units have no
+    rules). target_class is an int in 0..k-1, not a bool.
     """
     if type(target_class) is bool or not isinstance(target_class, (int, np.integer)) \
             or not 0 <= target_class < net.n_classes:
@@ -201,30 +203,35 @@ def lrp_explain(
     target_logit = float(logits[0, target_class])
     R = np.zeros(net.n_classes)
     R[target_class] = target_logit
-    # Head, top down. Hidden head activations are cached inputs of later layers.
-    for i in reversed(range(len(net.head.layers))):
-        R = _propagate_dense(R, cache["head_in"][i][0], net.head.layers[i].W, 1.0)
     layer_rel: list[np.ndarray] = [None] * len(net.blocks)
-    for ell in reversed(range(len(net.blocks))):
-        blk, a_in = net.blocks[ell], cache["block_in"][ell][0]
-        layer_rel[ell] = R
-        fold = cache["fold"][ell]
-        if isinstance(blk.linear, PairLinear):
-            R = _propagate_pair(R, a_in, blk.linear, fold)
-        else:
-            R = _propagate_dense(R, a_in, blk.linear.W, fold.scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+        # Head, top down. Hidden head activations are cached inputs of later layers.
+        for i in reversed(range(len(net.head.layers))):
+            R = _propagate_dense(R, cache["head_in"][i][0], net.head.layers[i].W, 1.0)
+        for ell in reversed(range(len(net.blocks))):
+            blk, a_in = net.blocks[ell], cache["block_in"][ell][0]
+            layer_rel[ell] = R
+            fold = cache["fold"][ell]
+            if isinstance(blk.linear, PairLinear):
+                R = _propagate_pair(R, a_in, blk.linear, fold)
+            else:
+                R = _propagate_dense(R, a_in, blk.linear.W, fold.scale)
+        relevances = layer_rel if net.blocks else [R]
+        total = float(relevances[0].sum())
+    if not (np.isfinite(total) and all(np.isfinite(r).all() for r in relevances)):
+        raise ValueError("the relevances are not finite: an input is too large for the network's weights")
 
     # Argmax chain: from the top block down through the chosen unit's bindings.
     chain: list[tuple[int, int, str, float]] = []
-    for ell in reversed(range(len(net.blocks))):
-        blk = net.blocks[ell]
+    ruled = all(isinstance(blk.linear, PairLinear) for blk in net.blocks)
+    for ell in reversed(range(len(net.blocks) if ruled else 0)):
         if chain:
-            above = net.blocks[ell + 1].bindings
+            above = net.blocks[ell + 1].linear.bindings
             cand = (int(above.source[u]), int(above.target[u]))
             u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
         else:
             u = int(np.argmax(layer_rel[ell]))
-        b = blk.bindings
+        b = net.blocks[ell].linear.bindings
         names = {int(j): _input_name(net, ell, int(j)) for j in (b.source[u], b.target[u])}
         rule = rule_text(b, u, names)
         chain.append((ell, u, rule, float(layer_rel[ell][u])))
@@ -235,8 +242,8 @@ def lrp_explain(
         predicted_prob=float(probs[pred]),
         target_class=net.class_names[target_class],
         target_logit=target_logit,
-        layer_relevances=layer_rel if net.blocks else [R],
+        layer_relevances=relevances,
         chain=chain,
-        conservation_total=float(layer_rel[0].sum()) if net.blocks else float(R.sum()),
+        conservation_total=total,
         trained=bool(net.meta.get("trained", True)),
     )

@@ -51,7 +51,7 @@ __all__ = [
 
 INIT_SCALE = 0.5  # magnitude scale for type-aware init: |N(0,1)| * INIT_SCALE
 
-MODEL_FORMAT = "birdnet-model-v5"
+MODEL_FORMAT = "birdnet-model-v6"
 
 BN_EPS = 1e-5  # BatchNorm variance floor
 BN_MOMENTUM = 0.1  # BatchNorm running-statistic update rate
@@ -65,28 +65,27 @@ _TYPE_SIGNS = np.array(
 
 
 class PairLinear:
-    """Masked linear map: unit k sees only input columns src[k] and tgt[k].
+    """Masked linear map: unit k is binding k, and sees only input columns src[k] and tgt[k].
 
     Only the two active weights per unit are stored, so masked positions are
     exactly zero by construction, at every step and across serialization.
-    In a block, src and tgt are its bindings' own source and target columns,
-    never copies.
+    The layer owns its bindings: src and tgt are their own source and target
+    columns, copied only from a file that stores them in another byte order.
     """
 
     kind = "pair"
     PARAMS = (("w_src", True), ("w_tgt", True))  # (name, decayed)
 
-    def __init__(self, src, tgt, w_src, w_tgt, in_dim):
-        self.src = np.asarray(src, dtype=np.int64)
-        self.tgt = np.asarray(tgt, dtype=np.int64)
+    def __init__(self, bindings: EdgeTable, w_src, w_tgt, in_dim):
+        self.bindings = bindings
+        self.src = np.asarray(bindings.source, dtype=np.int64)
+        self.tgt = np.asarray(bindings.target, dtype=np.int64)
         self.w_src = np.asarray(w_src, dtype=np.float64)
         self.w_tgt = np.asarray(w_tgt, dtype=np.float64)
         self.in_dim = int(in_dim)
-        arrays = (self.src, self.tgt, self.w_src, self.w_tgt)
-        if self.src.ndim != 1 or len({a.shape for a in arrays}) != 1:
-            raise ValueError("pair layer needs 1-D src, tgt and weights of one length")
-        idx = np.concatenate([self.src, self.tgt])
-        if np.any((idx < 0) | (idx >= self.in_dim)):
+        if len({a.shape for a in (self.src, self.w_src, self.w_tgt)}) != 1:
+            raise ValueError("pair layer needs one weight pair per binding")
+        if np.concatenate([self.src, self.tgt]).max(initial=-1) >= self.in_dim:  # EdgeTable holds inputs >= 0
             raise ValueError(f"pair layer indexes outside input dim {self.in_dim}")
 
     @property
@@ -250,19 +249,12 @@ class Fold(NamedTuple):
 
 @dataclass
 class BirBlock:
-    """One hidden stage: (masked or dense) linear, BatchNorm, ReLU. A pair block's wiring is
-    its bindings' source and target columns; every block has one binding per unit, in range."""
+    """One hidden stage: (masked or dense) linear, BatchNorm, ReLU. Only a pair
+    layer has bindings, so only its units have rules."""
 
     linear: PairLinear | DenseLinear
     bn: BatchNorm
-    bindings: EdgeTable  # unit k <-> implication k (over the block input space)
     _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        b, lin = self.bindings, self.linear
-        if len(b) != lin.out_dim or np.concatenate([b.source, b.target]).max(initial=-1) >= lin.in_dim:
-            raise ValueError(f"a block needs one binding per unit, each reading inputs 0..{lin.in_dim - 1}; "
-                             f"it has {len(b)} bindings for {lin.out_dim} units")
 
     def fold(self) -> Fold:
         """The block's `Fold`, kept and reused only while the block holds the
@@ -344,7 +336,8 @@ class BirNetwork:
         after each block's ReLU; the cache is what `backward` takes and keeps
         what each linear map's backward reuses), 'eval' (inference only:
         running stats folded into each block, deterministic; the cache keeps
-        each block's input and `Fold`, which relevance traces read)."""
+        each block's input and `Fold`, which relevance traces read). Logits
+        that overflow raise a ValueError in either mode, with no numpy warning."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         X = self.check_input(X)
@@ -358,32 +351,35 @@ class BirNetwork:
         else:
             cache.update(block_in=[], fold=[])
         a = X
-        for blk in self.blocks:
-            if mode == "eval":
-                cache["block_in"].append(a)
-                fold = blk.fold()
-                cache["fold"].append(fold)
-                a = blk.linear.folded(a, fold)
-                cache["post_bn"].append(np.maximum(a, 0.0, out=a))
-                continue
-            z, saved = blk.linear.forward_saved(a)
-            cache["saved"].append(saved)
-            y, bn_cache = blk.bn.forward(z)
-            cache["bn"].append(bn_cache)
-            a = np.maximum(y, 0.0, out=y)
-            cache["post_bn"].append(a)  # post-ReLU, pre-dropout
-            if dropout > 0.0:
-                keep = rng.random(a.shape) >= dropout
-                a = a * keep
-                a /= 1.0 - dropout
-                cache["drop"].append(keep)
-            else:
-                cache["drop"].append(None)
-        for i, lay in enumerate(self.head.layers):
-            cache["head_in"].append(a)
-            a = lay.forward(a)
-            if i < len(self.head.layers) - 1:
-                a = np.maximum(a, 0.0, out=a)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+            for blk in self.blocks:
+                if mode == "eval":
+                    cache["block_in"].append(a)
+                    fold = blk.fold()
+                    cache["fold"].append(fold)
+                    a = blk.linear.folded(a, fold)
+                    cache["post_bn"].append(np.maximum(a, 0.0, out=a))
+                    continue
+                z, saved = blk.linear.forward_saved(a)
+                cache["saved"].append(saved)
+                y, bn_cache = blk.bn.forward(z)
+                cache["bn"].append(bn_cache)
+                a = np.maximum(y, 0.0, out=y)
+                cache["post_bn"].append(a)  # post-ReLU, pre-dropout
+                if dropout > 0.0:
+                    keep = rng.random(a.shape) >= dropout
+                    a = a * keep
+                    a /= 1.0 - dropout
+                    cache["drop"].append(keep)
+                else:
+                    cache["drop"].append(None)
+            for i, lay in enumerate(self.head.layers):
+                cache["head_in"].append(a)
+                a = lay.forward(a)
+                if i < len(self.head.layers) - 1:
+                    a = np.maximum(a, 0.0, out=a)
+        if not np.isfinite(a).all():
+            raise ValueError("the network's logits are not finite: an input is too large for its weights")
         return a, cache
 
     def backward(self, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -484,8 +480,7 @@ def build_bir_layer(spec: EdgeTable, d: int, rng: np.random.Generator) -> BirBlo
         raise ValueError("cannot build a layer from an empty implication table")
     w = _TYPE_SIGNS[spec.btype] * np.abs(rng.standard_normal((h, 2))) * INIT_SCALE
     w_src, w_tgt = w.T.copy()
-    linear = PairLinear(spec.source, spec.target, w_src, w_tgt, d)
-    return BirBlock(linear=linear, bn=BatchNorm(h), bindings=spec)
+    return BirBlock(linear=PairLinear(spec, w_src, w_tgt, d), bn=BatchNorm(h))
 
 
 def active_param_count(net: BirNetwork) -> dict[str, int]:
@@ -509,13 +504,13 @@ def active_param_count(net: BirNetwork) -> dict[str, int]:
 
 
 def to_matched_mlp(net: BirNetwork, seed: int) -> BirNetwork:
-    """Dense counterpart: same widths, BN and head shape; the
-    implication mask is removed and all weights re-initialized densely."""
+    """Dense counterpart: same widths, BN and head shape; the implication
+    mask, and so every rule, is removed and all weights re-initialized densely."""
     rng = np.random.Generator(np.random.PCG64(seed))
     blocks = []
     for blk in net.blocks:
         lin = DenseLinear.init(blk.linear.in_dim, blk.linear.out_dim, rng, bias=False)
-        blocks.append(BirBlock(linear=lin, bn=BatchNorm(lin.out_dim), bindings=blk.bindings))
+        blocks.append(BirBlock(linear=lin, bn=BatchNorm(lin.out_dim)))
     head = DenseHead(
         layers=[DenseLinear.init(lay.in_dim, lay.out_dim, rng) for lay in net.head.layers]
     )
@@ -563,11 +558,12 @@ def save_network(net: BirNetwork, path: str) -> None:
     }
     for blk in net.blocks:
         lin, bn = blk.linear, blk.bn
+        pair = {"bindings": {k: _enc(col) for k, col in vars(lin.bindings).items()}} if lin.kind == "pair" else {}
         doc["blocks"].append({
             "kind": lin.kind,
-            "bindings": {name: _enc(col) for name, col in vars(blk.bindings).items()},
             "bn": {k: _enc(getattr(bn, k)) for k in _BN_KEYS},
             "linear": {k: _enc(getattr(lin, k)) for k in _LINEAR_KEYS[lin.kind]},
+            **pair,
         })
     for lay in net.head.layers:
         doc["head"].append({"W": _enc(lay.W), "b": _enc(lay.b)})
@@ -576,11 +572,11 @@ def save_network(net: BirNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> BirNetwork:
-    """Read a model file of format v5 or v4 (v4's `input_dim` and seventh binding
-    column are derived, and not read). This checks the JSON's shape and that every
-    number is finite; the edge tables, blocks and network constructor check the
-    rest. Any error is a ValueError under the file's name. A pair block is wired
-    by its bindings; every array is read-only, so each block folds once."""
+    """Read a model file of format v6, v5 or v4 (v4's `input_dim` and seventh binding
+    column are derived, and not read, nor is a dense block's v4 or v5 `bindings`). This
+    checks the JSON's shape and that every number is finite; the edge tables, layers and
+    network constructor check the rest. Any error is a ValueError under the file's name.
+    A pair layer is wired by its bindings; every array is read-only, so each block folds once."""
     with open(path, encoding="utf-8") as fh:
         try:
             return _decode_network(json.load(fh))
@@ -593,7 +589,7 @@ def _decode_network(doc) -> BirNetwork:
         raise ValueError("not a recognized model file")
     if doc.get("format") in ("birdnet-model-v1", "birdnet-model-v2", "birdnet-model-v3"):
         raise ValueError(f"model format {doc['format']} is not read; rebuild the model")
-    if doc.get("format") not in (MODEL_FORMAT, "birdnet-model-v4"):
+    if doc.get("format") not in (MODEL_FORMAT, "birdnet-model-v5", "birdnet-model-v4"):
         raise ValueError("not a recognized model file")
     for key in ("feature_names", "class_names"):
         names = doc.get(key)
@@ -610,9 +606,9 @@ def _decode_network(doc) -> BirNetwork:
         if not (isinstance(b, dict) and b.get("kind") in ("pair", "dense")):
             raise ValueError(f"{part} is not a pair or dense block")
         arrays = [_dec(b.get("linear"), k, f"{part} linear") for k in _LINEAR_KEYS[b["kind"]]]
-        bindings = EdgeTable(*(_dec(b.get("bindings"), f.name, f"{part} bindings") for f in fields(EdgeTable)))
         if b["kind"] == "pair":
-            lin = PairLinear(bindings.source, bindings.target, *arrays, width)
+            bindings = EdgeTable(*(_dec(b.get("bindings"), f.name, f"{part} bindings") for f in fields(EdgeTable)))
+            lin = PairLinear(bindings, *arrays, width)
         else:
             lin = DenseLinear(*arrays)
         bn = BatchNorm(lin.out_dim)
@@ -621,14 +617,15 @@ def _decode_network(doc) -> BirNetwork:
             if arr.shape != (lin.out_dim,):
                 raise ValueError(f"{part} BatchNorm {key} is not one per unit")
             setattr(bn, key, arr)
-        blocks.append(BirBlock(lin, bn, bindings))
+        blocks.append(BirBlock(lin, bn))
         width = lin.out_dim
     head = DenseHead(layers=[DenseLinear(*(_dec(lay, k, f"head layer {i}") for k in "Wb"))
                              for i, lay in enumerate(doc["head"])])
     net = BirNetwork(doc["feature_names"], blocks, head, doc["class_names"], doc["meta"])
     # One walk over every array held, also a layer's own copy of a binding
     # column that was stored in another byte order: finite, then read-only.
-    held = [o for blk in blocks for o in (blk.linear, blk.bn, blk.bindings)] + head.layers
+    held = [o for blk in blocks for o in (blk.linear, blk.bn)] + head.layers
+    held += [o.bindings for o in held if isinstance(o, PairLinear)]
     for arr in [a for o in held for a in vars(o).values() if isinstance(a, np.ndarray)]:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValueError("model holds NaN or infinite numbers")

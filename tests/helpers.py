@@ -697,10 +697,13 @@ def oracle_load_csv(path, label_column, id_column=None, drop_columns=()) -> Labe
 def oracle_input_names(net: BirNetwork) -> list[list[str]]:
     """Every block's input names as whole lists, the way construction and
     loading once built them: feature names under block 0, then each block's
-    unit names L{layer}/u{k}:{type}({a},{b}) over its own input names."""
+    unit names L{layer}/u{k}:{type}({a},{b}) over its own input names, up to
+    the first dense block, whose units have no rule to name them by."""
     names = [list(net.feature_names)]
     for ell, blk in enumerate(net.blocks[:-1]):
-        b, below = blk.bindings, names[-1]
+        if not isinstance(blk.linear, PairLinear):
+            break
+        b, below = blk.linear.bindings, names[-1]
         names.append([
             f"L{ell}/u{k}:{TYPES[t]}({below[s]},{below[g]})"
             for k, (s, g, t) in enumerate(zip(b.source.tolist(), b.target.tolist(), b.btype.tolist()))
@@ -776,16 +779,17 @@ def oracle_lrp_explain(net: BirNetwork, instance, target_class: int, epsilon: fl
         else:
             R = _oracle_propagate_dense(R, a_in, blk.linear.W, scale, epsilon)
     chain = []
-    input_names = oracle_input_names(net)
-    for ell in reversed(range(len(net.blocks))):
-        blk = net.blocks[ell]
-        if chain:
-            above = net.blocks[ell + 1].bindings
-            cand = (int(above.source[u]), int(above.target[u]))
-            u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
-        else:
-            u = int(np.argmax(layer_rel[ell]))
-        chain.append((ell, u, rule_text(blk.bindings, u, input_names[ell]), float(layer_rel[ell][u])))
+    if all(isinstance(blk.linear, PairLinear) for blk in net.blocks):  # only pair units have rules
+        input_names = oracle_input_names(net)
+        for ell in reversed(range(len(net.blocks))):
+            b = net.blocks[ell].linear.bindings
+            if chain:
+                above = net.blocks[ell + 1].linear.bindings
+                cand = (int(above.source[u]), int(above.target[u]))
+                u = cand[int(np.argmax([layer_rel[ell][c] for c in cand]))]
+            else:
+                u = int(np.argmax(layer_rel[ell]))
+            chain.append((ell, u, rule_text(b, u, input_names[ell]), float(layer_rel[ell][u])))
     chain.reverse()
     return RelevanceTrace(
         instance_id="?",
@@ -806,7 +810,7 @@ def oracle_extract_rules(net: BirNetwork, rows, labels, min_support: int) -> lis
     labels = np.asarray(labels)
     active = oracle_eval_forward(net, rows)[1]["post_bn"][0] > 0.0
     k = net.n_classes
-    bindings, names = net.blocks[0].bindings, oracle_input_names(net)[0]
+    bindings, names = net.blocks[0].linear.bindings, oracle_input_names(net)[0]
     prevalence = np.array([(labels == c).mean() for c in range(k)])
     records = []
     support = active.sum(axis=0)

@@ -41,7 +41,7 @@ class TestBuildBirdnet:
         assert report.layers[0].after_dedup_cap == net.blocks[0].linear.out_dim
         planted = {
             (min(e.source, e.target), max(e.source, e.target))
-            for e in edge_rows(net.blocks[0].bindings)
+            for e in edge_rows(net.blocks[0].linear.bindings)
             if e.btype == "T4"
         }
         assert {(2 * g, 2 * g + 1) for g in range(30)} <= planted
@@ -111,7 +111,7 @@ class TestBuildBirdnet:
                               MiningConfig(mu=5), depth=1, seed=1)
         n2, _ = build_birdnet(X, [f"g{j}" for j in range(20)], ["a", "b"],
                               MiningConfig(mu=5), depth=1, seed=2)
-        assert edge_rows(n1.blocks[0].bindings) == edge_rows(n2.blocks[0].bindings)
+        assert edge_rows(n1.blocks[0].linear.bindings) == edge_rows(n2.blocks[0].linear.bindings)
         assert not np.array_equal(n1.blocks[0].linear.w_src, n2.blocks[0].linear.w_src)
 
     def test_running_stats_seeded_with_fold_statistics(self):

@@ -405,7 +405,8 @@ class TestConfigAndErrors:
         (["mine", "--preselect", "-2"], "requested m=-2 features"),
         # A NaN rate once trained for every epoch and saved an unloadable model.
         (["train", "--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
-    ], ids=["epochs-max", "clip-norm", "h-max", "preselect", "learning-rate-nan"])
+        (["rules", "--test-fraction", "-0.2"], "a held-out fraction is in (0, 1), got -0.2"),
+    ], ids=["epochs-max", "clip-norm", "h-max", "preselect", "learning-rate-nan", "test-fraction"])
     def test_bad_count_setting_exits_2(self, data_csv, tmp_path, capsys, argv, message):
         capsys.readouterr()
         assert run([*argv, "--data", data_csv, *BASE, "--mu", "1",
@@ -451,6 +452,26 @@ class TestConfigAndErrors:
         assert run(["explain", "--model", built_model, "--data", str(other), *BASE,
                     "--instance", "0", "--out", str(tmp_path / "e")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell, value, message", [
+        # g1 = 1e308 standardizes to a finite value, but row 3's logits overflow.
+        (2, "1e+308", "the network's logits are not finite: an input is too large for its weights"),
+        # g0 = -1.79e308 overflows divided by g0's stddev of 0.991.
+        (1, "-1.79e308", "input rows hold NaN or infinite values"),
+    ], ids=["network", "standardizer"])
+    def test_explain_row_too_large_exits_2(self, data_csv, built_model, tmp_path, capsys, cell,
+                                           value, message):
+        with open(data_csv, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        cells = lines[4].split(",")
+        cells[cell] = value
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join([*lines[:4], ",".join(cells), *lines[5:]]) + "\n")
+        capsys.readouterr()
+        assert run(["explain", "--model", built_model, "--data", str(big), *BASE,
+                    "--instance", "3", "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == f"error: {big}: row 3: {message}\n"
+        assert not (tmp_path / "e").exists()
 
     def test_explain_negative_instance_exits_2(self, data_csv, built_model, tmp_path, capsys):
         capsys.readouterr()

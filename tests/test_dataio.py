@@ -280,6 +280,12 @@ class TestStratifiedHoldout:
         for c in (0, 1):
             assert int((~mask & (labels == c)).sum()) >= 1
 
+    @pytest.mark.parametrize("fraction", [-0.2, 0.0, 1.0, 1.5, float("nan"), float("inf")])
+    def test_rejects_fraction_outside_zero_one(self, fraction):
+        # -0.2 once held out 16 of every 20 rows through a negative slice.
+        with pytest.raises(ValueError, match=r"a held-out fraction is in \(0, 1\), got"):
+            stratified_holdout(np.repeat([0, 1], 10), fraction, seed=0)
+
 
 class TestAnovaFSelect:
     def test_selects_label_correlated_feature(self):

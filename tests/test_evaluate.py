@@ -241,7 +241,7 @@ class TestCrossValidate:
         assert len(builds) == 3  # one construction per fold, shared by both models
         for f, m in zip(res.folds, res.matched_folds):
             assert m.report is f.report
-            assert [b.bindings for b in m.net.blocks] == [b.bindings for b in f.net.blocks]
+            assert [b.linear.out_dim for b in m.net.blocks] == [b.linear.out_dim for b in f.net.blocks]
             assert m.net.meta["matched_mlp"] and "matched_mlp" not in f.net.meta
 
     def test_preselection_applied(self):
@@ -303,8 +303,8 @@ class TestFitOnRows:
         assert sa.keys() == sb.keys()
         assert all(np.array_equal(sa[k], sb[k]) for k in sa)
         for ba, bb in zip(na.blocks, nb.blocks, strict=True):
-            assert all(np.array_equal(getattr(ba.bindings, f.name), getattr(bb.bindings, f.name))
-                       for f in fields(ba.bindings))
+            assert all(np.array_equal(getattr(ba.linear.bindings, f.name), getattr(bb.linear.bindings, f.name))
+                       for f in fields(ba.linear.bindings))
         assert na.meta == nb.meta
 
 

@@ -116,7 +116,7 @@ class TestExtractRules:
         net, X, y = self._net_and_data()
         records = extract_rules(net, X, y, min_support=10)
         assert records
-        bindings, names = net.blocks[0].bindings, net.feature_names
+        bindings, names = net.blocks[0].linear.bindings, net.feature_names
         rows = edge_rows(bindings)
         for r in records:
             assert (r.source, r.target, r.btype) == rows[r.unit][:3]
@@ -159,10 +159,19 @@ class TestExtractRules:
             assert rules_to_csv(records) == rules_to_csv(want)
         for seed in range(6):
             for name, net in inference_nets(seed):
+                if name == "matched_mlp":  # no rules: test_dense_block_0_has_no_rules
+                    continue
                 rng = np.random.default_rng(seed)
                 X = rng.normal(size=(80, net.input_dim))
                 y = rng.integers(0, net.n_classes - 1, 80)  # the last class absent
                 assert extract_rules(net, X, y, 1) == oracle_extract_rules(net, X, y, 1), (seed, name)
+
+    def test_dense_block_0_has_no_rules(self):
+        # A matched MLP's dense units implement no mined implication.
+        *_, (name, mlp) = inference_nets(0)
+        X = np.random.default_rng(0).normal(size=(80, mlp.input_dim))
+        with pytest.raises(ValueError, match="block 0 is a dense layer, whose units have no rules"):
+            extract_rules(mlp, X, np.arange(80) % mlp.n_classes, 1)
 
     def test_csv_output(self):
         net, X, y = self._net_and_data()
@@ -176,10 +185,10 @@ class TestExtractRules:
 def single_path_net():
     """One unit, one head weight: relevance has a single path, so layer-0
     relevance equals the logit contribution exactly (up to epsilon)."""
-    lin = PairLinear([0], [1], [1.0], [0.5], 2)
+    lin = PairLinear(edge_table([(0, 1, "T0")]), [1.0], [0.5], 2)
     bn = BatchNorm(1)
     bn.set_stats(np.zeros(1), np.ones(1) - 1e-5)  # scale exactly 1
-    blk = BirBlock(linear=lin, bn=bn, bindings=edge_table([(0, 1, "T0")]))
+    blk = BirBlock(linear=lin, bn=bn)
     head = DenseHead([DenseLinear(np.array([[2.0], [0.0]]), np.zeros(2))])
     return BirNetwork(["a", "b"], [blk], head, ["c0", "c1"])
 
@@ -247,7 +256,7 @@ class TestLrp:
         assert len(trace.chain) == 2
         (l0, u0, _, _), (l1, u1, _, _) = trace.chain
         assert (l0, l1) == (0, 1)
-        top = net.blocks[1].bindings
+        top = net.blocks[1].linear.bindings
         assert u0 in (top.source[u1], top.target[u1])
         assert u1 == int(np.argmax(trace.layer_relevances[1]))
 
@@ -275,8 +284,21 @@ class TestLrp:
                 got, want = lrp_explain(net, x, 0), oracle_lrp_explain(net, x, 0)
                 assert [c[2] for c in got.chain] == [c[2] for c in want.chain], (seed, name)
                 assert got.to_text().splitlines()[1] == want.to_text().splitlines()[1]
-                if net.depth == 3:
+                if name == "pair+head_hidden":
                     assert "(L0/u" in got.chain[2][2] and "L1/u" in got.chain[2][2]
+
+    def test_dense_blocks_have_no_chain(self):
+        # The relevances still flow through a matched MLP's dense blocks, but
+        # its units have no rules, so no chain and no chain line.
+        for seed in range(3):
+            *_, (name, mlp) = inference_nets(seed)
+            x = np.random.default_rng(seed).normal(size=mlp.input_dim)
+            got, want = lrp_explain(mlp, x, 1), oracle_lrp_explain(mlp, x, 1)
+            assert got.chain == want.chain == []
+            assert len(got.layer_relevances) == mlp.depth == 3
+            for rg, rw in zip(got.layer_relevances, want.layer_relevances, strict=True):
+                assert np.abs(rg - rw).max() <= 1e-12 * np.abs(rw).max(), seed
+            assert "~>" not in got.to_text()
 
     def test_trace_text(self):
         net = single_path_net()
@@ -287,6 +309,14 @@ class TestLrp:
         assert "[a -> b]" in text
         assert "class = c0" in text
         assert "warning" in text  # untrained network flagged
+
+    def test_relevances_that_overflow_raise(self):
+        # A finite logit of 1e303 that no input carries: its share overflows.
+        net = single_path_net()
+        net.head.layers[0] = DenseLinear(np.zeros((2, 1)), np.array([1e303, 0.0]))
+        assert lrp_explain(net, np.array([3.0, 2.0]), 1).conservation_total == 0.0
+        with pytest.raises(ValueError, match="the relevances are not finite"):
+            lrp_explain(net, np.array([3.0, 2.0]), 0)
 
     def test_untrained_flag_default_true(self):
         net = single_path_net()

@@ -1,12 +1,15 @@
-"""The input contract of the files birdnet reads back: a model file, read by
-`birdnet explain`, and a mined edge list, read by `birdnet export-graph`.
+"""The input contract of the files birdnet reads: a model file, read by
+`birdnet explain`, a mined edge list, read by `birdnet export-graph`, and a
+CSV, read by `birdnet explain` and `birdnet mine`.
 
 A spoil changes one JSON node of a trained depth-2 model (to a value of
-`VALUES`, or deletes it) or one cell of a mined `edges.tsv` (to a value's JSON
-text, or deletes it). Every spoilt run through `cli.main` must either exit 0
-with finite output, or exit 2 with an error that names the file; none may
-raise or warn. An edge list that exits 0 must also hold the edge-row rule, as
-`_valid_edge_line` reads it. A seeded sample of the spoils runs each time.
+`VALUES`, or deletes it), or one cell of a mined `edges.tsv` or of the CSV (to
+a value's JSON text, or deletes it). Every spoilt run through `cli.main` must
+either exit 0 with finite output, or exit 2 with an error that names the file
+(or, for a CSV whose columns do not fit the model, the model); none may raise
+or warn. An edge list that exits 0, read or mined, must also
+hold the edge-row rule, as `_valid_edge_line` reads it. A seeded sample of the
+spoils runs each time; every spoil of the explained row runs through `explain`.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ VALUES = [None, "x", -1, 0, 1e308, math.nan, [], {}, True, -math.inf, 10**20]
 DELETE = "<deleted>"
 MODEL_SPOILS = 300  # of 2,580
 EDGE_SPOILS = 200  # of 1,596
-# A number that is not finite: in a relevance trace anywhere, in a DOT only as an edge label's.
-_NON_FINITE = {"trace_3.txt": re.compile(r"(?i)\b(nan|inf)\b"),
+CSV_SPOILS = 60, 150  # of the 14,400 outside the explained row (explain), of all 14,520 (mine)
+# A number that is not finite: in a relevance trace anywhere but the row's id, in
+# thresholds only as a threshold, in a DOT only as an edge label's.
+_NON_FINITE = {"trace_3.txt": re.compile(r"(?i)(?<!instance )\b(nan|inf)\b"),
+               "thresholds.tsv": re.compile(r"(?im)\t-?(nan|inf)$"),
                "graph.dot": re.compile(r'(?i)label="T\d -?(nan|inf)')}
 BASE = ["--label", "diagnosis", "--id-column", "sample"]
 
@@ -102,15 +108,16 @@ def _run(argv):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
-def _judge(code, err, caught, path, output) -> str | None:
-    """What breaks the contract in one run, or None."""
+def _judge(code, err, caught, paths, output) -> str | None:
+    """What breaks the contract in one run, or None; an error names one of paths."""
     if caught:
         return f"warned {caught[:1]}"
     if code == 0:
         found = _NON_FINITE[output.name].search(output.read_text())
         return f"exit 0 with {found[0]!r} in its output" if found else None
     if code == 2:
-        return None if err.startswith(f"error: {path}: ") else f"exit 2 without the file name: {err!r}"
+        named = err.startswith(tuple(f"error: {p}: " for p in paths))
+        return None if named else f"exit 2 without the file name: {err!r}"
     return f"raised {code!r}" if isinstance(code, BaseException) else f"exit {code}"
 
 
@@ -129,7 +136,7 @@ def test_spoilt_model_exits_0_or_names_the_file(files):
         shutil.rmtree(out, ignore_errors=True)
         code, err, caught = _run(["explain", "--model", str(spoilt), "--data", str(d / "data.csv"),
                                   *BASE, "--instance", "3", "--out", str(out)])
-        fault = _judge(code, err, caught, spoilt, out / "trace_3.txt")
+        fault = _judge(code, err, caught, [spoilt], out / "trace_3.txt")
         if fault:
             broken.append(f"{'/'.join(map(str, path))} = {value!r}: {fault}")
     assert not broken, f"{len(broken)} spoils break the contract:\n" + "\n".join(broken[:10])
@@ -153,9 +160,44 @@ def test_spoilt_edge_list_exits_0_only_when_valid_or_names_the_file(files):
         spoilt.write_text("\n".join(spoilt_lines) + "\n")
         shutil.rmtree(out, ignore_errors=True)
         code, err, caught = _run(["export-graph", "--edges", str(spoilt), "--out", str(out)])
-        fault = _judge(code, err, caught, spoilt, out / "graph.dot")
+        fault = _judge(code, err, caught, [spoilt], out / "graph.dot")
         if code == 0 and not fault and not all(_valid_edge_line(ln) for ln in spoilt_lines[1:]):
             fault = "exit 0 on an edge list that breaks the edge-row rule"
         if fault:
             broken.append(f"line {i + 1} cell {j} = {value!r}: {fault}")
+    assert not broken, f"{len(broken)} spoils break the contract:\n" + "\n".join(broken[:10])
+
+
+def test_spoilt_csv_exits_0_or_names_the_file(files):
+    d, _, _ = files
+    model, lines = d / "t" / "model.json", (d / "data.csv").read_text().rstrip("\n").split("\n")
+    spoils = [(i, j, v) for i, ln in enumerate(lines) for j in range(len(ln.split(",")))
+              for v in [*(json.dumps(v) for v in VALUES), DELETE]]
+    explained = [s for s in spoils if s[0] == 4]  # instance 3, under the header
+    others = [s for s in spoils if s[0] != 4]
+    runs = [("explain", s) for s in explained + _sample(others, CSV_SPOILS[0], seed=23)]
+    runs += [("mine", s) for s in _sample(spoils, CSV_SPOILS[1], seed=24)]
+    broken = []
+    for command, (i, j, value) in runs:
+        cells = lines[i].split(",")
+        if value is DELETE:
+            del cells[j]
+        else:
+            cells[j] = value
+        spoilt, out = d / "spoilt.csv", d / command
+        spoilt.write_text("\n".join([*lines[:i], ",".join(cells), *lines[i + 1:]]) + "\n")
+        shutil.rmtree(out, ignore_errors=True)
+        if command == "explain":  # a CSV whose columns do not fit the model may name the model
+            argv, paths = ["explain", "--model", str(model), "--instance", "3"], [spoilt, model]
+        else:
+            argv, paths = ["mine", "--mu", "1"], [spoilt]
+        code, err, caught = _run([*argv, "--data", str(spoilt), *BASE, "--out", str(out)])
+        output = out / ("trace_3.txt" if command == "explain" else "thresholds.tsv")
+        fault = _judge(code, err, caught, paths, output)
+        if command == "mine" and code == 0 and not fault:
+            mined = (out / "edges.tsv").read_text().rstrip("\n").split("\n")
+            if not all(_valid_edge_line(ln) for ln in mined[1:]):
+                fault = "mined an edge list that breaks the edge-row rule"
+        if fault:
+            broken.append(f"{command}: line {i + 1} cell {j} = {value!r}: {fault}")
     assert not broken, f"{len(broken)} spoils break the contract:\n" + "\n".join(broken[:10])

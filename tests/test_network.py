@@ -8,6 +8,7 @@ import pytest
 from birdnet.explain import _input_name, lrp_explain
 from birdnet.network import (
     _CHUNK_BYTES,
+    BN_EPS,
     BatchNorm,
     BirBlock,
     BirNetwork,
@@ -79,40 +80,49 @@ class TestBuildBirLayer:
 
 
 class TestBirBlock:
-    """A block, however made, holds one binding per unit, each reading an input
-    of its linear map."""
+    """A unit's rule and wiring are one table, held by the pair layer; a block
+    and a dense layer hold none."""
 
     def test_rejects_bindings_that_do_not_fit_the_linear_map(self):
-        pair = PairLinear([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0], 3)
         spec = edge_table([(0, 1, "T0"), (1, 2, "T1")])
-        assert len(BirBlock(pair, BatchNorm(2), spec).bindings) == 2
-        with pytest.raises(ValueError, match="one binding per unit, each reading inputs 0..2; "
-                                             "it has 1 bindings for 2 units"):
-            BirBlock(pair, BatchNorm(2), spec.take([0]))
-        dense = DenseLinear(np.ones((2, 3)))
-        assert BirBlock(dense, BatchNorm(2), spec).linear is dense
-        with pytest.raises(ValueError, match="each reading inputs 0..2; it has 2 bindings for 2 units"):
-            BirBlock(dense, BatchNorm(2), edge_table([(0, 1, "T0"), (3, 2, "T1")]))
+        pair = PairLinear(spec, [1.0, 1.0], [1.0, 1.0], 3)
+        assert pair.bindings is spec and BirBlock(pair, BatchNorm(2)).linear is pair
+        with pytest.raises(ValueError, match="pair layer needs one weight pair per binding"):
+            PairLinear(spec.take([0]), [1.0, 1.0], [1.0, 1.0], 3)
+        with pytest.raises(ValueError, match="pair layer indexes outside input dim 3"):
+            PairLinear(edge_table([(0, 1, "T0"), (3, 2, "T1")]), [1.0, 1.0], [1.0, 1.0], 3)
+        with pytest.raises(TypeError):
+            BirBlock(pair, BatchNorm(2), spec)  # a block takes no bindings of its own
 
-    def test_matched_mlp_blocks_keep_checked_bindings(self):
+    def test_rule_names_the_inputs_the_unit_reads(self, tmp_path):
+        # A unit bound to c -> d reads c and d, and a saved model reloads to the same logits.
+        lin = PairLinear(edge_table([(2, 3, "T0")]), [1.0], [1.0], 4)
+        head = DenseHead([DenseLinear(np.ones((2, 1)), np.zeros(2))])
+        net = BirNetwork(["a", "b", "c", "d"], [BirBlock(lin, BatchNorm(1))], head, ["c0", "c1"])
+        net.blocks[0].bn.set_stats(np.zeros(1), np.ones(1) - BN_EPS)
+        x = np.array([[10.0, 60.0, 1.0, 2.0]])
+        assert net.forward(x)[0].tolist() == [[3.0, 3.0]]
+        assert lrp_explain(net, x[0], 0).chain[0][2] == "c -> d"
+        save_network(net, str(tmp_path / "m.json"))
+        assert load_network(str(tmp_path / "m.json")).forward(x)[0].tolist() == [[3.0, 3.0]]
+
+    def test_matched_mlp_blocks_have_no_bindings(self):
         net = random_pair_net(np.random.default_rng(3), d=7, widths=(6, 5), k=3)
-        mlp = to_matched_mlp(net, seed=0)
-        for blk, dense in zip(net.blocks, mlp.blocks):
-            assert dense.bindings is blk.bindings
-            with pytest.raises(ValueError, match="one binding per unit"):
-                BirBlock(dense.linear, dense.bn, blk.bindings.take(slice(1, None)))
+        for dense in to_matched_mlp(net, seed=0).blocks:
+            assert isinstance(dense.linear, DenseLinear) and not hasattr(dense.linear, "bindings")
+            assert not hasattr(dense, "bindings")
 
 
 class TestPairLinear:
     def test_forward_hand_example(self):
         # Single unit, weights (1, 1) on features (0, 1),
         # input (2, 3) -> pre-activation 5.
-        lin = PairLinear([0], [1], [1.0], [1.0], in_dim=2)
+        lin = PairLinear(edge_table([(0, 1, "T0")]), [1.0], [1.0], in_dim=2)
         z = lin.forward(np.array([[2.0, 3.0]]))
         assert z.tolist() == [[5.0]]
 
     def test_mask_and_dense_weight(self):
-        lin = PairLinear([0, 2], [1, 0], [1.5, -2.0], [0.5, 3.0], 4)
+        lin = PairLinear(edge_table([(0, 1, "T0"), (2, 0, "T0")]), [1.5, -2.0], [0.5, 3.0], 4)
         W = dense_weight(lin)
         assert W.shape == (2, 4)
         assert W[0].tolist() == [1.5, 0.5, 0.0, 0.0]
@@ -122,14 +132,14 @@ class TestPairLinear:
         assert np.all(W[~M] == 0.0)
 
     def test_active_weight_fraction_is_two_over_d(self):
-        lin = PairLinear([0], [1], [1.0], [1.0], in_dim=500)
+        lin = PairLinear(edge_table([(0, 1, "T0")]), [1.0], [1.0], in_dim=500)
         assert lin.mask().mean() == 2.0 / 500
 
     def test_backward_matches_squared_loss_closed_form(self):
         # Single unit z = w_s x_s + w_t x_t; L = (z - y)^2 means
         # dL/dw = 2 (z - y) x.
         rng = np.random.default_rng(0)
-        lin = PairLinear([0], [1], [0.7], [-0.3], 2)
+        lin = PairLinear(edge_table([(0, 1, "T0")]), [0.7], [-0.3], 2)
         x = rng.normal(size=(5, 2))
         y = rng.normal(size=(5, 1))
         z, saved = lin.forward_saved(x)
@@ -142,14 +152,14 @@ class TestPairLinear:
 
     def test_backward_accumulates_shared_inputs(self):
         # Two units both reading feature 0: dx[0] sums both paths.
-        lin = PairLinear([0, 0], [1, 2], [1.0, 2.0], [1.0, 1.0], 3)
+        lin = PairLinear(edge_table([(0, 1, "T0"), (0, 2, "T0")]), [1.0, 2.0], [1.0, 1.0], 3)
         x = np.ones((1, 3))
         dz = np.ones((1, 2))
         dx, _ = lin.backward(dz, lin.forward_saved(x)[1])
         assert dx[0, 0] == 3.0  # 1*1 + 1*2
 
     def test_input_width_check(self):
-        lin = PairLinear([0], [1], [1.0], [1.0], 2)
+        lin = PairLinear(edge_table([(0, 1, "T0")]), [1.0], [1.0], 2)
         with pytest.raises(ValueError):
             lin.forward(np.ones((1, 3)))
 
@@ -172,7 +182,7 @@ class TestBatchNorm:
     @staticmethod
     def _block(mean, var):
         # BatchNorm's eval form is the block's fold: one unit reading input 0.
-        blk = BirBlock(PairLinear([0], [1], [1.0], [0.0], 2), BatchNorm(1), edge_table([(0, 1, "T0")]))
+        blk = BirBlock(PairLinear(edge_table([(0, 1, "T0")]), [1.0], [0.0], 2), BatchNorm(1))
         blk.bn.set_stats(np.array([mean]), np.array([var]))
         return blk
 
@@ -201,6 +211,15 @@ class TestForwardModes:
         n1, _ = net.forward(X, mode="train", rng=np.random.default_rng(1))
         n2, _ = net.forward(X, mode="train", rng=np.random.default_rng(2))
         assert np.array_equal(n1, n2)  # no dropout unless asked for
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_overflow_is_a_named_error(self, mode):
+        # 1e308 + 1e308 overflows the one pair unit; no numpy warning escapes.
+        blk = BirBlock(PairLinear(edge_table([(0, 1, "T0")]), [1.0], [1.0], 2), BatchNorm(1))
+        head = DenseHead([DenseLinear(np.ones((2, 1)), np.zeros(2))])
+        net = BirNetwork(["a", "b"], [blk], head, ["c0", "c1"])
+        with pytest.raises(ValueError, match="the network's logits are not finite"):
+            net.forward(np.array([[1e308, 1e308], [0.0, 0.0]]), mode=mode)
 
     def test_train_mode_requires_rng_with_dropout(self):
         rng = np.random.default_rng(0)
@@ -322,13 +341,14 @@ class TestServedModel:
 
     @staticmethod
     def _load(tmp_path, net, wiring=None):
-        """Save and load net; with a dtype, re-encode each block's source and
+        """Save and load net; with a dtype, re-encode each pair block's source and
         target columns in it (">i8": the pair layer keeps native copies)."""
         p = tmp_path / "m.json"
         save_network(net, str(p))
         if wiring:
             doc = json.loads(p.read_text())
-            for col in (blk["bindings"][k] for blk in doc["blocks"] for k in ("source", "target")):
+            pairs = [blk for blk in doc["blocks"] if blk["kind"] == "pair"]
+            for col in (blk["bindings"][k] for blk in pairs for k in ("source", "target")):
                 arr = np.frombuffer(base64.b64decode(col["data"]), dtype=col["dtype"]).astype(wiring)
                 col.update(dtype=wiring, data=base64.b64encode(arr.tobytes()).decode("ascii"))
             p.write_text(json.dumps(doc))
@@ -336,7 +356,8 @@ class TestServedModel:
 
     @staticmethod
     def _arrays(net):
-        held = [o for blk in net.blocks for o in (blk.linear, blk.bn, blk.bindings)] + net.head.layers
+        held = [o for blk in net.blocks for o in (blk.linear, blk.bn)] + net.head.layers
+        held += [o.bindings for o in held if isinstance(o, PairLinear)]
         return [v for o in held for v in vars(o).values() if isinstance(v, np.ndarray)]
 
     def test_every_loaded_array_is_read_only(self, tmp_path):
@@ -527,9 +548,10 @@ class TestSerialization:
         for b0, b1 in zip(net.blocks, loaded.blocks):
             assert np.array_equal(b0.bn.running_mean, b1.bn.running_mean)
             assert np.array_equal(b0.bn.running_var, b1.bn.running_var)
-            assert edge_rows(b0.bindings) == edge_rows(b1.bindings)
-            # the bindings are the wiring: one array, not a copy
-            assert b1.linear.src is b1.bindings.source and b1.linear.tgt is b1.bindings.target
+            assert edge_rows(b0.linear.bindings) == edge_rows(b1.linear.bindings)
+            # the bindings are the wiring: one array, not a copy, built or loaded
+            for lin in (b0.linear, b1.linear):
+                assert lin.src is lin.bindings.source and lin.tgt is lin.bindings.target
         assert loaded.meta == net.meta
         # names, wiring copies, widths and constants are derived, never stored
         doc = json.loads(p1.read_text())
@@ -579,12 +601,12 @@ class TestSerialization:
         # v4 also stored the input width and each binding's exception
         # fraction; both are derived, and neither is read.
         net = random_pair_net(np.random.default_rng(8), d=7, widths=(6, 5), k=3)
-        p5, p4 = tmp_path / "v5.json", tmp_path / "v4.json"
+        p5, p4 = tmp_path / "v6.json", tmp_path / "v4.json"
         save_network(net, str(p5))
         doc = json.loads(p5.read_text())
         doc.update(format="birdnet-model-v4", input_dim=7)
         for ell, blk in enumerate(net.blocks):
-            frac = blk.bindings.exceptions / blk.bindings.antecedent_support
+            frac = blk.linear.bindings.exceptions / blk.linear.bindings.antecedent_support
             doc["blocks"][ell]["bindings"]["exception_fraction"] = {
                 "dtype": frac.dtype.str, "shape": list(frac.shape),
                 "data": base64.b64encode(frac.tobytes()).decode("ascii")}
@@ -594,11 +616,33 @@ class TestSerialization:
         arrays = [[(p, a.tolist()) for p, a, _ in net.params()] for net in (v4, v5)]
         assert arrays[0] == arrays[1]
         for b4, b5 in zip(v4.blocks, v5.blocks):
-            assert edge_rows(b4.bindings) == edge_rows(b5.bindings)
+            assert edge_rows(b4.linear.bindings) == edge_rows(b5.linear.bindings)
             assert np.array_equal(b4.bn.running_var, b5.bn.running_var)
         resaved = tmp_path / "again.json"
-        save_network(v4, str(resaved))  # a loaded v4 model saves as v5
+        save_network(v4, str(resaved))  # a loaded v4 model saves as v6
         assert resaved.read_bytes() == p5.read_bytes()
+
+    def test_reads_v5_matched_mlp_file(self, tmp_path):
+        # v5 stored the pair network's bindings on every dense block too; they
+        # are not read, and the file re-saves as v6 without them.
+        net = random_pair_net(np.random.default_rng(8), d=7, widths=(6, 5), k=3)
+        mlp = to_matched_mlp(net, seed=0)
+        p6, p5 = tmp_path / "v6.json", tmp_path / "v5.json"
+        save_network(mlp, str(p6))
+        doc = json.loads(p6.read_text())
+        assert doc["format"] == "birdnet-model-v6" and all("bindings" not in blk for blk in doc["blocks"])
+        doc["format"] = "birdnet-model-v5"
+        for blk, pair in zip(doc["blocks"], net.blocks):
+            blk["bindings"] = {name: {"dtype": col.dtype.str, "shape": list(col.shape),
+                                      "data": base64.b64encode(col.tobytes()).decode("ascii")}
+                               for name, col in vars(pair.linear.bindings).items()}
+        p5.write_text(json.dumps(doc, sort_keys=True))
+        X = np.random.default_rng(1).normal(size=(9, 7))
+        v5 = load_network(str(p5))
+        assert np.array_equal(v5.forward(X)[0], mlp.forward(X)[0])
+        resaved = tmp_path / "again.json"
+        save_network(v5, str(resaved))
+        assert resaved.read_bytes() == p6.read_bytes()
 
     def test_rejects_v1_file(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
@@ -622,8 +666,8 @@ class TestSerialization:
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_network(net, str(p1))
         doc = json.loads(p1.read_text())
-        assert doc["format"] == "birdnet-model-v5"
-        assert all(set(blk["linear"]) == {"W"} for blk in doc["blocks"])
+        assert doc["format"] == "birdnet-model-v6"
+        assert all(set(blk) == {"kind", "bn", "linear"} and set(blk["linear"]) == {"W"} for blk in doc["blocks"])
         assert all(set(lay) == {"W", "b"} for lay in doc["head"])
         loaded = load_network(str(p1))
         assert [p for p, _, _ in loaded.params()] == [p for p, _, _ in net.params()]
@@ -655,17 +699,15 @@ class TestSerialization:
     @pytest.mark.parametrize("column,value", [("source", 6), ("target", 6), ("source", -1),
                                               ("btype", 6)])
     def test_rejects_bad_binding(self, tmp_path, matched, column, value):
-        # Block 1 reads the 6 units of block 0; a matched MLP's dense blocks
-        # keep their bindings for rule text and are checked the same way. A
-        # negative input or unknown type breaks the edge table's rule; an input
-        # past the block's width, the pair layer's or the block's own check.
+        # Block 1 is a pair layer reading the 6 units of block 0, which is a
+        # pair layer or (dense) a matched MLP's dense layer. A negative input
+        # or unknown type breaks the edge table's rule; an input past the
+        # block's width, the pair layer's own check.
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
         if matched:
-            net = to_matched_mlp(net, seed=0)
+            net.blocks[0] = to_matched_mlp(net, seed=0).blocks[0]
         if value == -1 or column == "btype":
             message = r"m\.json: edge row 0 needs a type below 6, distinct inputs >= 0"
-        elif matched:
-            message = r"m\.json: a block needs one binding per unit, each reading inputs 0\.\.5"
         else:
             message = r"m\.json: pair layer indexes outside input dim 6"
         with pytest.raises(ValueError, match=message):
@@ -686,14 +728,9 @@ class TestSerialization:
     def test_rejects_binding_count_mismatch(self, tmp_path):
         # A pair layer is wired by its bindings, so its own shape check fires first.
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3)
-        net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
-        with pytest.raises(ValueError, match="pair layer needs 1-D src, tgt and weights of one length"):
-            self._reload(tmp_path, net)
-
-    def test_rejects_dense_binding_count_mismatch(self, tmp_path):
-        net = to_matched_mlp(random_pair_net(np.random.default_rng(6), d=7, widths=(6,), k=3), seed=0)
-        net.blocks[0].bindings = net.blocks[0].bindings.take(slice(1, None))
-        with pytest.raises(ValueError, match=r"m\.json: a block needs .*; it has 5 bindings for 6 units"):
+        lin = net.blocks[0].linear
+        lin.bindings = lin.bindings.take(slice(1, None))
+        with pytest.raises(ValueError, match=r"m\.json: pair layer needs one weight pair per binding"):
             self._reload(tmp_path, net)
 
     def test_constructor_checks_head_and_names(self):
