@@ -9,7 +9,6 @@ import numpy as np
 __all__ = [
     "BinarizationModel",
     "BinaryMatrix",
-    "fit_threshold",
     "fit_binarization",
     "binarize",
 ]
@@ -46,10 +45,10 @@ _BLOCK = 64  # columns fitted together, as one row-major (64, n) block
 
 def _fit_rows(V: np.ndarray, near_constant_frac: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, degenerate) per row of V, one feature's values per row; sorts V
-    in place. See `fit_threshold` and `fit_binarization` for the rules."""
+    in place. See `fit_binarization` for the rules."""
     b, n = V.shape
     if n < 2:
-        raise ValueError("fit_threshold needs at least 2 values")
+        raise ValueError("a threshold fit needs at least 2 values per feature")
     V.sort(axis=1)
     cs = np.cumsum(V, axis=1)
     s = np.arange(1.0, n)
@@ -86,23 +85,15 @@ def _fit_rows(V: np.ndarray, near_constant_frac: float) -> tuple[np.ndarray, np.
     return tau, degenerate
 
 
-def fit_threshold(values: np.ndarray) -> tuple[float, bool]:
-    """Fit a one-step function to sorted values by least squared error.
-
-    Returns (tau, degenerate). tau is the midpoint of the two segment means
-    at the SSE-minimizing split (ties take the smallest split). A constant
-    vector is degenerate with tau equal to that value.
-    """
-    tau, degenerate = _fit_rows(np.array(values, dtype=np.float64).reshape(1, -1), 1.0)
-    return float(tau[0]), bool(degenerate[0])
-
-
 def fit_binarization(matrix: np.ndarray, near_constant_frac: float = 1.0) -> BinarizationModel:
     """Fit per-column thresholds, `_BLOCK` columns at a time.
 
-    A column is degenerate when constant, or when at least `near_constant_frac`
-    of its values are identical (guards zero-inflated deeper-layer activations;
-    pass 1.0 to disable the near-constant rule).
+    Each column's sorted values are fitted by a one-step function of least
+    squared error: tau is the midpoint of the two segment means at the
+    SSE-minimizing split (ties take the smallest split). A constant column
+    is degenerate, with tau its value. So is a column in which at least
+    `near_constant_frac` of the values are identical (guards zero-inflated
+    deeper-layer activations; pass 1.0 to disable the near-constant rule).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     d = matrix.shape[1]

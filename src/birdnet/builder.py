@@ -92,8 +92,9 @@ def build_birdnet(
         blocks.append(block)
         z = block.linear.forward(H)
         block.bn.set_stats(z.mean(axis=0), z.var(axis=0))
-        H = block.linear.folded(H, block.fold())
-        np.maximum(H, 0.0, out=H)
+        if ell < depth - 1:  # the top block's outputs feed no mining pass
+            H = block.linear.folded(H, block.fold())
+            np.maximum(H, 0.0, out=H)
 
     widths = [blocks[-1].linear.out_dim if blocks else X_train.shape[1], len(class_names)]
     if head_hidden and head_hidden > 0:

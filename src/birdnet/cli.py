@@ -3,8 +3,9 @@ export-graph | matched-mlp.
 
 Every command writes its artifacts into --out along with a manifest.json
 recording the effective configuration, so any run can be reproduced from
-its output directory alone. Values may come from a key=value config file
-(--config); command-line flags override the file. An option that sets a
+its output directory alone; the first write makes --out, so a command that
+fails before it writes leaves none. Values may come from a key=value config
+file (--config); command-line flags override the file. An option that sets a
 field of MiningConfig, TrainConfig or PipelineConfig defaults to that field's
 default, and every command fits through evaluate.fit_on_rows.
 """
@@ -12,6 +13,7 @@ default, and every command fits through evaluate.fit_on_rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -67,8 +69,6 @@ def _add_data(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label", required=True, help="label column name")
     p.add_argument("--id-column", default=None)
     p.add_argument("--drop-columns", default="", help="comma-separated columns to ignore")
-    p.add_argument("--preselect", type=int, default=PipelineConfig.preselect_m,
-                   help="ANOVA F preselection count (default: 2000 when d > 2000)")
 
 
 def _add_fields(p: argparse.ArgumentParser, cls) -> None:
@@ -81,6 +81,8 @@ def _add_fields(p: argparse.ArgumentParser, cls) -> None:
 
 def _add_mining(p: argparse.ArgumentParser) -> None:
     _add_fields(p, MiningConfig)
+    p.add_argument("--preselect", type=int, default=PipelineConfig.preselect_m,
+                   help="ANOVA F preselection count (default: 2000 when d > 2000)")
     p.add_argument("--depth", type=int, default=PipelineConfig.depth)
     p.add_argument("--head-hidden", type=int, default=PipelineConfig.head_hidden)
 
@@ -118,12 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule-min-support", type=int, default=PipelineConfig.rule_min_support)
 
     p = sub.add_parser("explain", help="per-instance relevance trace")
-    _add_common(p)
+    _add_common(p); _add_data(p)
     p.add_argument("--model", required=True, help="serialized model file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
-    p.add_argument("--id-column", default=None)
-    p.add_argument("--drop-columns", default="")
     p.add_argument("--instance", type=int, required=True, help="row index in the CSV")
     p.add_argument("--class", dest="target_class", default=None,
                    help="class name to explain (default: the prediction)")
@@ -157,11 +155,9 @@ def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
     return out
 
 
-def _manifest(args: argparse.Namespace, outdir: str) -> None:
-    record = {k: v for k, v in vars(args).items() if k != "func"}
-    record["version"] = birdnet.__version__
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+def _manifest(args: argparse.Namespace) -> None:
+    record = {**vars(args), "version": birdnet.__version__}
+    _write(args, "manifest.json", json.dumps(record, indent=2, sort_keys=True))
 
 
 def _load_dataset(args):
@@ -188,43 +184,53 @@ def _pipeline_cfg(args) -> PipelineConfig:
                    training=_config(TrainConfig, args))
 
 
+def _path(args, name: str) -> str:
+    """The path of output file `name` in --out, which the first call makes."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def _write(args, name: str, text: str) -> None:
-    with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+    with open(_path(args, name), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def cmd_mine(args) -> int:
+@contextlib.contextmanager
+def _naming(source: str):
+    """A ValueError raised in the block, re-raised naming the input it read."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
+
+
+def cmd_mine(args) -> str:
     ds = _load_dataset(args)
     cfg = _pipeline_cfg(args)
     # The loaded matrix is standardized in place; nothing holds it past binarize.
-    try:
+    with _naming(args.data):
         X, cols, _ = preselect_and_standardize(ds.values, ds.labels, cfg.preselect_m)
-    except ValueError as e:
-        raise ValueError(f"{args.data}: {e}") from None
     names = [ds.feature_names[c] for c in cols]
     del ds
     model = fit_binarization(X)
     bits = binarize(X, model)
     del X
     graph = mine_birs(bits, cfg.mining, feature_names=names)
-    os.makedirs(args.out, exist_ok=True)
     _write(args, "edges.tsv", graph_to_tsv(graph))
     _write(args, "thresholds.tsv", model.to_text(names))
-    export_graph(graph, os.path.join(args.out, "graph.dot"))
-    _manifest(args, args.out)
-    print(f"mined {len(graph.edges)} edges over {len(names)} features -> {args.out}")
-    return 0
+    export_graph(graph, _path(args, "graph.dot"))
+    return f"mined {len(graph.edges)} edges over {len(names)} features -> {args.out}"
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> str:
     """`build`, and `train`: the fit of `rules` on every row, trained with
     the same stratified early-stop holdout."""
     trained = args.command == "train"
-    fit = fit_on_rows(_load_dataset(args), _pipeline_cfg(args),
-                      until="train" if trained else "build")
+    ds, cfg = _load_dataset(args), _pipeline_cfg(args)
+    with _naming(args.data):
+        fit = fit_on_rows(ds, cfg, until="train" if trained else "build")
     net = fit.nets[0]
-    os.makedirs(args.out, exist_ok=True)
-    save_network(net, os.path.join(args.out, "model.json"))
+    save_network(net, _path(args, "model.json"))
     _write(args, "construction.txt", fit.report.to_text())
     if trained:
         history = fit.histories[0]
@@ -232,77 +238,60 @@ def cmd_fit(args) -> int:
         done = f"trained for {len(history.train_loss)} epochs (best epoch {history.best_epoch})"
     else:
         done = f"built depth-{net.depth} network, widths {[b.linear.out_dim for b in net.blocks]}"
-    _manifest(args, args.out)
-    print(f"{done} -> {args.out}")
-    return 0
+    return f"{done} -> {args.out}"
 
 
-def cmd_cv(args) -> int:
+def cmd_cv(args) -> str:
     """`eval`, and `matched-mlp`: cross-validation with the matched MLP."""
     include_matched = args.command == "matched-mlp" or args.matched
-    result = cross_validate(_load_dataset(args), _pipeline_cfg(args), include_matched)
-    os.makedirs(args.out, exist_ok=True)
+    ds, cfg = _load_dataset(args), _pipeline_cfg(args)
+    with _naming(args.data):
+        result = cross_validate(ds, cfg, include_matched)
     _write(args, "metrics.csv", result.to_csv())
     for fr in result.folds:
-        save_network(fr.net, os.path.join(args.out, f"model_fold{fr.fold}.json"))
-    _manifest(args, args.out)
+        save_network(fr.net, _path(args, f"model_fold{fr.fold}.json"))
     s = result.summary()
-    print(f"AUROC {s['auroc_mean']:.4f} +- {s['auroc_std']:.4f}, "
-          f"accuracy {s['acc_mean']:.4f} +- {s['acc_std']:.4f} -> {args.out}")
+    summary = (f"AUROC {s['auroc_mean']:.4f} +- {s['auroc_std']:.4f}, "
+               f"accuracy {s['acc_mean']:.4f} +- {s['acc_std']:.4f} -> {args.out}")
     if include_matched:
-        print(f"matched MLP: AUROC {s['matched_auroc_mean']:.4f}, "
-              f"accuracy {s['matched_acc_mean']:.4f}, "
-              f"active-parameter ratio {s['compression_ratio']:.1f}x")
-    return 0
+        summary += (f"\nmatched MLP: AUROC {s['matched_auroc_mean']:.4f}, "
+                    f"accuracy {s['matched_acc_mean']:.4f}, "
+                    f"active-parameter ratio {s['compression_ratio']:.1f}x")
+    return summary
 
 
-def cmd_rules(args) -> int:
-    ds = _load_dataset(args)
-    net, rules, report = holdout_rules_run(ds, _pipeline_cfg(args), test_fraction=args.test_fraction)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_rules(args) -> str:
+    ds, cfg = _load_dataset(args), _pipeline_cfg(args)
+    with _naming(args.data):
+        net, rules, report = holdout_rules_run(ds, cfg, test_fraction=args.test_fraction)
     _write(args, "rules.csv", rules_to_csv(rules))
-    save_network(net, os.path.join(args.out, "model.json"))
+    save_network(net, _path(args, "model.json"))
     _write(args, "construction.txt", report.to_text())
-    _manifest(args, args.out)
-    print(f"extracted {len(rules)} (unit, class) rules -> {args.out}")
-    return 0
+    return f"extracted {len(rules)} (unit, class) rules -> {args.out}"
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> str:
     net = load_network(args.model)
     ds = _load_dataset(args)
     if not 0 <= args.instance < ds.n:
         raise ValueError(f"--instance {args.instance} is out of range: the data has rows 0..{ds.n - 1}")
-    try:
+    with _naming(args.model):
         x = apply_preprocessing(net, ds, [args.instance])[0]
-    except ValueError as e:
-        raise ValueError(f"{args.model}: {e}") from None
     if args.target_class is not None and args.target_class not in net.class_names:
         raise ValueError(f"unknown class {args.target_class!r}; model has {net.class_names}")
-    try:
+    with _naming(f"{args.data}: row {args.instance}"):
         logits, _ = net.forward(x.reshape(1, -1), mode="eval")
         target = int(np.argmax(logits[0])) if args.target_class is None else net.class_names.index(args.target_class)
         trace = lrp_explain(net, x, target, instance_id=ds.sample_ids[args.instance])
-    except ValueError as e:
-        raise ValueError(f"{args.data}: row {args.instance}: {e}") from None
-    os.makedirs(args.out, exist_ok=True)
     _write(args, f"trace_{args.instance}.txt", trace.to_text())
-    _manifest(args, args.out)
-    print(trace.to_text())
-    return 0
+    return trace.to_text()
 
 
-def cmd_export_graph(args) -> int:
-    with open(args.edges, encoding="utf-8") as fh:
-        try:
-            graph = read_graph_tsv(fh.read())
-        except ValueError as e:
-            raise ValueError(f"{args.edges}: {e}") from None
-    os.makedirs(args.out, exist_ok=True)
-    export_graph(graph, os.path.join(args.out, "graph.dot"))
-    _manifest(args, args.out)
-    print(f"wrote DOT with {len(graph.edges)} edges -> {args.out}")
-    return 0
+def cmd_export_graph(args) -> str:
+    with open(args.edges, encoding="utf-8") as fh, _naming(args.edges):
+        graph = read_graph_tsv(fh.read())
+    export_graph(graph, _path(args, "graph.dot"))
+    return f"wrote DOT with {len(graph.edges)} edges -> {args.out}"
 
 
 _COMMANDS = {
@@ -356,7 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command](args)
+        summary = _COMMANDS[args.command](args)
+        _manifest(args)
+        print(summary)
+        return 0
     except (ValueError, FileNotFoundError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

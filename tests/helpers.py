@@ -16,7 +16,7 @@ from dataclasses import fields
 import mpmath
 import numpy as np
 
-from birdnet.binarize import BinarizationModel, BinaryMatrix
+from birdnet.binarize import BinarizationModel, BinaryMatrix, fit_binarization
 from birdnet.dataio import LabeledDataset
 from birdnet.explain import RelevanceTrace, RuleRecord, rule_text
 from birdnet.mining import EdgeTable, MiningConfig
@@ -78,13 +78,19 @@ def unpack_column(words: np.ndarray, n: int) -> np.ndarray:
     return bits[:n].astype(bool)
 
 
+def fit_threshold(values) -> tuple[float, bool]:
+    """(tau, degenerate) of one column of values, by `fit_binarization`."""
+    model = fit_binarization(np.reshape(values, (-1, 1)))
+    return float(model.thresholds[0]), bool(model.degenerate[0])
+
+
 def oracle_fit_threshold(values) -> tuple[float, bool]:
-    """birdnet.binarize.fit_threshold one column at a time, as it was before
-    the blocked kernel."""
+    """`fit_threshold` one column at a time, as it was before the blocked
+    kernel."""
     v = np.sort(np.asarray(values, dtype=np.float64))
     n = v.shape[0]
     if n < 2:
-        raise ValueError("fit_threshold needs at least 2 values")
+        raise ValueError("a threshold fit needs at least 2 values per feature")
     if v[0] == v[-1]:
         return float(v[0]), True
     cs = np.cumsum(v)

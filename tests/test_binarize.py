@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birdnet.binarize import binarize, fit_binarization, fit_threshold
+from birdnet.binarize import binarize, fit_binarization
 from helpers import (
+    fit_threshold,
     oracle_binarize,
     oracle_fit_binarization,
     oracle_fit_threshold,
@@ -47,7 +48,7 @@ class TestFitThreshold:
         assert not deg and tau == 2.0
 
     def test_needs_two_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs at least 2 values per feature"):
             fit_threshold(np.array([1.0]))
 
     def test_exact_sse_tie_takes_smallest_split(self):

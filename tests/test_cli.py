@@ -35,6 +35,22 @@ def run(argv):
 BASE = ["--label", "diagnosis", "--id-column", "sample"]
 
 
+def _with_cell(src, dst, line, cell, value):
+    """Write a copy of the CSV src to dst with one cell of line (0 is the
+    header) set to value."""
+    with open(src, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cells = lines[line].split(",")
+    cells[cell] = value
+    lines[line] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def _encoded(arr):
+    """A float64 array as a model file encodes it."""
+    return {"dtype": "<f8", "shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode()}
+
+
 def _edited(doc, keys, value):
     """A copy of a JSON document with the entry at the path `keys` set to value."""
     doc = json.loads(json.dumps(doc))
@@ -98,6 +114,15 @@ class TestMine:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * d * 8
+
+    def test_fewer_than_two_varying_features_mine_no_edge(self, tmp_path):
+        # Constant columns binarize degenerate, so no pair is tested.
+        X = np.column_stack([np.arange(40.0), np.full(40, 2.0), np.full(40, -1.0)])
+        data, out = tmp_path / "flat.csv", tmp_path / "out"
+        write_csv(str(data), X, np.arange(40) % 2)
+        assert run(["mine", "--data", str(data), "--label", "diagnosis", "--out", str(out)]) == 0
+        assert (out / "edges.tsv").read_text() == (
+            "source\ttarget\ttype\tlog_p\texceptions\texception_fraction\tantecedent_support\n")
 
 
 class TestBuildAndTrain:
@@ -240,6 +265,25 @@ class TestDataErrors:
         assert capsys.readouterr().err == f"error: {data}: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_id_column_exits_2_naming_the_file(self, data_csv, tmp_path, capsys):
+        assert run(["mine", "--data", data_csv, "--label", "diagnosis", "--id-column", "nope",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {data_csv}: id column 'nope' not in header\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["build", "train", "eval", "matched-mlp", "rules"])
+    def test_fit_on_a_value_near_the_float_maximum_exits_2_naming_the_file(
+            self, data_csv, tmp_path, capsys, command):
+        # g1 = 1e+308 in one row overflows the fitted stddev, which a standardizer
+        # refuses, or, standardized by a fold that holds the row out, the logits.
+        big = tmp_path / "big.csv"
+        _with_cell(data_csv, big, 4, 2, "1e+308")
+        capsys.readouterr()
+        assert run([command, "--data", str(big), *BASE, "--mu", "1", "--depth", "1",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {big}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_rejected_row_count_on_stderr(self, data_csv, tmp_path, capsys):
         with open(data_csv, encoding="utf-8") as fh:
             rows = [ln.split(",") for ln in fh.read().splitlines()]
@@ -316,6 +360,14 @@ class TestConfigAndErrors:
                     "--config", str(cfg)]) == 2
         assert line.split(" =")[0] + " = " in capsys.readouterr().err
 
+    def test_config_line_without_equals_exits_2_naming_the_line(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("mu = 1\ndepth 1\n")
+        assert run(["build", "--data", data_csv, *BASE, "--out", str(tmp_path / "o"),
+                    "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key = value\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         assert run(["mine", "--data", str(tmp_path / "no.csv"),
                     "--label", "y", "--out", str(tmp_path / "o")]) == 2
@@ -379,11 +431,18 @@ class TestConfigAndErrors:
          "spoilt.json: model preprocessing metadata is not 6 columns and their standardizer"),
         (lambda doc: _edited(doc, ("meta", "standardizer", "stddevs", 5), None),
          "spoilt.json: model preprocessing metadata is not 6 columns and their standardizer"),
+        (lambda doc: {**doc, "meta": {k: v for k, v in doc["meta"].items() if k != "standardizer"}},
+         "spoilt.json: model file lacks preprocessing metadata"),
+        (lambda doc: _edited(doc, ("blocks", 0, "bn", "gamma"), _encoded(np.ones(
+            doc["blocks"][0]["bn"]["gamma"]["shape"][0] + 1))),
+         "spoilt.json: block 0 BatchNorm gamma is not one per unit"),
+        (lambda doc: _edited(doc, ("head", 0, "W", "shape"), [int(np.prod(doc["head"][0]["W"]["shape"]))]),
+         "spoilt.json: dense layer needs a 2-D weight"),
     ], ids=["one-class-name", "two-feature-names", "meta-not-object", "top-level-list",
             "feature-name-not-text", "no-head", "standardizer-not-object", "two-columns",
             "blocks-not-list", "block-not-object", "head-layer-not-object", "gamma-not-array",
             "unknown-dtype", "unknown-kind", "one-feature-name", "stddev-zero", "mean-nan",
-            "stddev-null"])
+            "stddev-null", "no-standardizer", "gamma-wrong-length", "head-weight-1-d"])
     def test_model_with_bad_metadata_exits_2(self, data_csv, trained_model, tmp_path, capsys,
                                              spoil, message):
         with open(trained_model, encoding="utf-8") as fh:
@@ -406,7 +465,11 @@ class TestConfigAndErrors:
         # A NaN rate once trained for every epoch and saved an unloadable model.
         (["train", "--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
         (["rules", "--test-fraction", "-0.2"], "a held-out fraction is in (0, 1), got -0.2"),
-    ], ids=["epochs-max", "clip-norm", "h-max", "preselect", "learning-rate-nan", "test-fraction"])
+        (["train", "--p-star", "0"], "p_star must be in (0,1), got 0.0"),
+        (["train", "--p-star", "1.5"], "p_star must be in (0,1), got 1.5"),
+        (["eval", "--cv", "1"], "folds must be >= 2, got 1"),
+    ], ids=["epochs-max", "clip-norm", "h-max", "preselect", "learning-rate-nan", "test-fraction",
+            "p-star-zero", "p-star-above-one", "cv-one"])
     def test_bad_count_setting_exits_2(self, data_csv, tmp_path, capsys, argv, message):
         capsys.readouterr()
         assert run([*argv, "--data", data_csv, *BASE, "--mu", "1",
@@ -461,12 +524,8 @@ class TestConfigAndErrors:
     ], ids=["network", "standardizer"])
     def test_explain_row_too_large_exits_2(self, data_csv, built_model, tmp_path, capsys, cell,
                                            value, message):
-        with open(data_csv, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        cells = lines[4].split(",")
-        cells[cell] = value
         big = tmp_path / "big.csv"
-        big.write_text("\n".join([*lines[:4], ",".join(cells), *lines[5:]]) + "\n")
+        _with_cell(data_csv, big, 4, cell, value)
         capsys.readouterr()
         assert run(["explain", "--model", built_model, "--data", str(big), *BASE,
                     "--instance", "3", "--out", str(tmp_path / "e")]) == 2

@@ -339,6 +339,19 @@ class TestAnovaFSelect:
         with pytest.raises(ValueError):
             anova_f_select(X, y, 4)
 
+    def test_needs_two_classes(self):
+        X = np.random.default_rng(4).normal(size=(10, 3))
+        with pytest.raises(ValueError, match="ANOVA F selection needs at least 2 classes"):
+            anova_f_select(X, np.zeros(10, dtype=int), 2)
+
+    def test_default_keeps_2000_of_a_wider_table(self):
+        # The protocol's automatic preselection: the 2000 top-F columns past
+        # 2000 features, every column up to it.
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(8, 2001)), np.repeat([0, 1], 4)
+        assert np.array_equal(preselect_features(X, y, None), anova_f_select(X, y, 2000))
+        assert np.array_equal(preselect_features(X[:, :2000], y, None), np.arange(2000))
+
     @pytest.mark.parametrize("m", [0, -2])
     def test_m_below_one(self, m):
         # A negative m once kept d - |m| features by a negative slice.
@@ -379,6 +392,10 @@ class TestStandardizer:
     def test_rejects_what_it_cannot_apply(self, means, stddevs, constant):
         with pytest.raises(ValueError, match="a standardizer needs 1-D finite means, finite stddevs > 0"):
             Standardizer(np.array(means), np.array(stddevs), np.array(constant, dtype=bool))
+
+    def test_needs_two_rows(self):
+        with pytest.raises(ValueError, match="standardizer needs at least 2 training rows"):
+            fit_standardizer(np.zeros((1, 3)))
 
     def test_dimension_mismatch(self):
         s = fit_standardizer(np.zeros((4, 2)))

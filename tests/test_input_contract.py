@@ -1,6 +1,6 @@
 """The input contract of the files birdnet reads: a model file, read by
 `birdnet explain`, a mined edge list, read by `birdnet export-graph`, and a
-CSV, read by `birdnet explain` and `birdnet mine`.
+CSV, read by `birdnet explain`, `birdnet mine` and `birdnet build`.
 
 A spoil changes one JSON node of a trained depth-2 model (to a value of
 `VALUES`, or deletes it), or one cell of a mined `edges.tsv` or of the CSV (to
@@ -9,7 +9,8 @@ either exit 0 with finite output, or exit 2 with an error that names the file
 (or, for a CSV whose columns do not fit the model, the model); none may raise
 or warn. An edge list that exits 0, read or mined, must also
 hold the edge-row rule, as `_valid_edge_line` reads it. A seeded sample of the
-spoils runs each time; every spoil of the explained row runs through `explain`.
+spoils runs each time; every spoil of the explained row runs through `explain`,
+and every `1e+308` feature cell of that row through `build`.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ VALUES = [None, "x", -1, 0, 1e308, math.nan, [], {}, True, -math.inf, 10**20]
 DELETE = "<deleted>"
 MODEL_SPOILS = 300  # of 2,580
 EDGE_SPOILS = 200  # of 1,596
-CSV_SPOILS = 60, 150  # of the 14,400 outside the explained row (explain), of all 14,520 (mine)
+# Of the 14,400 outside the explained row (explain), of all 14,520 (mine), and of
+# the 14,512 that are not a 1e+308 feature cell of the explained row (build).
+CSV_SPOILS = 60, 150, 60
 # A number that is not finite: in a relevance trace anywhere but the row's id, in
 # thresholds only as a threshold, in a DOT only as an edge label's.
 _NON_FINITE = {"trace_3.txt": re.compile(r"(?i)(?<!instance )\b(nan|inf)\b"),
                "thresholds.tsv": re.compile(r"(?im)\t-?(nan|inf)$"),
-               "graph.dot": re.compile(r'(?i)label="T\d -?(nan|inf)')}
+               "graph.dot": re.compile(r'(?i)label="T\d -?(nan|inf)'),
+               "construction.txt": re.compile(r"(?i)\b(nan|inf)\b")}
 BASE = ["--label", "diagnosis", "--id-column", "sample"]
 
 
@@ -177,6 +181,9 @@ def test_spoilt_csv_exits_0_or_names_the_file(files):
     others = [s for s in spoils if s[0] != 4]
     runs = [("explain", s) for s in explained + _sample(others, CSV_SPOILS[0], seed=23)]
     runs += [("mine", s) for s in _sample(spoils, CSV_SPOILS[1], seed=24)]
+    features = [j for j, name in enumerate(lines[0].split(",")) if name.startswith("g")]
+    big = [s for s in explained if s[1] in features and s[2] == json.dumps(1e308)]
+    runs += [("build", s) for s in big + _sample([s for s in spoils if s not in big], CSV_SPOILS[2], seed=25)]
     broken = []
     for command, (i, j, value) in runs:
         cells = lines[i].split(",")
@@ -190,9 +197,9 @@ def test_spoilt_csv_exits_0_or_names_the_file(files):
         if command == "explain":  # a CSV whose columns do not fit the model may name the model
             argv, paths = ["explain", "--model", str(model), "--instance", "3"], [spoilt, model]
         else:
-            argv, paths = ["mine", "--mu", "1"], [spoilt]
+            argv, paths = [command, "--mu", "1"], [spoilt]
         code, err, caught = _run([*argv, "--data", str(spoilt), *BASE, "--out", str(out)])
-        output = out / ("trace_3.txt" if command == "explain" else "thresholds.tsv")
+        output = out / {"explain": "trace_3.txt", "mine": "thresholds.tsv", "build": "construction.txt"}[command]
         fault = _judge(code, err, caught, paths, output)
         if command == "mine" and code == 0 and not fault:
             mined = (out / "edges.tsv").read_text().rstrip("\n").split("\n")

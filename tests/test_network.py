@@ -239,6 +239,13 @@ class TestForwardModes:
         with pytest.raises(ValueError):
             net.forward(rng.normal(size=(4, 5)), mode="test")
 
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 6), (5,)], ids=["narrower", "wider", "1-D"])
+    def test_rejects_a_batch_of_the_wrong_width(self, shape):
+        rng = np.random.default_rng(0)
+        net = random_pair_net(rng, d=5, widths=(6,), k=3)
+        with pytest.raises(ValueError, match=r"expected batch of width 5, got \(" + str(shape[0])):
+            net.forward(rng.normal(size=shape), mode="eval")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_rows(self, bad):
         rng = np.random.default_rng(0)
