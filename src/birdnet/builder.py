@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from birdnet.binarize import binarize, fit_binarization
+from birdnet.dataio import mean_var
 from birdnet.mining import MiningConfig, deduplicate_and_cap, mine_birs
 from birdnet.network import BirNetwork, DenseHead, DenseLinear, build_bir_layer
 
@@ -90,8 +91,7 @@ def build_birdnet(
             break
         block = build_bir_layer(spec, H.shape[1], rng)
         blocks.append(block)
-        z = block.linear.forward(H)
-        block.bn.set_stats(z.mean(axis=0), z.var(axis=0))
+        block.bn.set_stats(*mean_var(block.linear.forward(H)))
         if ell < depth - 1:  # the top block's outputs feed no mining pass
             H = block.linear.folded(H, block.fold())
             np.maximum(H, 0.0, out=H)

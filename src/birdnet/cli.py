@@ -20,8 +20,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 import birdnet
 from birdnet.binarize import binarize, fit_binarization
 from birdnet.dataio import load_csv, preselect_and_standardize
@@ -279,9 +277,8 @@ def cmd_explain(args) -> str:
         x = apply_preprocessing(net, ds, [args.instance])[0]
     if args.target_class is not None and args.target_class not in net.class_names:
         raise ValueError(f"unknown class {args.target_class!r}; model has {net.class_names}")
+    target = None if args.target_class is None else net.class_names.index(args.target_class)
     with _naming(f"{args.data}: row {args.instance}"):
-        logits, _ = net.forward(x.reshape(1, -1), mode="eval")
-        target = int(np.argmax(logits[0])) if args.target_class is None else net.class_names.index(args.target_class)
         trace = lrp_explain(net, x, target, instance_id=ds.sample_ids[args.instance])
     _write(args, f"trace_{args.instance}.txt", trace.to_text())
     return trace.to_text()

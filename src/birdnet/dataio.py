@@ -18,6 +18,7 @@ __all__ = [
     "anova_f_select",
     "preselect_features",
     "preselect_and_standardize",
+    "mean_var",
     "fit_standardizer",
     "apply_standardizer",
 ]
@@ -334,21 +335,28 @@ def preselect_and_standardize(X: np.ndarray, y: np.ndarray, m: int | None):
     return X, cols, std
 
 
+def mean_var(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population variance of float64 rows, summing squared deviations
+    ~256 KiB of rows at a time, in row order, with no (n, d) temporary: on row-major
+    rows the bits are those of rows.mean(axis=0) and rows.var(axis=0)."""
+    means = rows.mean(axis=0)
+    ssd, step = 0.0, max(1, _CHUNK_BYTES // max(rows[0].nbytes, 1))
+    for i in range(0, rows.shape[0], step):
+        dev = (rows[i : i + step] - means) ** 2
+        dev[0] += ssd  # the chunk's sum continues the running one
+        ssd = dev.sum(axis=0)
+    return means, ssd / rows.shape[0]
+
+
 @np.errstate(over="ignore")  # an overflow makes an infinite stddev, which Standardizer refuses
 def fit_standardizer(rows: np.ndarray) -> Standardizer:
-    """Fit per-feature mean and population stddev on training rows. Squared
-    deviations are summed ~256 KiB of rows at a time, in row order, with no
-    (n, d) temporary; on row-major rows the bits are those of rows.std(axis=0)."""
+    """Fit per-feature mean and population stddev on training rows by `mean_var`:
+    on row-major rows the bits are those of rows.std(axis=0)."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] < 2:
         raise ValueError("standardizer needs at least 2 training rows")
-    means = rows.mean(axis=0)
-    var, step = 0.0, max(1, _CHUNK_BYTES // max(rows[0].nbytes, 1))
-    for i in range(0, rows.shape[0], step):
-        dev = (rows[i : i + step] - means) ** 2
-        dev[0] += var  # the chunk's sum continues the running one
-        var = dev.sum(axis=0)
-    std = np.sqrt(var / rows.shape[0])  # population (1/n)
+    means, var = mean_var(rows)
+    std = np.sqrt(var)  # population (1/n)
     constant = std == 0.0
     std = np.where(constant, 1.0, std)
     return Standardizer(means=means, stddevs=std, constant=constant)

@@ -265,20 +265,23 @@ def cross_validate(
     15% of the training fold for early stopping; score on the test fold.
     The matched MLP of a fold is the dense copy of that fold's construction."""
     plan = stratified_kfold(dataset.labels, cfg.folds, cfg.seed)
-    results: list[FoldResult] = []
-    matched_results: list[FoldResult] = []
-    for f in range(cfg.folds):
-        test_rows = np.flatnonzero(plan.fold_of_sample == f)
-        train_rows = np.flatnonzero(plan.fold_of_sample != f)
-        fit = fit_on_rows(dataset, cfg, train_rows, plan.val_mask[train_rows],
-                          matched=include_matched)
-        X_test = apply_preprocessing(fit.nets[0], dataset, test_rows)  # the same for both nets
-        for net, history, sink in zip(fit.nets, fit.histories, (results, matched_results)):
-            logits, _ = net.forward(X_test, mode="eval")
-            auroc, skipped, acc = _fold_scores(logits, dataset.labels[test_rows])
-            sink.append(FoldResult(f, auroc, acc, skipped, active_param_count(net), net,
-                                   fit.report, history))
-    return CVResult(folds=results, matched_folds=matched_results if include_matched else None)
+    per_fold = [_run_fold(dataset, cfg, plan, f, include_matched) for f in range(cfg.folds)]
+    return CVResult([r[0] for r in per_fold], [r[1] for r in per_fold] if include_matched else None)
+
+
+def _run_fold(dataset: LabeledDataset, cfg: PipelineConfig, plan, f: int, matched: bool) -> list[FoldResult]:
+    """Fold f's `FoldResult`s, BIRDNet's then its matched MLP's. The fit, the
+    test rows and each forward's cache end here, before the next fold starts."""
+    test_rows = np.flatnonzero(plan.fold_of_sample == f)
+    train_rows = np.flatnonzero(plan.fold_of_sample != f)
+    fit = fit_on_rows(dataset, cfg, train_rows, plan.val_mask[train_rows], matched=matched)
+    X_test = apply_preprocessing(fit.nets[0], dataset, test_rows)  # the same for both nets
+    out = []
+    for net, history in zip(fit.nets, fit.histories):
+        logits = net.forward(X_test, mode="eval")[0]
+        auroc, skipped, acc = _fold_scores(logits, dataset.labels[test_rows])
+        out.append(FoldResult(f, auroc, acc, skipped, active_param_count(net), net, fit.report, history))
+    return out
 
 
 def holdout_rules_run(

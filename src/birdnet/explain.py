@@ -183,7 +183,7 @@ def _propagate_pair(R_out, a_in, lin: PairLinear, fold: Fold):
 def lrp_explain(
     net: BirNetwork,
     instance: np.ndarray,
-    target_class: int,
+    target_class: int | None = None,
     instance_id: str = "?",
 ) -> RelevanceTrace:
     """Epsilon-rule (`LRP_EPSILON`) decomposition of one logit into per-unit scores.
@@ -191,15 +191,17 @@ def lrp_explain(
     Relevance flows only through active (post-ReLU positive) units; the
     argmax chain descends from the top block to layer 0 through each chosen
     unit's two bound inputs, and is empty if a block is dense (whose units have no
-    rules). target_class is an int in 0..k-1, not a bool.
+    rules). target_class is an int in 0..k-1, not a bool; None explains the
+    predicted class (ties to the lowest index).
     """
-    if type(target_class) is bool or not isinstance(target_class, (int, np.integer)) \
-            or not 0 <= target_class < net.n_classes:
+    if not (target_class is None or type(target_class) is not bool
+            and isinstance(target_class, (int, np.integer)) and 0 <= target_class < net.n_classes):
         raise ValueError(f"target class {target_class!r} is not a class index in 0..{net.n_classes - 1}")
     x = np.asarray(instance, dtype=np.float64).reshape(1, -1)
     logits, cache = net.forward(x, mode="eval")
     probs = softmax(logits)[0]
     pred = int(np.argmax(logits[0]))
+    target_class = pred if target_class is None else target_class
     target_logit = float(logits[0, target_class])
     R = np.zeros(net.n_classes)
     R[target_class] = target_logit

@@ -93,7 +93,10 @@ class PairLinear:
         return self.src.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_saved(x)[0]
+        """W x by `folded`'s chunked gather, keeping no gathers."""
+        if x.shape[1] != self.in_dim:
+            raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
+        return self._gather_sum(x, np.concatenate([self.src, self.tgt]), np.concatenate([self.w_src, self.w_tgt]))
 
     def forward_saved(self, x: np.ndarray):
         """(z, saved): z from row-major gathers of each unit's two inputs,
@@ -106,7 +109,13 @@ class PairLinear:
         return z, (xs, xt)
 
     def folded(self, x: np.ndarray, fold: Fold) -> np.ndarray:
-        """(W x) * scale + shift from the fold's gather index and scaled weights.
+        """(W x) * scale + shift from the fold's gather index and scaled weights."""
+        z = self._gather_sum(x, fold.idx, fold.w)
+        z += fold.shift
+        return z
+
+    def _gather_sum(self, x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(x_s * w_s) + (x_t * w_t) per unit, for idx = (src, tgt) and w = (w_s, w_t).
 
         The output is the one fresh large array: rows go in chunks of about
         `_CHUNK_BYTES` of output, each gathering both inputs of every unit
@@ -117,10 +126,10 @@ class PairLinear:
         step = max(1, _CHUNK_BYTES // (8 * max(h, 1)))
         z = np.empty((m, h))
         for r in range(0, m, step):
-            g = x[r : r + step].take(fold.idx, axis=1)
-            g *= fold.w
+            g = x[r : r + step].take(idx, axis=1)
+            g *= w
             np.add(g[:, :h], g[:, h:], out=z[r : r + step])
-        z += fold.shift
+            del g  # freed before the next chunk's gather
         return z
 
     def backward(self, dz: np.ndarray, saved, input_grad: bool = True):

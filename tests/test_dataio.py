@@ -9,6 +9,7 @@ from birdnet.dataio import (
     apply_standardizer,
     fit_standardizer,
     load_csv,
+    mean_var,
     preselect_features,
     stratified_holdout,
     stratified_kfold,
@@ -408,6 +409,8 @@ class TestStandardizer:
         X = np.random.default_rng(n).normal(3.0, 2.5, size=(n, d)) * np.linspace(0.1, 100.0, d)
         s = fit_standardizer(X)
         assert np.array_equal(s.means, X.mean(axis=0)) and np.array_equal(s.stddevs, X.std(axis=0))
+        means, var = mean_var(X)
+        assert np.array_equal(means, X.mean(axis=0)) and np.array_equal(var, X.var(axis=0))
 
     @given(st.integers(min_value=2, max_value=40), st.integers(0, 2**31))
     @settings(max_examples=30)

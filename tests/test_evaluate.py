@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from birdnet.evaluate import (
     holdout_rules_run,
 )
 from birdnet.mining import MiningConfig
+from birdnet.network import BirNetwork
 from birdnet.trainer import TrainConfig
 from helpers import planted_pair_data, write_csv
 
@@ -243,6 +245,34 @@ class TestCrossValidate:
             assert m.report is f.report
             assert [b.linear.out_dim for b in m.net.blocks] == [b.linear.out_dim for b in f.net.blocks]
             assert m.net.meta["matched_mlp"] and "matched_mlp" not in f.net.meta
+
+    def test_no_fold_outlives_its_fold(self, monkeypatch):
+        # Every eval-mode cache and fit matrix of a fold is freed before the
+        # next fold's fit starts; CPython's refcounting makes this exact.
+        import birdnet.evaluate as evaluate
+
+        refs, checked = [], []
+        forward, fit = BirNetwork.forward, evaluate.fit_on_rows
+
+        def tracking_forward(self, X, mode="eval", **kwargs):
+            logits, cache = forward(self, X, mode, **kwargs)
+            if mode == "eval":
+                for key in ("block_in", "post_bn", "head_in"):
+                    refs.extend(weakref.ref(a) for a in cache[key])
+            return logits, cache
+
+        def checked_fit(*args, **kwargs):
+            checked.append(len(refs))
+            assert all(r() is None for r in refs), "an earlier fold's arrays are still alive"
+            out = fit(*args, **kwargs)
+            refs.append(weakref.ref(out.X))
+            return out
+
+        monkeypatch.setattr(BirNetwork, "forward", tracking_forward)
+        monkeypatch.setattr(evaluate, "fit_on_rows", checked_fit)
+        res = cross_validate(synthetic_dataset(), fast_config(), include_matched=True)
+        assert len(res.folds) == len(res.matched_folds) == 3
+        assert checked[0] == 0 and 0 < checked[1] < checked[2]
 
     def test_preselection_applied(self):
         cfg = fast_config()

@@ -210,11 +210,22 @@ class TestLrp:
         assert trace.target_logit == 0.0
         assert trace.conservation_total == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("target", [-1, 3, 2.0, True, np.bool_(False), "1", None])
+    @pytest.mark.parametrize("target", [-1, 3, 2.0, True, np.bool_(False), "1"])
     def test_rejects_target_outside_classes(self, target):
         net = random_pair_net(np.random.default_rng(7), d=6, widths=(5,), k=3)
         with pytest.raises(ValueError, match=r"is not a class index in 0\.\.2"):
             lrp_explain(net, np.ones(6), target)
+
+    def test_no_target_explains_the_predicted_class(self):
+        net = random_pair_net(np.random.default_rng(7), d=6, widths=(5,), k=3)
+        for x in np.random.default_rng(8).normal(size=(12, 6)):
+            want = lrp_explain(net, x, int(np.argmax(net.forward(x[None], mode="eval")[0])))
+            assert lrp_explain(net, x).to_text() == lrp_explain(net, x, None).to_text() == want.to_text()
+        tied = random_pair_net(np.random.default_rng(7), d=6, widths=(5,), k=3)
+        tied.head.layers[-1].W[:] = 0.0
+        tied.head.layers[-1].b[:] = 0.0
+        trace = lrp_explain(tied, np.ones(6))
+        assert trace.target_class == trace.predicted_class == tied.class_names[0]  # ties go to the lowest index
 
     def test_accepts_numpy_integer_target(self):
         net = random_pair_net(np.random.default_rng(7), d=6, widths=(5,), k=3)

@@ -1,6 +1,7 @@
 import base64
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,8 +161,23 @@ class TestPairLinear:
 
     def test_input_width_check(self):
         lin = PairLinear(edge_table([(0, 1, "T0")]), [1.0], [1.0], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="layer expects 2 inputs, got 3"):
             lin.forward(np.ones((1, 3)))
+
+    def test_forward_allocates_its_output_and_one_chunk(self):
+        # The construction shape of a benchmark fold: no full-size gathers,
+        # and one chunk's gather (two inputs per unit) alive at a time.
+        lin = random_pair_net(np.random.default_rng(3), d=166, widths=(600,), k=2).blocks[0].linear
+        x = np.random.default_rng(0).normal(size=(533, lin.in_dim))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            z = lin.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        slack = _CHUNK_BYTES  # numpy's ufunc buffers: ~130 KiB seen
+        assert peak <= z.nbytes + 2 * _CHUNK_BYTES + slack, (peak, z.nbytes)
 
 
 class TestBatchNorm:
@@ -300,6 +316,7 @@ class TestFoldedEval:
         s, shift = blk.fold()[:2]
         one_shot = X[:, lin.src] * (lin.w_src * s) + X[:, lin.tgt] * (lin.w_tgt * s) + shift
         assert np.array_equal(lin.folded(X, blk.fold()), one_shot)
+        assert np.array_equal(lin.forward(X), lin.forward_saved(X)[0])  # one chunked gather, same bits
         logits, _ = wide_net.forward(X, mode="eval")
         assert np.abs(logits - oracle_eval_forward(wide_net, X)[0]).max(initial=0.0) <= 1e-12
         rows = [wide_net.forward(X[r : r + 1], mode="eval")[0] for r in range(m)]
