@@ -1,4 +1,4 @@
-"""Step-function thresholding and packed-bit binarization of feature matrices."""
+"""Step-function thresholding and binarization of feature matrices."""
 
 from __future__ import annotations
 
@@ -30,14 +30,17 @@ class BinarizationModel:
 
 @dataclass
 class BinaryMatrix:
-    """n x d boolean matrix, packed 64-bit little-endian words per column.
+    """n x d boolean matrix stored feature-major: bits[j] is feature j's n values."""
 
-    bits has shape (d, W) with W = ceil(n / 64); padding bits beyond n are 0.
-    """
+    bits: np.ndarray  # (d, n) bool, C-contiguous
 
-    bits: np.ndarray  # (d, W) uint64
-    n: int
-    d: int
+    @property
+    def n(self) -> int:
+        return self.bits.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.bits.shape[0]
 
 
 _BLOCK = 64  # columns fitted together, as one row-major (64, n) block
@@ -116,9 +119,5 @@ def binarize(matrix: np.ndarray, model: BinarizationModel) -> BinaryMatrix:
         raise ValueError(
             f"binarization model has {model.thresholds.shape[0]} features, matrix has {d}"
         )
-    W = (n + 63) // 64
     tau = np.where(model.degenerate, np.inf, model.thresholds)  # nothing finite exceeds inf
-    bools = np.zeros((d, 64 * W), dtype=bool)  # padding bits stay 0
-    np.greater(matrix.T, tau[:, None], out=bools[:, :n])
-    bits = np.packbits(bools, axis=1, bitorder="little").view("<u8")
-    return BinaryMatrix(bits=bits, n=n, d=d)
+    return BinaryMatrix(bits=np.greater(matrix.T, tau[:, None], out=np.empty((d, n), dtype=bool)))

@@ -116,6 +116,10 @@ def load_csv(
     except OSError as e:
         raise FileNotFoundError(f"cannot open dataset file {path!r}: {e}") from e
     with fh:
+        # The lines after the header bound the data rows. As loadtxt's max_rows they
+        # size the table once; without it loadtxt grows the table by copies.
+        max_rows = sum(1 for _ in fh) - 1
+        fh.seek(0)
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"{path}: empty file, expected a header row")
@@ -159,7 +163,8 @@ def load_csv(
         if first is None:
             raise ValueError(f"{path}: no usable data rows")
         try:
-            table = np.loadtxt(itertools.chain([first], rows), converters=converters, **_CSV)
+            table = np.loadtxt(itertools.chain([first], rows), converters=converters,
+                               max_rows=max_rows, **_CSV)
         except ValueError:
             table = None
     if table is None or table.shape != (len(row_nums), len(header)):

@@ -199,10 +199,6 @@ def _lower_tail_batch(
 # ---------------------------------------------------------------------------
 
 
-def _popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
-
-
 def _clamped_marginal(count: int, n: int) -> float:
     lo = 1.0 / (2.0 * n)
     return min(max(count / n, lo), 1.0 - lo)
@@ -218,14 +214,15 @@ def test_pair(
 ) -> list[Implication]:
     """Directional tests T0..T3 for the ordered pair (a, b).
 
-    Returns the asserted implications before any T4/T5 merging. A pair with
-    a degenerate column (all ones or all zeros) returns no assertions.
+    col_a and col_b are the two features' n bool values. Returns the asserted
+    implications before any T4/T5 merging. A pair with a degenerate column
+    (all ones or all zeros) returns no assertions.
     """
-    n1a = _popcount(col_a)
-    n1b = _popcount(col_b)
+    n1a = np.count_nonzero(col_a)
+    n1b = np.count_nonzero(col_b)
     if n1a in (0, n) or n1b in (0, n):
         return []
-    n11 = _popcount(col_a & col_b)
+    n11 = np.count_nonzero(col_a & col_b)
     n10 = n1a - n11
     n01 = n1b - n11
     n00 = n - n1a - n1b + n11
@@ -290,16 +287,15 @@ def _candidate_tiles(bmat, cfg: MiningConfig, n1: np.ndarray, live: np.ndarray):
     """Per row tile of sources, the candidates (quadrant, i, j, k) over pairs
     i < j of live features, sorted by (quadrant, i, j).
 
-    Pair counts N11 come from one GEMM per tile on the unpacked 0/1 matrix;
-    float32 sums of 0/1 terms are exact below 2**24 rows. A quadrant is a
-    candidate when its exception count k passes the support and pi caps in
-    either orientation.
+    Pair counts N11 come from one GEMM per tile on the 0/1 matrix; float32
+    sums of 0/1 terms are exact below 2**24 rows. A quadrant is a candidate
+    when its exception count k passes the support and pi caps in either
+    orientation.
     """
     n = bmat.n
     dtype = np.float32 if n < 2**24 else np.float64
     idx = np.flatnonzero(live)
-    words = np.ascontiguousarray(bmat.bits[idx]).view(np.uint8)
-    B = np.unpackbits(words, axis=1, bitorder="little")[:, :n].astype(dtype)
+    B = bmat.bits[idx].astype(dtype)
     ones = n1[idx].astype(dtype)
     # caps[v]: the cap of each live feature as an antecedent with value v.
     caps = tuple(_exception_caps(s, cfg).astype(dtype) for s in (n - n1[idx], n1[idx]))
@@ -412,7 +408,7 @@ def _batches(tiles):
 
 
 def _mine_kernel(bmat, cfg: MiningConfig) -> EdgeTable:
-    n1 = np.bitwise_count(bmat.bits).sum(axis=1).astype(np.int64)
+    n1 = np.count_nonzero(bmat.bits, axis=1)
     live = (n1 > 0) & (n1 < bmat.n)
     kernel = _Kernel(bmat, cfg, n1)
     tiles = _candidate_tiles(bmat, cfg, n1, live)

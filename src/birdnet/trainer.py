@@ -168,7 +168,7 @@ def train(
             n_batches += 1
         history.train_loss.append(epoch_loss / n_batches)
 
-        val_logits, _ = net.forward(X_val, mode="eval")
+        val_logits = net.forward(X_val, mode="eval")[0]
         vl = cross_entropy(val_logits, y_val)
         va = float((val_logits.argmax(axis=1) == y_val).mean())
         history.val_loss.append(vl)

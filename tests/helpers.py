@@ -1,7 +1,7 @@
 """Shared test utilities: independent oracles and random model factories.
 
 The reference implementations here deliberately avoid the library's own
-code paths (per-sample loops instead of bitsets, arbitrary-precision tail
+code paths (per-sample loops instead of a matrix product, arbitrary-precision tail
 sums instead of log-domain float arithmetic) so they can serve as oracles.
 """
 
@@ -63,21 +63,6 @@ def edge_rows(table: EdgeTable) -> list[Edge]:
 # ---------------------------------------------------------------------------
 
 
-def pack_column(bools: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector into little-endian uint64 words, zero-padded."""
-    bools = np.asarray(bools, dtype=bool)
-    n = bools.shape[0]
-    W = (n + 63) // 64
-    padded = np.zeros(W * 64, dtype=np.uint8)
-    padded[:n] = bools
-    return np.packbits(padded, bitorder="little").view("<u8").copy()
-
-
-def unpack_column(words: np.ndarray, n: int) -> np.ndarray:
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:n].astype(bool)
-
-
 def fit_threshold(values) -> tuple[float, bool]:
     """(tau, degenerate) of one column of values, by `fit_binarization`."""
     model = fit_binarization(np.reshape(values, (-1, 1)))
@@ -125,18 +110,15 @@ def oracle_fit_binarization(matrix, near_constant_frac: float = 1.0) -> Binariza
 
 
 def oracle_binarize(matrix, model: BinarizationModel) -> np.ndarray:
-    """The (d, W) words of `binarize`, one packed column at a time."""
+    """The (d, n) bits of `binarize`, one column at a time."""
     matrix = np.asarray(matrix, dtype=np.float64)
     cols = [np.zeros(matrix.shape[0], dtype=bool) if deg else matrix[:, j] > tau
             for j, (tau, deg) in enumerate(zip(model.thresholds, model.degenerate))]
-    return np.stack([pack_column(c) for c in cols])
+    return np.stack(cols)
 
 
 def bmat_from_bools(B: np.ndarray) -> BinaryMatrix:
-    B = np.asarray(B, dtype=bool)
-    n, d = B.shape
-    bits = np.stack([pack_column(B[:, j]) for j in range(d)])
-    return BinaryMatrix(bits=bits, n=n, d=d)
+    return BinaryMatrix(bits=np.ascontiguousarray(np.asarray(B, dtype=bool).T))
 
 
 # ---------------------------------------------------------------------------

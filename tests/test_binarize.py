@@ -9,8 +9,6 @@ from helpers import (
     oracle_binarize,
     oracle_fit_binarization,
     oracle_fit_threshold,
-    pack_column,
-    unpack_column,
 )
 
 
@@ -105,34 +103,6 @@ class TestFitThreshold:
         assert tau_shifted == pytest.approx(tau + shift, abs=1e-7)
 
 
-class TestPacking:
-    @given(st.lists(st.booleans(), min_size=1, max_size=300))
-    @settings(max_examples=80)
-    def test_round_trip(self, bools):
-        b = np.asarray(bools, dtype=bool)
-        words = pack_column(b)
-        assert words.dtype == np.dtype("<u8") or words.dtype == np.uint64
-        assert words.shape[0] == (b.shape[0] + 63) // 64
-        assert np.array_equal(unpack_column(words, b.shape[0]), b)
-
-    def test_padding_bits_are_zero(self):
-        b = np.ones(70, dtype=bool)
-        words = pack_column(b)
-        # Word 1 holds bits 64..69; bits 70..127 must be zero padding.
-        assert int(words[1]) == (1 << 6) - 1
-
-    def test_popcount_matches_sum(self):
-        rng = np.random.default_rng(1)
-        b = rng.random(137) < 0.3
-        assert int(np.bitwise_count(pack_column(b)).sum()) == int(b.sum())
-
-    def test_little_endian_layout(self):
-        b = np.zeros(64, dtype=bool)
-        b[0] = True
-        b[3] = True
-        assert int(pack_column(b)[0]) == 0b1001
-
-
 class TestBinarize:
     def test_strict_threshold(self):
         X = np.array([[0.0], [5.0], [10.0]])
@@ -141,22 +111,22 @@ class TestBinarize:
         # giving segment means (0, 7.5) and tau 3.75.
         assert model.thresholds[0] == pytest.approx(3.75)
         bm = binarize(X, model)
-        assert unpack_column(bm.bits[0], bm.n).tolist() == [False, True, True]
+        assert bm.bits[0].tolist() == [False, True, True]
 
     def test_value_at_threshold_is_low(self):
         X = np.array([[0.0], [10.0], [5.0]])
         model = fit_binarization(X)
         model.thresholds[0] = 5.0
         bm = binarize(X, model)
-        assert unpack_column(bm.bits[0], bm.n).tolist() == [False, True, False]
+        assert bm.bits[0].tolist() == [False, True, False]
 
     def test_degenerate_column_all_zero(self):
         X = np.column_stack([np.full(10, 2.0), np.arange(10.0)])
         model = fit_binarization(X)
         assert model.degenerate.tolist() == [True, False]
         bm = binarize(X, model)
-        assert not unpack_column(bm.bits[0], bm.n).any()
-        assert unpack_column(bm.bits[1], bm.n).any()
+        assert not bm.bits[0].any()
+        assert bm.bits[1].any()
 
     def test_near_constant_rule(self):
         col = np.zeros(100)
@@ -172,13 +142,12 @@ class TestBinarize:
             binarize(X[:, :2], model)
 
     def test_bits_match_strict_threshold(self):
-        # 67 rows span two words per column.
         rng = np.random.default_rng(2)
         X = rng.normal(size=(67, 4))
         model = fit_binarization(X)
         bm = binarize(X, model)
         for j in range(4):
-            assert np.array_equal(unpack_column(bm.bits[j], bm.n), X[:, j] > model.thresholds[j])
+            assert np.array_equal(bm.bits[j], X[:, j] > model.thresholds[j])
 
     def test_thresholds_report(self):
         X = np.column_stack([np.full(4, 1.0), np.array([0.0, 0.0, 2.0, 2.0])])
@@ -202,7 +171,7 @@ def _mixed_matrix(rng, n, d):
 
 class TestBlockedKernel:
     """fit_binarization and binarize, 64 columns at a time, against the
-    per-column oracle in tests/helpers.py: bit-identical thresholds and words."""
+    per-column oracle in tests/helpers.py: bit-identical thresholds and bits."""
 
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("n", [2, 63, 64, 65])
@@ -215,10 +184,9 @@ class TestBlockedKernel:
             assert np.array_equal(model.thresholds, want.thresholds)
             assert np.array_equal(model.degenerate, want.degenerate)
             bm = binarize(X, model)
-            assert bm.bits.dtype == np.uint64 and bm.bits.shape == (d, (n + 63) // 64)
+            assert bm.bits.dtype == bool and bm.bits.shape == (d, n)
+            assert bm.bits.flags.c_contiguous
             assert np.array_equal(bm.bits, oracle_binarize(X, model))
-            if n % 64:  # padding bits past row n are zero
-                assert not np.any(bm.bits[:, -1] >> np.uint64(n % 64))
         assert np.array_equal(X, before)  # the fit sorts copies, never its input
         for j in range(d):
             assert fit_threshold(X[:, j]) == oracle_fit_threshold(X[:, j])

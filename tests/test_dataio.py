@@ -77,6 +77,14 @@ class TestLoadCsv:
         ds = load_csv(path, "label")
         assert ds.n == 2
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("final_eol", [False, True])
+    def test_every_row_read_for_each_line_end(self, tmp_path, eol, final_eol):
+        # load_csv sizes its table from the file's line count, so that count may never fall short.
+        text = eol.join(["g0,label", "1,a", "", " ,", "22,b", "333,a"]) + (eol if final_eol else "")
+        ds = load_csv(self._write(tmp_path, text), "label")
+        assert ds.values[:, 0].tolist() == [1.0, 22.0, 333.0]
+
     def test_kept_cells_compact_in_place_across_row_blocks(self, tmp_path):
         # 1000 feature columns make 8000-byte rows, so 100 rows span four
         # blocks of the in-place compaction; the label comes first, and the
@@ -141,7 +149,7 @@ def csv_files(draw):
     header = (["id"] if use_id else []) + [draw(st.sampled_from([n, f'"{n}"'])) for n in names]
     header.append("label")
     feat_at = list(range(1 if use_id else 0, len(header) - 1))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines, error = [",".join(header)], None
     # Half the files are spoilt: any cell may be bad, a label empty, a row
     # too short or too long.

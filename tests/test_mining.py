@@ -26,7 +26,6 @@ from helpers import (
     mp_log_lower_tail,
     mp_log_lower_tail_curve,
     naive_mine,
-    pack_column,
 )
 
 
@@ -109,7 +108,7 @@ CFG = MiningConfig()
 
 
 def cols(bools_a, bools_b):
-    return pack_column(np.asarray(bools_a)), pack_column(np.asarray(bools_b))
+    return np.asarray(bools_a, dtype=bool), np.asarray(bools_b, dtype=bool)
 
 
 class TestTestPair:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -229,6 +230,29 @@ class TestTrain:
         net.forward = recording_forward
         train(net, Xt, yt, Xv, yv, TrainConfig(epochs_max=1, batch_size=32, dropout=0.25))
         assert set(seen) == {("train", 0.25), ("eval", 0.0)}
+
+    def test_validation_cache_freed_before_next_epoch(self):
+        # Each epoch keeps only its validation logits: the arrays of the eval
+        # forward's cache, all but the input batch, are dead by the next
+        # training step.
+        net, Xt, yt, Xv, yv = _training_setup()
+        held, live_at_step = [], []
+        forward = net.forward
+
+        def watching_forward(X, mode="eval", rng=None, dropout=0.0):
+            if mode == "train":
+                live_at_step.append(sum(ref() is not None for ref in held))
+            logits, cache = forward(X, mode, rng, dropout)
+            if mode == "eval":
+                arrays = cache["block_in"][1:] + cache["post_bn"] + cache["head_in"]
+                held.extend(weakref.ref(a) for a in arrays)
+            return logits, cache
+
+        net.forward = watching_forward
+        train(net, Xt[:48], yt[:48], Xv[:16], yv[:16],
+              TrainConfig(epochs_max=4, batch_size=16, patience=4))
+        assert len(held) >= 3 * len(net.blocks) and len(live_at_step) == 12
+        assert live_at_step == [0] * 12
 
     def test_singleton_trailing_batch_skipped(self):
         # n=33, batch 32 leaves a trailing batch of 1, which BatchNorm cannot
