@@ -10,7 +10,7 @@ import numpy as np
 from birdnet.binarize import binarize, fit_binarization
 from birdnet.dataio import mean_var
 from birdnet.mining import MiningConfig, deduplicate_and_cap, mine_birs
-from birdnet.network import BirNetwork, DenseHead, DenseLinear, build_bir_layer
+from birdnet.network import BirNetwork, DenseLinear, build_bir_layer
 
 __all__ = ["LayerReport", "ConstructionReport", "build_birdnet"]
 
@@ -99,6 +99,6 @@ def build_birdnet(
     widths = [blocks[-1].linear.out_dim if blocks else X_train.shape[1], len(class_names)]
     if head_hidden and head_hidden > 0:
         widths.insert(1, head_hidden)
-    head = DenseHead([DenseLinear.init(a, b, rng) for a, b in zip(widths, widths[1:])])
+    head = [DenseLinear.init(a, b, rng) for a, b in zip(widths, widths[1:])]
     net = BirNetwork(feature_names, blocks, head, class_names, {"seed": seed, "mining": asdict(cfg)})
     return net, report

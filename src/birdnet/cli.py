@@ -214,7 +214,8 @@ def cmd_mine(args) -> str:
     bits = binarize(X, model)
     del X
     graph = mine_birs(bits, cfg.mining, feature_names=names)
-    _write(args, "edges.tsv", graph_to_tsv(graph))
+    with _naming(args.data):  # a feature name that an edge list cannot hold
+        _write(args, "edges.tsv", graph_to_tsv(graph))
     _write(args, "thresholds.tsv", model.to_text(names))
     export_graph(graph, _path(args, "graph.dot"))
     return f"mined {len(graph.edges)} edges over {len(names)} features -> {args.out}"

@@ -17,6 +17,8 @@ R_in = a * (W^T (s * R / stab(s * W a))), and pair layers scatter with one
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,12 +158,12 @@ def extract_rules(
 
 
 def rules_to_csv(records: list[RuleRecord]) -> str:
-    lines = ["class,rule,precision,recall,lift,support,unit"]
-    for r in records:
-        lines.append(
-            f"{r.class_name},{r.rule},{r.precision!r},{r.recall!r},{r.lift!r},{r.support},{r.unit}"
-        )
-    return "\n".join(lines) + "\n"
+    """The records as CSV; a name holding a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["class", "rule", "precision", "recall", "lift", "support", "unit"])
+    writer.writerows((r.class_name, r.rule, r.precision, r.recall, r.lift, r.support, r.unit) for r in records)
+    return out.getvalue()
 
 
 def _stabilize(z: np.ndarray) -> np.ndarray:
@@ -208,8 +210,8 @@ def lrp_explain(
     layer_rel: list[np.ndarray] = [None] * len(net.blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
         # Head, top down. Hidden head activations are cached inputs of later layers.
-        for i in reversed(range(len(net.head.layers))):
-            R = _propagate_dense(R, cache["head_in"][i][0], net.head.layers[i].W, 1.0)
+        for i in reversed(range(len(net.head))):
+            R = _propagate_dense(R, cache["head_in"][i][0], net.head[i].W, 1.0)
         for ell in reversed(range(len(net.blocks))):
             blk, a_in = net.blocks[ell], cache["block_in"][ell][0]
             layer_rel[ell] = R

@@ -462,7 +462,11 @@ def deduplicate_and_cap(g: ImplicationGraph, h_max: int) -> EdgeTable:
 
 
 def graph_to_tsv(g: ImplicationGraph) -> str:
+    """The edge list that `read_graph_tsv` reads back, or a ValueError naming a vertex it cannot hold."""
     names = g.vertices
+    for name in names:
+        if "\t" in name or len(f"{name}.".splitlines()) > 1:  # read_graph_tsv splits on both
+            raise ValueError(f"feature name {name!r} holds a tab or a line break, which an edge list cannot hold")
     lines = ["\t".join(_TSV_CELLS)]
     for src, tgt, btype, log_p, exc, supp in g.edges._rows():
         lines.append(f"{names[src]}\t{names[tgt]}\t{btype}\t{log_p!r}\t{exc}\t{exc / supp!r}\t{supp}")
@@ -495,16 +499,14 @@ def read_graph_tsv(text: str) -> ImplicationGraph:
 
 
 def export_graph(g: ImplicationGraph, path: str) -> None:
-    """Write the graph as DOT; T4/T5 render undirected (dir=none)."""
-    names = g.vertices
-    lines = ["digraph implications {"]
-    for name in names:
-        lines.append(f'  "{name}";')
+    """Write the graph as DOT, with \\ and " escaped in each quoted ID; T4/T5 render undirected (dir=none)."""
+    ids = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in g.vertices]
+    lines = ["digraph implications {", *(f"  {v};" for v in ids)]
     for src, tgt, btype, log_p, *_ in g.edges._rows():
         attrs = f'label="{btype} {-log_p / math.log(10.0):.1f}"'
         if btype in ("T4", "T5"):
             attrs += ", dir=none"
-        lines.append(f'  "{names[src]}" -> "{names[tgt]}" [{attrs}];')
+        lines.append(f"  {ids[src]} -> {ids[tgt]} [{attrs}];")
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -40,7 +40,6 @@ __all__ = [
     "BatchNorm",
     "BirBlock",
     "Fold",
-    "DenseHead",
     "BirNetwork",
     "build_bir_layer",
     "active_param_count",
@@ -294,13 +293,9 @@ class BirBlock:
         return fold
 
 
-@dataclass
-class DenseHead:
-    layers: list[DenseLinear]  # ReLU between all but after the last
-
-
 class BirNetwork:
-    """Ordered stack of implication-masked blocks plus a dense classifier head.
+    """Ordered stack of implication-masked blocks plus a dense classifier head,
+    a list of `DenseLinear` layers with a ReLU after each but the last.
     Every network, built, copied or loaded, is checked here: the widths chain from
     the number of feature names, and the head has one output per class name."""
 
@@ -308,13 +303,13 @@ class BirNetwork:
         self.feature_names = list(feature_names)
         self.input_dim = len(self.feature_names)
         self.blocks: list[BirBlock] = list(blocks)
-        self.head: DenseHead = head
+        self.head: list[DenseLinear] = list(head)
         self.class_names = list(class_names)
         self.meta = dict(meta or {})
-        if not self.head.layers:
+        if not self.head:
             raise ValueError("the head has no layer")
         width = self.input_dim
-        for lin in [blk.linear for blk in self.blocks] + self.head.layers:
+        for lin in [blk.linear for blk in self.blocks] + self.head:
             if lin.in_dim != width:
                 raise ValueError(f"layer widths do not chain: {width} feed {lin.in_dim} inputs")
             width = lin.out_dim
@@ -328,7 +323,7 @@ class BirNetwork:
 
     @property
     def n_classes(self) -> int:
-        return self.head.layers[-1].out_dim
+        return self.head[-1].out_dim
 
     def check_input(self, X) -> np.ndarray:
         """X as a float64 batch of the input width with only finite values."""
@@ -345,8 +340,9 @@ class BirNetwork:
         after each block's ReLU; the cache is what `backward` takes and keeps
         what each linear map's backward reuses), 'eval' (inference only:
         running stats folded into each block, deterministic; the cache keeps
-        each block's input and `Fold`, which relevance traces read). Logits
-        that overflow raise a ValueError in either mode, with no numpy warning."""
+        each activation once, as a block's or a head layer's input, and each
+        `Fold`, which relevance traces read). Logits that overflow raise a
+        ValueError in either mode, with no numpy warning."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         X = self.check_input(X)
@@ -354,9 +350,9 @@ class BirNetwork:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
         if mode == "train" and dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
-        cache = {"mode": mode, "post_bn": [], "head_in": []}
+        cache = {"mode": mode, "head_in": []}
         if mode == "train":
-            cache.update(saved=[], bn=[], drop=[], dropout=dropout)
+            cache.update(saved=[], bn=[], post_bn=[], drop=[], dropout=dropout)
         else:
             cache.update(block_in=[], fold=[])
         a = X
@@ -367,7 +363,7 @@ class BirNetwork:
                     fold = blk.fold()
                     cache["fold"].append(fold)
                     a = blk.linear.folded(a, fold)
-                    cache["post_bn"].append(np.maximum(a, 0.0, out=a))
+                    np.maximum(a, 0.0, out=a)
                     continue
                 z, saved = blk.linear.forward_saved(a)
                 cache["saved"].append(saved)
@@ -382,10 +378,10 @@ class BirNetwork:
                     cache["drop"].append(keep)
                 else:
                     cache["drop"].append(None)
-            for i, lay in enumerate(self.head.layers):
+            for i, lay in enumerate(self.head):
                 cache["head_in"].append(a)
                 a = lay.forward(a)
-                if i < len(self.head.layers) - 1:
+                if i < len(self.head) - 1:
                     a = np.maximum(a, 0.0, out=a)
         if not np.isfinite(a).all():
             raise ValueError("the network's logits are not finite: an input is too large for its weights")
@@ -398,9 +394,9 @@ class BirNetwork:
             raise ValueError("backward needs the cache of a train-mode forward")
         grads: dict[str, np.ndarray] = {}
         da = np.asarray(dlogits, dtype=np.float64)
-        for i in reversed(range(len(self.head.layers))):
+        for i in reversed(range(len(self.head))):
             x = cache["head_in"][i]
-            da, g = self.head.layers[i].backward(da, x, input_grad=i > 0 or bool(self.blocks))
+            da, g = self.head[i].backward(da, x, input_grad=i > 0 or bool(self.blocks))
             for name, arr in g.items():
                 grads[f"head{i}.{name}"] = arr
             if i > 0:
@@ -426,7 +422,7 @@ class BirNetwork:
                 yield f"block{ell}.{name}", blk.linear, name, decay
             for name, decay in blk.bn.PARAMS:
                 yield f"block{ell}.bn.{name}", blk.bn, name, decay
-        for i, lay in enumerate(self.head.layers):
+        for i, lay in enumerate(self.head):
             for name, decay in lay.PARAMS:
                 yield f"head{i}.{name}", lay, name, decay
 
@@ -504,7 +500,7 @@ def active_param_count(net: BirNetwork) -> dict[str, int]:
         width += h
         bn_params += 2 * h
         bir_active += 2 * h if isinstance(blk.linear, PairLinear) else blk.linear.W.size
-    head_params = sum(lay.W.size + lay.b.size for lay in net.head.layers)
+    head_params = sum(lay.W.size + lay.b.size for lay in net.head)
     return {
         "width": width,
         "bir_active": bir_active,
@@ -520,9 +516,7 @@ def to_matched_mlp(net: BirNetwork, seed: int) -> BirNetwork:
     for blk in net.blocks:
         lin = DenseLinear.init(blk.linear.in_dim, blk.linear.out_dim, rng, bias=False)
         blocks.append(BirBlock(linear=lin, bn=BatchNorm(lin.out_dim)))
-    head = DenseHead(
-        layers=[DenseLinear.init(lay.in_dim, lay.out_dim, rng) for lay in net.head.layers]
-    )
+    head = [DenseLinear.init(lay.in_dim, lay.out_dim, rng) for lay in net.head]
     return BirNetwork(net.feature_names, blocks, head, net.class_names, {**net.meta, "matched_mlp": True})
 
 
@@ -563,7 +557,7 @@ def save_network(net: BirNetwork, path: str) -> None:
         "class_names": net.class_names,
         "meta": net.meta,
         "blocks": [],
-        "head": [],
+        "head": [{"W": _enc(lay.W), "b": _enc(lay.b)} for lay in net.head],
     }
     for blk in net.blocks:
         lin, bn = blk.linear, blk.bn
@@ -574,8 +568,6 @@ def save_network(net: BirNetwork, path: str) -> None:
             "linear": {k: _enc(getattr(lin, k)) for k in _LINEAR_KEYS[lin.kind]},
             **pair,
         })
-    for lay in net.head.layers:
-        doc["head"].append({"W": _enc(lay.W), "b": _enc(lay.b)})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
@@ -628,12 +620,11 @@ def _decode_network(doc) -> BirNetwork:
             setattr(bn, key, arr)
         blocks.append(BirBlock(lin, bn))
         width = lin.out_dim
-    head = DenseHead(layers=[DenseLinear(*(_dec(lay, k, f"head layer {i}") for k in "Wb"))
-                             for i, lay in enumerate(doc["head"])])
+    head = [DenseLinear(*(_dec(lay, k, f"head layer {i}") for k in "Wb")) for i, lay in enumerate(doc["head"])]
     net = BirNetwork(doc["feature_names"], blocks, head, doc["class_names"], doc["meta"])
     # One walk over every array held, also a layer's own copy of a binding
     # column that was stored in another byte order: finite, then read-only.
-    held = [o for blk in blocks for o in (blk.linear, blk.bn)] + head.layers
+    held = [o for blk in blocks for o in (blk.linear, blk.bn)] + head
     held += [o.bindings for o in held if isinstance(o, PairLinear)]
     for arr in [a for o in held for a in vars(o).values() if isinstance(a, np.ndarray)]:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():

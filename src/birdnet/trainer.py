@@ -5,13 +5,13 @@ seeded with the config seed, so a run is reproducible bit for bit on one
 thread. Masked weight positions are never stored, so they stay exactly
 zero through every optimizer step, weight decay included.
 
-A step is the network's train-mode forward and backward (row-major
-activations, each pair layer's gathers reused by its backward, no gradient
-for the network input), then AdamW on the network's flat parameter buffer:
-the moments are two buffers of the same layout, and one step is a few
-whole-buffer operations, weight decay on the decayed prefix only. The
-gradient norm for clipping is summed array by array, in backward
-order.
+A step is the network's train-mode forward, the loss and its gradient from
+one softmax (`cross_entropy`), and the backward (row-major activations, each
+pair layer's gathers reused by its backward, no gradient for the network
+input), then AdamW on the network's flat parameter buffer: the moments are
+two buffers of the same layout, and one step is a few whole-buffer
+operations, weight decay on the decayed prefix only. The gradient norm for
+clipping is summed array by array, in backward order.
 """
 
 from __future__ import annotations
@@ -86,21 +86,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log softmax probability of the true class (log-sum-exp)."""
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """(loss, dloss/dlogits) from one softmax: the mean negative log softmax
+    probability of the true class (log-sum-exp), and its gradient."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = check_labels(labels, *logits.shape)
+    y = check_labels(labels, *logits.shape)
+    rows = np.arange(y.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    nll = lse - shifted[np.arange(labels.shape[0]), labels]
-    return float(nll.mean())
-
-
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    labels = check_labels(labels, *logits.shape)
-    g = softmax(logits)
-    g[np.arange(labels.size), labels] -= 1.0
-    return g / labels.size
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    g = e / s
+    g[rows, y] -= 1.0
+    g /= y.shape[0]
+    return float((np.log(s[:, 0]) - shifted[rows, y]).mean()), g
 
 
 def _global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -148,8 +146,8 @@ def train(
                 continue  # BatchNorm cannot normalize a singleton batch
             xb, yb = X_train[idx], y_train[idx]
             logits, cache = net.forward(xb, mode="train", rng=rng, dropout=cfg.dropout)
-            loss = cross_entropy(logits, yb)
-            grads = net.backward(cache, cross_entropy_grad(logits, yb))
+            loss, dlogits = cross_entropy(logits, yb)
+            grads = net.backward(cache, dlogits)
             gnorm = _global_norm(grads)
             g = np.concatenate([grads[path].ravel() for path in paths])
             if gnorm > cfg.clip_norm:
@@ -169,7 +167,7 @@ def train(
         history.train_loss.append(epoch_loss / n_batches)
 
         val_logits = net.forward(X_val, mode="eval")[0]
-        vl = cross_entropy(val_logits, y_val)
+        vl = cross_entropy(val_logits, y_val)[0]
         va = float((val_logits.argmax(axis=1) == y_val).mean())
         history.val_loss.append(vl)
         history.val_acc.append(va)

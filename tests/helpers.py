@@ -24,13 +24,12 @@ from birdnet.network import (
     BN_EPS,
     BN_MOMENTUM,
     BirNetwork,
-    DenseHead,
     DenseLinear,
     PairLinear,
     build_bir_layer,
     to_matched_mlp,
 )
-from birdnet.trainer import cross_entropy, cross_entropy_grad, softmax
+from birdnet.trainer import check_labels, cross_entropy, softmax
 
 TYPES = ("T0", "T1", "T2", "T3", "T4", "T5")
 
@@ -306,7 +305,7 @@ def random_pair_net(
     if randomize:
         for lay in layers:
             lay.b += rng.standard_normal(lay.out_dim) * 0.3
-    return BirNetwork([f"f{i}" for i in range(d)], blocks, DenseHead(layers=layers),
+    return BirNetwork([f"f{i}" for i in range(d)], blocks, layers,
                       [f"c{c}" for c in range(k)])
 
 
@@ -349,7 +348,7 @@ def min_kink_gap(net: BirNetwork, X: np.ndarray, mode: str = "eval") -> float:
         else:
             pre = blk.linear.folded(cache["block_in"][ell], blk.fold())
         gap = min(gap, float(np.abs(pre).min()))
-    for i, lay in enumerate(net.head.layers[:-1]):
+    for i, lay in enumerate(net.head[:-1]):
         z = cache["head_in"][i] @ lay.W.T + lay.b
         gap = min(gap, float(np.abs(z).min()))
     return gap
@@ -365,11 +364,11 @@ def min_carried_denominator(net: BirNetwork, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     _, cache = net.forward(x, mode="eval")
     worst = math.inf
-    for i, lay in enumerate(net.head.layers):
+    for i, lay in enumerate(net.head):
         a_in = cache["head_in"][i][0]
         denom = (a_in[None, :] * lay.W).sum(axis=1)
         z = lay.forward(a_in.reshape(1, -1))[0]
-        active = z > 0 if i < len(net.head.layers) - 1 else np.ones_like(z, bool)
+        active = z > 0 if i < len(net.head) - 1 else np.ones_like(z, bool)
         if active.any():
             worst = min(worst, float(np.abs(denom[active]).min()))
     for ell, blk in enumerate(net.blocks):
@@ -377,7 +376,7 @@ def min_carried_denominator(net: BirNetwork, x: np.ndarray) -> float:
         a_in = cache["block_in"][ell][0]
         lin = blk.linear
         denom = a_in[lin.src] * lin.w_src * scale + a_in[lin.tgt] * lin.w_tgt * scale
-        active = cache["post_bn"][ell][0] > 0
+        active = (cache["block_in"] + cache["head_in"])[ell + 1][0] > 0  # the block's output
         if active.any():
             worst = min(worst, float(np.abs(denom[active]).min()))
     return worst
@@ -390,7 +389,7 @@ def finite_diff_grads(net: BirNetwork, X, y, step: float = 1e-4, mode: str = "ev
 
     def loss():
         logits, _ = net.forward(X, mode=mode)
-        return cross_entropy(logits, y)
+        return cross_entropy(logits, y)[0]
 
     out = {}
     for path, arr, _ in net.params():
@@ -424,15 +423,15 @@ def eval_gradients(net: BirNetwork, X, y) -> dict[str, np.ndarray]:
         a = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
         saved.append((lin_saved, xhat, inv_std, a))
     head_in = []
-    for i, lay in enumerate(net.head.layers):
+    for i, lay in enumerate(net.head):
         head_in.append(a)
         a = lay.forward(a)
-        if i < len(net.head.layers) - 1:
+        if i < len(net.head) - 1:
             a = np.maximum(a, 0.0)
-    da = cross_entropy_grad(a, y)
+    da = cross_entropy(a, y)[1]
     grads = {}
-    for i in reversed(range(len(net.head.layers))):
-        da, g = net.head.layers[i].backward(da, head_in[i])
+    for i in reversed(range(len(net.head))):
+        da, g = net.head[i].backward(da, head_in[i])
         grads.update({f"head{i}.{name}": arr for name, arr in g.items()})
         if i > 0:
             da = da * (head_in[i] > 0.0)
@@ -454,7 +453,27 @@ def library_gradients(net: BirNetwork, X, y, mode: str) -> dict[str, np.ndarray]
     if mode == "eval":
         return eval_gradients(net, X, y)
     logits, cache = net.forward(X, mode="train")
-    return net.backward(cache, cross_entropy_grad(logits, y))
+    return net.backward(cache, cross_entropy(logits, y)[1])
+
+
+def oracle_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """The loss as `trainer.cross_entropy` computed it before it returned its
+    gradient too: a pass of its own over the logits."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = check_labels(labels, *logits.shape)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    nll = lse - shifted[np.arange(labels.shape[0]), labels]
+    return float(nll.mean())
+
+
+def oracle_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The loss gradient as the former `trainer.cross_entropy_grad` computed
+    it: a second softmax over the same logits."""
+    labels = check_labels(labels, *logits.shape)
+    g = softmax(logits)
+    g[np.arange(labels.size), labels] -= 1.0
+    return g / labels.size
 
 
 def oracle_train_step(net: BirNetwork, xb, yb, rng, cfg, lr: float, adam: dict):
@@ -492,18 +511,18 @@ def oracle_gradients(net: BirNetwork, xb, yb, rng, dropout: float) -> dict[str, 
         saved.append((a, xhat, inv_std, post, keep))
         a = post if keep is None else post * keep / (1.0 - dropout)
     head_in = []
-    for i, lay in enumerate(net.head.layers):
+    for i, lay in enumerate(net.head):
         head_in.append(a)
         a = a @ lay.W.T + lay.b
-        if i < len(net.head.layers) - 1:
+        if i < len(net.head) - 1:
             a = np.maximum(a, 0.0)
     m = a.shape[0]
     da = softmax(a)
     da[np.arange(m), yb] -= 1.0
     da = da / m
     grads = {}
-    for i in reversed(range(len(net.head.layers))):
-        lay, x = net.head.layers[i], head_in[i]
+    for i in reversed(range(len(net.head))):
+        lay, x = net.head[i], head_in[i]
         grads[f"head{i}.W"], grads[f"head{i}.b"] = da.T @ x, da.sum(axis=0)
         da = da @ lay.W
         if i > 0:
@@ -713,10 +732,10 @@ def oracle_eval_forward(net: BirNetwork, X):
         xhat = (z - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + BN_EPS))
         a = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
         cache["post_bn"].append(a)
-    for i, lay in enumerate(net.head.layers):
+    for i, lay in enumerate(net.head):
         cache["head_in"].append(a)
         a = lay.forward(a)
-        if i < len(net.head.layers) - 1:
+        if i < len(net.head) - 1:
             a = np.maximum(a, 0.0)
     return a, cache
 
@@ -753,8 +772,8 @@ def oracle_lrp_explain(net: BirNetwork, instance, target_class: int, epsilon: fl
     target_logit = float(logits[0, target_class])
     R = np.zeros(net.n_classes)
     R[target_class] = target_logit
-    for i in reversed(range(len(net.head.layers))):
-        lay = net.head.layers[i]
+    for i in reversed(range(len(net.head))):
+        lay = net.head[i]
         R = _oracle_propagate_dense(R, cache["head_in"][i][0], lay.W, np.ones(lay.out_dim), epsilon)
     layer_rel = [None] * len(net.blocks)
     for ell in reversed(range(len(net.blocks))):

@@ -29,7 +29,6 @@ from birdnet.mining import (
 )
 from birdnet.network import (
     BirNetwork,
-    DenseHead,
     DenseLinear,
     PairLinear,
     active_param_count,
@@ -308,7 +307,7 @@ def test_criterion_08_compression_accounting():
     rng = np.random.default_rng(8)
     blk0 = _structural_layer(rng, 5000, 2000)
     blk1 = _structural_layer(rng, 5000, 5000)
-    head = DenseHead([DenseLinear.init(5000, 32, rng), DenseLinear.init(32, 8, rng)])
+    head = [DenseLinear.init(5000, 32, rng), DenseLinear.init(32, 8, rng)]
     net = BirNetwork([f"g{i}" for i in range(2000)], [blk0, blk1], head,
                      [f"c{i}" for i in range(8)])
     acc = active_param_count(net)

@@ -131,10 +131,10 @@ class TestBuildBirdnet:
         X = (X - X.mean(axis=0)) / X.std(axis=0)
         net, _ = build_birdnet(X, [f"g{j}" for j in range(20)], ["a", "b", "c"],
                                MiningConfig(mu=5), depth=1, head_hidden=16, seed=0)
-        assert [l.out_dim for l in net.head.layers] == [16, 3]
+        assert [l.out_dim for l in net.head] == [16, 3]
         direct, _ = build_birdnet(X, [f"g{j}" for j in range(20)], ["a", "b", "c"],
                                   MiningConfig(mu=5), depth=1, head_hidden=0, seed=0)
-        assert [l.out_dim for l in direct.head.layers] == [3]
+        assert [l.out_dim for l in direct.head] == [3]
 
     def test_accounting_totals(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,8 @@
 import base64
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -124,6 +126,14 @@ class TestMine:
         assert (out / "edges.tsv").read_text() == (
             "source\ttarget\ttype\tlog_p\texceptions\texception_fraction\tantecedent_support\n")
 
+    def test_tab_in_a_feature_name_exits_2_naming_the_file(self, data_csv, tmp_path, capsys):
+        # read_graph_tsv splits lines on tabs, so edges.tsv cannot hold the name.
+        data, out = tmp_path / "tab.csv", tmp_path / "out"
+        _with_cell(data_csv, data, 0, 2, "c\td")
+        assert run(["mine", "--data", str(data), *BASE, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}: feature name 'c\\td' holds a tab")
+        assert not out.exists()
+
 
 class TestBuildAndTrain:
     def test_build(self, data_csv, tmp_path):
@@ -200,6 +210,17 @@ class TestRules:
         assert lines[0] == "class,rule,precision,recall,lift,support,unit"
         assert len(lines) >= 2
 
+    def test_comma_in_a_feature_name_is_quoted(self, data_csv, tmp_path):
+        data, out = tmp_path / "comma.csv", tmp_path / "out"
+        _with_cell(data_csv, data, 0, 1, '"IL-6, serum"')
+        assert run(["rules", "--data", str(data), *BASE, "--out", str(out),
+                    "--mu", "1", "--depth", "1", "--epochs-max", "8",
+                    "--batch-size", "32", "--rule-min-support", "5"]) == 0
+        with open(out / "rules.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) >= 2 and all(len(row) == 7 for row in rows)
+        assert any("IL-6, serum" in row[1] for row in rows[1:])
+
 
 class TestExportGraph:
     def test_round_trip(self, data_csv, tmp_path):
@@ -217,6 +238,26 @@ class TestExportGraph:
 
         mined = edge_lines(mine_out / "graph.dot")
         assert mined and edge_lines(out / "graph.dot") == mined
+
+    def test_quote_and_backslash_in_feature_names_are_escaped(self, data_csv, tmp_path):
+        # The planted pair g0 -> g1 becomes a"b -> e\; a DOT reader unescapes \x to x.
+        data, out = tmp_path / "quoted.csv", tmp_path / "out"
+        _with_cell(data_csv, data, 0, 1, '"a""b"')
+        _with_cell(data, data, 0, 2, "e\\")
+        assert run(["mine", "--data", str(data), *BASE, "--out", str(out)]) == 0
+        dot_id = r'"((?:[^"\\]|\\.)*)"'
+
+        def name(quoted):
+            return re.sub(r"\\(.)", r"\1", quoted)
+
+        lines = (out / "graph.dot").read_text().splitlines()
+        vertices = [re.fullmatch(f"  {dot_id};", ln) for ln in lines if " -> " not in ln][1:-1]
+        assert all(vertices) and [name(v[1]) for v in vertices] == load_csv(
+            str(data), "diagnosis", id_column="sample").feature_names
+        edges = [re.match(f"  {dot_id} -> {dot_id} \\[", ln) for ln in lines if " -> " in ln]
+        tsv = [ln.split("\t")[:2] for ln in (out / "edges.tsv").read_text().splitlines()[1:]]
+        assert all(edges) and [[name(e[1]), name(e[2])] for e in edges] == tsv
+        assert ['a"b', "e\\"] in tsv
 
     # Cells: 0 source, 1 target, 2 type, 3 log_p, 4 exceptions, 5 fraction, 6 support.
     # "support+1" and "source" stand for the line's own support plus one and its source.

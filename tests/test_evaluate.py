@@ -257,7 +257,7 @@ class TestCrossValidate:
         def tracking_forward(self, X, mode="eval", **kwargs):
             logits, cache = forward(self, X, mode, **kwargs)
             if mode == "eval":
-                for key in ("block_in", "post_bn", "head_in"):
+                for key in ("block_in", "head_in"):
                     refs.extend(weakref.ref(a) for a in cache[key])
             return logits, cache
 

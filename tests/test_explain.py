@@ -8,7 +8,7 @@ from birdnet.explain import (
     rules_to_csv,
     unit_activity,
 )
-from birdnet.network import BirNetwork, DenseHead, DenseLinear, PairLinear, BatchNorm
+from birdnet.network import BirNetwork, DenseLinear, PairLinear, BatchNorm
 from birdnet.builder import build_birdnet
 from birdnet.mining import MiningConfig
 from helpers import (
@@ -41,7 +41,7 @@ class TestUnitActivity:
         X = rng.normal(size=(12, 6))
         act = unit_activity(net, X)
         _, cache = net.forward(X, mode="eval")
-        assert np.array_equal(act, cache["post_bn"][0] > 0)
+        assert np.array_equal(act, (cache["block_in"] + cache["head_in"])[1] > 0)
         assert act.shape == (12, 5)
 
     def test_requires_blocks(self):
@@ -189,7 +189,7 @@ def single_path_net():
     bn = BatchNorm(1)
     bn.set_stats(np.zeros(1), np.ones(1) - 1e-5)  # scale exactly 1
     blk = BirBlock(linear=lin, bn=bn)
-    head = DenseHead([DenseLinear(np.array([[2.0], [0.0]]), np.zeros(2))])
+    head = [DenseLinear(np.array([[2.0], [0.0]]), np.zeros(2))]
     return BirNetwork(["a", "b"], [blk], head, ["c0", "c1"])
 
 
@@ -222,8 +222,8 @@ class TestLrp:
             want = lrp_explain(net, x, int(np.argmax(net.forward(x[None], mode="eval")[0])))
             assert lrp_explain(net, x).to_text() == lrp_explain(net, x, None).to_text() == want.to_text()
         tied = random_pair_net(np.random.default_rng(7), d=6, widths=(5,), k=3)
-        tied.head.layers[-1].W[:] = 0.0
-        tied.head.layers[-1].b[:] = 0.0
+        tied.head[-1].W[:] = 0.0
+        tied.head[-1].b[:] = 0.0
         trace = lrp_explain(tied, np.ones(6))
         assert trace.target_class == trace.predicted_class == tied.class_names[0]  # ties go to the lowest index
 
@@ -324,7 +324,7 @@ class TestLrp:
     def test_relevances_that_overflow_raise(self):
         # A finite logit of 1e303 that no input carries: its share overflows.
         net = single_path_net()
-        net.head.layers[0] = DenseLinear(np.zeros((2, 1)), np.array([1e303, 0.0]))
+        net.head[0] = DenseLinear(np.zeros((2, 1)), np.array([1e303, 0.0]))
         assert lrp_explain(net, np.array([3.0, 2.0]), 1).conservation_total == 0.0
         with pytest.raises(ValueError, match="the relevances are not finite"):
             lrp_explain(net, np.array([3.0, 2.0]), 0)

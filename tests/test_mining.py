@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -460,6 +461,15 @@ class TestGraphIO:
         for ln in lines[1:]:
             exc, frac, supp = ln.split("\t")[4:]
             assert frac == repr(int(exc) / int(supp))
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\r", "\x0b", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b"])
+    def test_write_refuses_a_name_the_reader_splits(self, bad):
+        g = self._graph()
+        g.vertices[1] = bad
+        with pytest.raises(ValueError, match=f"feature name {re.escape(repr(bad))} holds a tab or a line break"):
+            graph_to_tsv(g)
+        g.vertices[1] = "be ta"  # a space is a name's own
+        assert read_graph_tsv(graph_to_tsv(g)).vertices[:2] == ["alpha", "be ta"]
 
     def test_read_empty_edge_list(self):
         g = read_graph_tsv(graph_to_tsv(ImplicationGraph(["a"], edge_table([]))))

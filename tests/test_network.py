@@ -13,7 +13,6 @@ from birdnet.network import (
     BatchNorm,
     BirBlock,
     BirNetwork,
-    DenseHead,
     DenseLinear,
     PairLinear,
     active_param_count,
@@ -22,7 +21,7 @@ from birdnet.network import (
     save_network,
     to_matched_mlp,
 )
-from birdnet.trainer import TrainConfig, cross_entropy_grad, train
+from birdnet.trainer import TrainConfig, cross_entropy, train
 from helpers import (
     dense_weight,
     edge_rows,
@@ -56,7 +55,7 @@ class TestBuildBirLayer:
         for spec in layers:
             blocks.append(build_bir_layer(edge_table(spec), d, np.random.default_rng(0)))
             d = len(spec)
-        head = DenseHead([DenseLinear.init(1, 2, np.random.default_rng(0))])
+        head = [DenseLinear.init(1, 2, np.random.default_rng(0))]
         net = BirNetwork(["geneA", "geneB", "geneC"], blocks, head, ["c0", "c1"])
         assert _input_name(net, 0, 2) == "geneC"
         assert _input_name(net, 1, 0) == "L0/u0:T0(geneA,geneB)"
@@ -98,7 +97,7 @@ class TestBirBlock:
     def test_rule_names_the_inputs_the_unit_reads(self, tmp_path):
         # A unit bound to c -> d reads c and d, and a saved model reloads to the same logits.
         lin = PairLinear(edge_table([(2, 3, "T0")]), [1.0], [1.0], 4)
-        head = DenseHead([DenseLinear(np.ones((2, 1)), np.zeros(2))])
+        head = [DenseLinear(np.ones((2, 1)), np.zeros(2))]
         net = BirNetwork(["a", "b", "c", "d"], [BirBlock(lin, BatchNorm(1))], head, ["c0", "c1"])
         net.blocks[0].bn.set_stats(np.zeros(1), np.ones(1) - BN_EPS)
         x = np.array([[10.0, 60.0, 1.0, 2.0]])
@@ -232,7 +231,7 @@ class TestForwardModes:
     def test_overflow_is_a_named_error(self, mode):
         # 1e308 + 1e308 overflows the one pair unit; no numpy warning escapes.
         blk = BirBlock(PairLinear(edge_table([(0, 1, "T0")]), [1.0], [1.0], 2), BatchNorm(1))
-        head = DenseHead([DenseLinear(np.ones((2, 1)), np.zeros(2))])
+        head = [DenseLinear(np.ones((2, 1)), np.zeros(2))]
         net = BirNetwork(["a", "b"], [blk], head, ["c0", "c1"])
         with pytest.raises(ValueError, match="the network's logits are not finite"):
             net.forward(np.array([[1e308, 1e308], [0.0, 0.0]]), mode=mode)
@@ -282,14 +281,15 @@ class TestFoldedEval:
                 logits, cache = net.forward(X, mode="eval")
                 want, want_cache = oracle_eval_forward(net, X)
                 assert np.abs(logits - want).max() <= 1e-12, (seed, name)
-                for key in ("block_in", "post_bn", "head_in"):
-                    for got, ref in zip(cache[key], want_cache[key]):
+                outs = (cache["block_in"] + cache["head_in"])[1 : net.depth + 1]  # each block's output
+                for key, arrays in (("block_in", cache["block_in"]), ("post_bn", outs), ("head_in", cache["head_in"])):
+                    for got, ref in zip(arrays, want_cache[key], strict=True):
                         assert np.abs(got - ref).max() <= 1e-12, (seed, name, key)
 
     def test_eval_cache_holds_no_batchnorm_state(self):
         _, net = next(inference_nets(0))
         _, cache = net.forward(np.ones((3, net.input_dim)), mode="eval")
-        assert set(cache) == {"mode", "block_in", "post_bn", "head_in", "fold"}
+        assert set(cache) == {"mode", "block_in", "fold", "head_in"}
         for blk, fold in zip(net.blocks, cache["fold"], strict=True):
             assert np.array_equal(fold.scale, blk.fold().scale)
 
@@ -380,7 +380,7 @@ class TestServedModel:
 
     @staticmethod
     def _arrays(net):
-        held = [o for blk in net.blocks for o in (blk.linear, blk.bn)] + net.head.layers
+        held = [o for blk in net.blocks for o in (blk.linear, blk.bn)] + net.head
         held += [o.bindings for o in held if isinstance(o, PairLinear)]
         return [v for o in held for v in vars(o).values() if isinstance(v, np.ndarray)]
 
@@ -497,12 +497,12 @@ class TestGradients:
         net, X, y = self._net_and_batch(400, d=8, widths=(6,), k=3)
         logits, cache = net.forward(X, mode="eval")
         with pytest.raises(ValueError, match="train-mode forward"):
-            net.backward(cache, cross_entropy_grad(logits, y))
+            net.backward(cache, cross_entropy(logits, y)[1])
 
     def test_masked_positions_receive_no_gradient(self):
         net, X, y = self._net_and_batch(400, d=8, widths=(6,), k=3)
         logits, cache = net.forward(X, mode="train")
-        grads = net.backward(cache, cross_entropy_grad(logits, y))
+        grads = net.backward(cache, cross_entropy(logits, y)[1])
         lin = net.blocks[0].linear
         # Gradients exist only for the 2h stored weights; the dense gradient
         # view is zero off-mask by construction.
@@ -526,7 +526,7 @@ class TestAccounting:
         rng = np.random.default_rng(0)
         blk0 = build_bir_layer(self._random_spec(rng, 5000, 2000, "T0"), 2000, rng)
         blk1 = build_bir_layer(self._random_spec(rng, 5000, 5000, "T1"), 5000, rng)
-        head = DenseHead([DenseLinear.init(5000, 32, rng), DenseLinear.init(32, 8, rng)])
+        head = [DenseLinear.init(5000, 32, rng), DenseLinear.init(32, 8, rng)]
         net = BirNetwork([f"f{i}" for i in range(2000)], [blk0, blk1], head,
                          [f"c{i}" for i in range(8)])
         acc = active_param_count(net)
@@ -553,8 +553,8 @@ class TestAccounting:
         assert matched.meta.get("matched_mlp") is True
         # architecture preserved
         assert matched.blocks[0].linear.out_dim == 8
-        assert [l.out_dim for l in matched.head.layers] == [
-            l.out_dim for l in net.head.layers
+        assert [l.out_dim for l in matched.head] == [
+            l.out_dim for l in net.head
         ]
 
 
@@ -707,8 +707,8 @@ class TestSerialization:
 
     def test_rejects_width_mismatch(self, tmp_path):
         net = random_pair_net(np.random.default_rng(6), d=7, widths=(6, 5), k=3)
-        W = net.head.layers[0].W
-        net.head.layers[0].W = np.hstack([W, W])  # the head reads 10 inputs of 5
+        W = net.head[0].W
+        net.head[0].W = np.hstack([W, W])  # the head reads 10 inputs of 5
         with pytest.raises(ValueError, match="do not chain"):
             self._reload(tmp_path, net)
 
@@ -764,7 +764,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="the head has 3 outputs for 2 class names"):
             BirNetwork(*parts[:3], ["c0", "c1"])
         with pytest.raises(ValueError, match="the head has no layer"):
-            BirNetwork(*parts[:2], DenseHead([]), net.class_names)
+            BirNetwork(*parts[:2], [], net.class_names)
         with pytest.raises(ValueError, match="layer widths do not chain: 6 feed 7 inputs"):
             BirNetwork(net.feature_names[:6], *parts[1:])
 
