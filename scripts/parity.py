@@ -6,8 +6,9 @@ compare every artifact byte for byte.
 
 OLD and NEW are the roots of two checkouts of this repository (`. .` checks
 that a tree reproduces itself). The inputs are made once: mine-wide seeds 3
-and 7006 and cv-train seed 11 by NEW's `perfbench/prepare.py`, and the small
-CSV that CI's console-script step writes. Each job then runs once per tree,
+and 7006 and cv-train seed 11 by NEW's `perfbench/prepare.py`, the small
+CSV that CI's console-script step writes, and a deep CSV of four latent
+modules. Each job then runs once per tree,
 in a process of its own with `PYTHONPATH=<tree>/src` and
 `OPENBLAS_NUM_THREADS=1`, since trained models change in their last bits
 with the BLAS thread count. The jobs:
@@ -16,6 +17,9 @@ with the BLAS thread count. The jobs:
 - `build`, `train --depth 3`, `eval --cv 2 --matched`, `rules` and
   `explain` (instance 0 with no `--class`, instance 3 with one) on the CI
   CSV, the explanations reading the tree's own trained model;
+- `train --depth 3`, `explain` on that model and `rules` at the default
+  `--mu` and `--rule-min-support` on the deep CSV, whose models have at
+  least two blocks and whose rules file has rows (checked in each tree);
 - cv-train seed 11's `cross_validate` with perfbench's `CvTrain` config,
   kept as one sha256 per fold model.
 
@@ -74,6 +78,22 @@ def write_fixture(path: str) -> None:
             fh.write(",".join([f"c{i % 2}"] + [repr(float(v)) for v in row]) + "\n")
 
 
+def write_deep_fixture(path: str) -> None:
+    """300 rows of 4 latent modules x 6 noisy copies (noise 0.2); the label is
+    the sign of the first two modules' sum. Mining at the default `mu` builds
+    three pair layers on it."""
+    import numpy as np
+
+    rng = np.random.default_rng(1)
+    latent = rng.normal(size=(300, 4))
+    X = np.repeat(latent, 6, axis=1) + 0.2 * rng.normal(size=(300, 24))
+    y = (latent[:, 0] + latent[:, 1] > 0).astype(int)
+    with open(path, "w") as fh:
+        fh.write(",".join(["label"] + [f"m{j // 6}g{j % 6}" for j in range(24)]) + "\n")
+        for label, row in zip(y, X):
+            fh.write(",".join([f"c{label}"] + [repr(float(v)) for v in row]) + "\n")
+
+
 def make_inputs(new: str, inputs: str) -> None:
     prepare = os.path.join(new, "perfbench", "prepare.py")
     for workload, seed in [*(("mine-wide", s) for s in MINE_SEEDS), ("cv-train", CV_SEED)]:
@@ -81,6 +101,7 @@ def make_inputs(new: str, inputs: str) -> None:
         os.makedirs(out)
         subprocess.run([sys.executable, prepare, workload, str(seed), out], check=True)
     write_fixture(os.path.join(inputs, "fixture.csv"))
+    write_deep_fixture(os.path.join(inputs, "deep.csv"))
 
 
 def cli_jobs(inputs: str) -> list[tuple[str, list[str]]]:
@@ -99,7 +120,29 @@ def cli_jobs(inputs: str) -> list[tuple[str, list[str]]]:
         ("explain-0", ["explain", *fixture, *model, "--instance", "0"]),
         ("explain-3", ["explain", *fixture, *model, "--instance", "3", "--class", "c1"]),
     ]
+    deep = ["--data", os.path.join(inputs, "deep.csv"), "--label", "label"]
+    jobs += [
+        ("deep-train", ["train", *deep, "--depth", "3"]),
+        ("deep-explain", ["explain", *deep, "--model", os.path.join("{root}", "deep-train", "model.json"),
+                          "--instance", "0"]),
+        ("deep-rules", ["rules", *deep]),
+    ]
     return jobs
+
+
+def check_deep(root: str) -> list[str]:
+    """A line per way the deep jobs' outputs under root are too shallow to
+    test the training path: a model of fewer than two blocks, or no rules."""
+    failed = []
+    for job in ("deep-train", "deep-rules"):
+        with open(os.path.join(root, job, "model.json")) as fh:
+            blocks = len(json.load(fh)["blocks"])
+        if blocks < 2:
+            failed.append(f"{job}: {blocks} block(s) in {root}, expected at least 2")
+    with open(os.path.join(root, "deep-rules", "rules.csv")) as fh:
+        if len(fh.read().splitlines()) < 2:
+            failed.append(f"deep-rules: no rule in {root}")
+    return failed
 
 
 def run_tree(tree: str, new: str, inputs: str, root: str) -> list[str]:
@@ -118,7 +161,7 @@ def run_tree(tree: str, new: str, inputs: str, root: str) -> list[str]:
         if proc.returncode != 0:
             last = (proc.stderr.strip().splitlines() or ["(no output)"])[-1]
             failed.append(f"{name}: exited {proc.returncode} in {tree}: {last}")
-    return failed
+    return failed or check_deep(root)
 
 
 def masked(data: bytes, work: str) -> bytes:

@@ -203,8 +203,8 @@ def _naming(source: str):
 
 
 def cmd_mine(args) -> str:
-    ds = _load_dataset(args)
     cfg = _pipeline_cfg(args)
+    ds = _load_dataset(args)
     # The loaded matrix is standardized in place; nothing holds it past binarize.
     with _naming(args.data):
         X, cols, _ = preselect_and_standardize(ds.values, ds.labels, cfg.preselect_m)
@@ -225,7 +225,7 @@ def cmd_fit(args) -> str:
     """`build`, and `train`: the fit of `rules` on every row, trained with
     the same stratified early-stop holdout."""
     trained = args.command == "train"
-    ds, cfg = _load_dataset(args), _pipeline_cfg(args)
+    cfg, ds = _pipeline_cfg(args), _load_dataset(args)
     with _naming(args.data):
         fit = fit_on_rows(ds, cfg, until="train" if trained else "build")
     net = fit.nets[0]
@@ -243,7 +243,7 @@ def cmd_fit(args) -> str:
 def cmd_cv(args) -> str:
     """`eval`, and `matched-mlp`: cross-validation with the matched MLP."""
     include_matched = args.command == "matched-mlp" or args.matched
-    ds, cfg = _load_dataset(args), _pipeline_cfg(args)
+    cfg, ds = _pipeline_cfg(args), _load_dataset(args)
     with _naming(args.data):
         result = cross_validate(ds, cfg, include_matched)
     _write(args, "metrics.csv", result.to_csv())
@@ -260,7 +260,7 @@ def cmd_cv(args) -> str:
 
 
 def cmd_rules(args) -> str:
-    ds, cfg = _load_dataset(args), _pipeline_cfg(args)
+    cfg, ds = _pipeline_cfg(args), _load_dataset(args)
     with _naming(args.data):
         net, rules, report = holdout_rules_run(ds, cfg, test_fraction=args.test_fraction)
     _write(args, "rules.csv", rules_to_csv(rules))

@@ -48,6 +48,16 @@ class PipelineConfig:
     seed: int = 42
     rule_min_support: int = 10
 
+    def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.preselect_m is not None and self.preselect_m < 1:
+            raise ValueError(f"preselect_m must be >= 1, got {self.preselect_m}")
+        if self.depth < 0:  # depth 0 is a head-only network
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        if self.head_hidden < 0:
+            raise ValueError(f"head_hidden must be >= 0, got {self.head_hidden}")
+
 
 def auroc_macro_ovr(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[int]]:
     """One-vs-rest macro AUROC with midrank tie handling.

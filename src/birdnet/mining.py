@@ -54,6 +54,8 @@ class MiningConfig:
             raise ValueError(f"pi must be in [0, 0.5), got {self.pi}")
         if self.h_max < 1:
             raise ValueError(f"h_max must be >= 1, got {self.h_max}")
+        if self.mu < 1:
+            raise ValueError(f"mu must be >= 1, got {self.mu}")
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,17 @@ rules, runs each block as a gather-FMA-ReLU with BatchNorm folded in
 and in a relevance trace that shift, not a bias, absorbs no relevance. A
 loaded model is read-only, so each block folds once and keeps it; a built or
 training network's arrays are writeable and it refolds on every call.
-A pair block's one fresh large array per call is its output: rows go in
-chunks of about 256 KiB of output, each gathered straight into its slice.
+Construction, training and eval run one pair kernel, whose one fresh large
+array per call is its output, gathered in row chunks of about 256 KiB.
 
-Eval mode is inference only: `backward` takes a train-mode cache, and
-BatchNorm's one eval form is the block's `Fold`. Train mode keeps every
-activation row-major: a pair layer gathers its two input columns once per
-step with `take` and its backward reuses them, and its input gradient is one
-`np.bincount` scatter. Once `flat_params` is called (the trainer does), every
-trainable parameter is a view of one flat float64 buffer owned by the
-network, so an optimizer step is a few whole-buffer operations. A network
-that is only loaded and served never builds that buffer.
+Eval mode is inference only: `backward` takes a train-mode cache. Either
+cache keeps each block's input, which a pair layer's backward gathers from;
+a train cache adds one bool gate per block, ReLU and dropout together. A
+pair layer's input gradient is one `np.bincount` scatter. Once `flat_params`
+is called (the trainer does), every trainable parameter is a view of one
+flat float64 buffer owned by the network, so an optimizer step is a few
+whole-buffer operations. A network that is only loaded and served never
+builds that buffer.
 """
 
 from __future__ import annotations
@@ -97,16 +97,6 @@ class PairLinear:
             raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
         return self._gather_sum(x, np.concatenate([self.src, self.tgt]), np.concatenate([self.w_src, self.w_tgt]))
 
-    def forward_saved(self, x: np.ndarray):
-        """(z, saved): z from row-major gathers of each unit's two inputs,
-        and the gathers, which `backward` reuses."""
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        xs, xt = x.take(self.src, axis=1), x.take(self.tgt, axis=1)
-        z = xs * self.w_src
-        z += xt * self.w_tgt
-        return z, (xs, xt)
-
     def folded(self, x: np.ndarray, fold: Fold) -> np.ndarray:
         """(W x) * scale + shift from the fold's gather index and scaled weights."""
         z = self._gather_sum(x, fold.idx, fold.w)
@@ -131,19 +121,22 @@ class PairLinear:
             del g  # freed before the next chunk's gather
         return z
 
-    def backward(self, dz: np.ndarray, saved, input_grad: bool = True):
-        """(dx or None, grads) from `forward_saved`'s gathers. dx is one
-        scatter of all (row, unit) terms, each input's sources before its
-        targets, in unit order: the order of two `np.add.at` passes."""
-        xs, xt = saved
-        grads = {"w_src": (dz * xs).sum(axis=0), "w_tgt": (dz * xt).sum(axis=0)}
+    def backward(self, dz: np.ndarray, x: np.ndarray, input_grad: bool = True):
+        """(dx or None, grads) for the input x that `forward` read, whose two
+        columns per unit are gathered here. dx is one scatter of all (row,
+        unit) terms, each input's sources before its targets, in unit order:
+        the order of two `np.add.at` passes."""
+        m, h = dz.shape
+        idx = np.concatenate([self.src, self.tgt])
+        g = x.take(idx, axis=1)
+        grads = {"w_src": (dz * g[:, :h]).sum(axis=0), "w_tgt": (dz * g[:, h:]).sum(axis=0)}
+        del g  # freed before the scatter's arrays
         if not input_grad:
             return None, grads
-        m, h = dz.shape
         terms = np.empty((m, 2 * h))
         np.multiply(dz, self.w_src, out=terms[:, :h])
         np.multiply(dz, self.w_tgt, out=terms[:, h:])
-        bins = np.arange(0, m * self.in_dim, self.in_dim)[:, None] + np.concatenate([self.src, self.tgt])
+        bins = np.arange(0, m * self.in_dim, self.in_dim)[:, None] + idx
         dx = np.bincount(bins.ravel(), terms.ravel(), minlength=m * self.in_dim)
         return dx.reshape(m, self.in_dim), grads
 
@@ -192,9 +185,6 @@ class DenseLinear:
         z *= fold.scale
         z += fold.shift
         return z
-
-    def forward_saved(self, x: np.ndarray):
-        return self.forward(x), x
 
     def backward(self, dz: np.ndarray, x: np.ndarray, input_grad: bool = True):
         grads = {"W": dz.T @ x}
@@ -336,11 +326,12 @@ class BirNetwork:
 
     def forward(self, X: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None,
                 dropout: float = 0.0):
-        """Returns (logits, cache). Modes: 'train' (batch BN stats, `dropout`
-        after each block's ReLU; the cache is what `backward` takes and keeps
-        what each linear map's backward reuses), 'eval' (inference only:
-        running stats folded into each block, deterministic; the cache keeps
-        each activation once, as a block's or a head layer's input, and each
+        """Returns (logits, cache). Either cache keeps each activation once, as
+        a block's or a head layer's input. Modes: 'train' (batch BN stats,
+        `dropout` after each block's ReLU; the cache is what `backward` takes,
+        and adds each block's BatchNorm state and its gate, the bool of
+        post-ReLU > 0 and, with dropout, kept), 'eval' (inference only: running
+        stats folded into each block, deterministic; the cache adds each
         `Fold`, which relevance traces read). Logits that overflow raise a
         ValueError in either mode, with no numpy warning."""
         if mode not in ("train", "eval"):
@@ -350,34 +341,31 @@ class BirNetwork:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
         if mode == "train" and dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
-        cache = {"mode": mode, "head_in": []}
+        cache = {"mode": mode, "block_in": [], "head_in": []}
         if mode == "train":
-            cache.update(saved=[], bn=[], post_bn=[], drop=[], dropout=dropout)
+            cache.update(bn=[], gate=[], dropout=dropout)
         else:
-            cache.update(block_in=[], fold=[])
+            cache.update(fold=[])
         a = X
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
             for blk in self.blocks:
+                cache["block_in"].append(a)
                 if mode == "eval":
-                    cache["block_in"].append(a)
                     fold = blk.fold()
                     cache["fold"].append(fold)
                     a = blk.linear.folded(a, fold)
                     np.maximum(a, 0.0, out=a)
                     continue
-                z, saved = blk.linear.forward_saved(a)
-                cache["saved"].append(saved)
-                y, bn_cache = blk.bn.forward(z)
+                y, bn_cache = blk.bn.forward(blk.linear.forward(a))
                 cache["bn"].append(bn_cache)
                 a = np.maximum(y, 0.0, out=y)
-                cache["post_bn"].append(a)  # post-ReLU, pre-dropout
+                gate = a > 0.0  # the ReLU's gate, and dropout's below
                 if dropout > 0.0:
                     keep = rng.random(a.shape) >= dropout
+                    gate &= keep
                     a = a * keep
                     a /= 1.0 - dropout
-                    cache["drop"].append(keep)
-                else:
-                    cache["drop"].append(None)
+                cache["gate"].append(gate)
             for i, lay in enumerate(self.head):
                 cache["head_in"].append(a)
                 a = lay.forward(a)
@@ -402,15 +390,13 @@ class BirNetwork:
             if i > 0:
                 da *= x > 0.0
         for ell in reversed(range(len(self.blocks))):
-            blk, keep = self.blocks[ell], cache["drop"][ell]
-            if keep is not None:
-                da *= keep
-                da /= 1.0 - cache["dropout"]
-            da *= cache["post_bn"][ell] > 0.0  # ReLU gate
+            blk = self.blocks[ell]
+            da *= cache["gate"][ell]
+            da /= 1.0 - cache["dropout"]  # exact when there is no dropout
             da, g_bn = blk.bn.backward(da, cache["bn"][ell])
             for name, arr in g_bn.items():
                 grads[f"block{ell}.bn.{name}"] = arr
-            da, g_lin = blk.linear.backward(da, cache["saved"][ell], input_grad=ell > 0)
+            da, g_lin = blk.linear.backward(da, cache["block_in"][ell], input_grad=ell > 0)
             for name, arr in g_lin.items():
                 grads[f"block{ell}.{name}"] = arr
         return grads

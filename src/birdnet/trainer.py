@@ -6,9 +6,9 @@ thread. Masked weight positions are never stored, so they stay exactly
 zero through every optimizer step, weight decay included.
 
 A step is the network's train-mode forward, the loss and its gradient from
-one softmax (`cross_entropy`), and the backward (row-major activations, each
-pair layer's gathers reused by its backward, no gradient for the network
-input), then AdamW on the network's flat parameter buffer: the moments are
+one softmax (`cross_entropy`), and the backward (from each block's kept
+input and one ReLU-and-dropout gate, no gradient for the network input),
+then AdamW on the network's flat parameter buffer: the moments are
 two buffers of the same layout, and one step is a few whole-buffer
 operations, weight decay on the decayed prefix only. The gradient norm for
 clipping is summed array by array, in backward order.

@@ -416,12 +416,12 @@ def eval_gradients(net: BirNetwork, X, y) -> dict[str, np.ndarray]:
     a = np.asarray(X, dtype=np.float64)
     saved = []
     for blk in net.blocks:
-        bn = blk.bn
-        z, lin_saved = blk.linear.forward_saved(a)
+        bn, a_in = blk.bn, a
+        z = blk.linear.forward(a_in)
         inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPS)
         xhat = (z - bn.running_mean) * inv_std
         a = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
-        saved.append((lin_saved, xhat, inv_std, a))
+        saved.append((a_in, xhat, inv_std, a))
     head_in = []
     for i, lay in enumerate(net.head):
         head_in.append(a)
@@ -437,11 +437,11 @@ def eval_gradients(net: BirNetwork, X, y) -> dict[str, np.ndarray]:
             da = da * (head_in[i] > 0.0)
     for ell in reversed(range(len(net.blocks))):
         blk = net.blocks[ell]
-        lin_saved, xhat, inv_std, post = saved[ell]
+        a_in, xhat, inv_std, post = saved[ell]
         da = da * (post > 0.0)
         grads[f"block{ell}.bn.gamma"] = (da * xhat).sum(axis=0)
         grads[f"block{ell}.bn.beta"] = da.sum(axis=0)
-        da, g = blk.linear.backward(da * blk.bn.gamma * inv_std, lin_saved)
+        da, g = blk.linear.backward(da * blk.bn.gamma * inv_std, a_in)
         grads.update({f"block{ell}.{name}": arr for name, arr in g.items()})
     return grads
 

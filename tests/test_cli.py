@@ -502,7 +502,7 @@ class TestConfigAndErrors:
         (["train", "--epochs-max", "0"], "epochs_max must be >= 1"),
         (["train", "--clip-norm", "0"], "clip_norm must be > 0"),
         (["mine", "--h-max", "-2"], "h_max must be >= 1, got -2"),
-        (["mine", "--preselect", "-2"], "requested m=-2 features"),
+        (["mine", "--preselect", "-2"], "preselect_m must be >= 1, got -2"),
         # A NaN rate once trained for every epoch and saved an unloadable model.
         (["train", "--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
         (["rules", "--test-fraction", "-0.2"], "a held-out fraction is in (0, 1), got -0.2"),
@@ -517,6 +517,24 @@ class TestConfigAndErrors:
                     "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--depth", "-1"], "depth must be >= 0, got -1"),
+        (["train", "--head-hidden", "-3"], "head_hidden must be >= 0, got -3"),
+        (["eval", "--cv", "1"], "folds must be >= 2, got 1"),
+        (["mine", "--preselect", "0"], "preselect_m must be >= 1, got 0"),
+        (["rules", "--depth", "-2"], "depth must be >= 0, got -2"),
+        (["build", "--mu", "0", "--min-support", "200"], "mu must be >= 1, got 0"),
+    ], ids=["train-depth", "head-hidden", "cv-one", "preselect-zero", "rules-depth", "mu-zero"])
+    def test_bad_pipeline_field_exits_2_naming_the_field(self, data_csv, tmp_path, capsys, argv, message):
+        # A bad field is the configuration's error, not the CSV's: it is
+        # found before the CSV is read, the message names the field, and
+        # nothing is written.
+        for data in (data_csv, str(tmp_path / "missing.csv")):
+            capsys.readouterr()
+            assert run([*argv, "--data", data, *BASE, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "o").exists()
 
     def test_explain_v3_model_exits_2(self, data_csv, built_model, tmp_path, capsys):
         with open(built_model, encoding="utf-8") as fh:

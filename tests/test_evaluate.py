@@ -185,6 +185,22 @@ def fast_config(**kw):
     )
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("folds", 1, "folds must be >= 2, got 1"),
+        ("preselect_m", 0, "preselect_m must be >= 1, got 0"),
+        ("depth", -1, "depth must be >= 0, got -1"),
+        ("head_hidden", -3, "head_hidden must be >= 0, got -3"),
+    ])
+    def test_rejects_a_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**{field: value})
+
+    def test_head_only_depth_zero_is_valid(self):
+        cfg = PipelineConfig(depth=0, head_hidden=0, preselect_m=1, folds=2)
+        assert (cfg.depth, cfg.head_hidden) == (0, 0)
+
+
 class TestCrossValidate:
     def test_end_to_end_metrics(self):
         res = cross_validate(synthetic_dataset(), fast_config())

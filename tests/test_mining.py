@@ -343,6 +343,10 @@ class TestMineBirs:
         with pytest.raises(ValueError, match=f"h_max must be >= 1, got {h_max}"):
             MiningConfig(h_max=h_max)
 
+    def test_mu_below_one_rejected(self):
+        with pytest.raises(ValueError, match="mu must be >= 1, got 0"):
+            MiningConfig(mu=0)
+
 
 class TestEdgeTable:
     """Every table checks the edge-row rule when it is built."""

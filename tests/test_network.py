@@ -142,9 +142,9 @@ class TestPairLinear:
         lin = PairLinear(edge_table([(0, 1, "T0")]), [0.7], [-0.3], 2)
         x = rng.normal(size=(5, 2))
         y = rng.normal(size=(5, 1))
-        z, saved = lin.forward_saved(x)
+        z = lin.forward(x)
         dz = 2.0 * (z - y)
-        dx, grads = lin.backward(dz, saved)
+        dx, grads = lin.backward(dz, x)
         assert np.allclose(grads["w_src"], (dz[:, 0] * x[:, 0]).sum())
         assert np.allclose(grads["w_tgt"], (dz[:, 0] * x[:, 1]).sum())
         assert set(grads) == {"w_src", "w_tgt"}
@@ -155,7 +155,7 @@ class TestPairLinear:
         lin = PairLinear(edge_table([(0, 1, "T0"), (0, 2, "T0")]), [1.0, 2.0], [1.0, 1.0], 3)
         x = np.ones((1, 3))
         dz = np.ones((1, 2))
-        dx, _ = lin.backward(dz, lin.forward_saved(x)[1])
+        dx, _ = lin.backward(dz, x)
         assert dx[0, 0] == 3.0  # 1*1 + 1*2
 
     def test_input_width_check(self):
@@ -235,6 +235,26 @@ class TestForwardModes:
         net = BirNetwork(["a", "b"], [blk], head, ["c0", "c1"])
         with pytest.raises(ValueError, match="the network's logits are not finite"):
             net.forward(np.array([[1e308, 1e308], [0.0, 0.0]]), mode=mode)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_train_cache_keeps_each_block_input_and_one_gate(self, dropout, matched):
+        # A train cache holds each block's input, the very array its linear
+        # map read, and one bool gate per block: post-ReLU > 0 and, with
+        # dropout, kept; so the gate is where the next activation is > 0.
+        net = random_pair_net(np.random.default_rng(3), d=7, widths=(6, 5), k=3, head_hidden=4)
+        net = to_matched_mlp(net, seed=3) if matched else net
+        read = []
+        for blk in net.blocks:
+            blk.linear.forward = lambda x, f=blk.linear.forward: read.append(x) or f(x)
+        X = np.random.default_rng(4).normal(size=(9, 7))
+        _, cache = net.forward(X, mode="train", rng=np.random.default_rng(5), dropout=dropout)
+        assert set(cache) == {"mode", "block_in", "bn", "gate", "dropout", "head_in"}
+        assert len(read) == len(cache["block_in"]) == len(cache["gate"]) == net.depth
+        assert all(kept is seen for kept, seen in zip(cache["block_in"], read))
+        outs = (cache["block_in"] + cache["head_in"])[1 : net.depth + 1]  # each block's output
+        for gate, out in zip(cache["gate"], outs, strict=True):
+            assert gate.dtype == bool and np.array_equal(gate, out > 0.0)
 
     def test_train_mode_requires_rng_with_dropout(self):
         rng = np.random.default_rng(0)
@@ -316,7 +336,7 @@ class TestFoldedEval:
         s, shift = blk.fold()[:2]
         one_shot = X[:, lin.src] * (lin.w_src * s) + X[:, lin.tgt] * (lin.w_tgt * s) + shift
         assert np.array_equal(lin.folded(X, blk.fold()), one_shot)
-        assert np.array_equal(lin.forward(X), lin.forward_saved(X)[0])  # one chunked gather, same bits
+        assert np.array_equal(lin.forward(X), X[:, lin.src] * lin.w_src + X[:, lin.tgt] * lin.w_tgt)  # same bits
         logits, _ = wide_net.forward(X, mode="eval")
         assert np.abs(logits - oracle_eval_forward(wide_net, X)[0]).max(initial=0.0) <= 1e-12
         rows = [wide_net.forward(X[r : r + 1], mode="eval")[0] for r in range(m)]
